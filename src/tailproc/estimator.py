@@ -7,7 +7,9 @@ The fitted pair (shape, scale) solves the two-equation system
 
 over the top-k excesses Y_j, for a fixed tuning exponent r < 0.  Substituting
 the first equation into the second reduces the system to a scalar root
-problem in b = shape/scale, solved by bracketing and bisection.
+problem in b = shape/scale.  It is solved for the scale-free root
+t = b * mean(Y) on the excesses divided by their mean: a geometric bracket
+search from t = 1 followed by Brent's method.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "GpdParams",
@@ -25,14 +28,28 @@ __all__ = [
     "lme_fit",
 ]
 
-G_TOLERANCE = 1e-10         # accepted residual of the moment equation
-BISECTION_REL_WIDTH = 1e-12  # relative bracket width at termination
-BRACKET_DECADES = 12         # scan b over [1e-12, 1e12] / mean excess
-BRACKET_POINTS = 240
+G_TOLERANCE = 1e-10  # accepted residual of the moment equation
+ROOT_RTOL = 1e-12    # relative tolerance of the root t
+T_WINDOW = (1e-12, 1e12)  # search window for t = b * mean excess
+BRACKET_STEP = 8.0   # geometric step of the bracket search from t = 1
 
 
 class LmeSolverError(RuntimeError):
-    """The scalar moment equation has no admissible root for this sample."""
+    """The scalar moment equation has no admissible root for this sample.
+
+    ``reason`` classifies the failure: ``"degenerate"`` (fewer than two
+    distinct positive excesses), ``"no_sign_change"`` (the moment gap keeps
+    one sign over the search window) or ``"residual"`` (the located root
+    misses the residual gate).
+    """
+
+    def __init__(self, reason: str, detail: str):
+        super().__init__(f"no LME solution found: {detail}")
+        self.reason = reason
+        self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.detail)
 
 
 @dataclass(frozen=True)
@@ -156,15 +173,19 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     Returns
     -------
     LmeEstimate
-        Root of the reduced moment equation with residual below 1e-10,
-        located by a geometric scan of b in ``[1e-12, 1e12] / mean_excess``
-        followed by bisection to relative width 1e-12.
+        Root of the reduced moment equation with residual below 1e-10.  The
+        root is found in ``t = b * mean_excess`` on the excesses divided by
+        their mean: from ``t = 1`` the search steps by a factor of 8 toward
+        the sign change, within ``[1e-12, 1e12]``, and Brent's method refines
+        the bracket to relative tolerance 1e-12.  ``iterations`` counts the
+        moment-gap evaluations, the final residual check included.
 
     Raises
     ------
     LmeSolverError
-        If the scan finds no sign change (degenerate sample, for example all
-        excesses equal).
+        With ``reason`` ``"degenerate"`` (for example all excesses equal),
+        ``"no_sign_change"`` (no sign change in the window) or ``"residual"``
+        (residual above 1e-10 at the root).
     """
     if r >= 0:
         raise ValueError("r must be negative")
@@ -173,42 +194,42 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         raise ValueError("need at least two excesses")
     positive = y[y > 0]
     if positive.size < 2 or positive.max() == positive.min():
-        raise LmeSolverError("no LME solution found: excesses are degenerate")
+        raise LmeSolverError("degenerate", "excesses are degenerate")
 
     ybar = float(y.mean())
-    lo = 10.0**-BRACKET_DECADES / ybar
-    hi = 10.0**BRACKET_DECADES / ybar
-    grid = lo * (hi / lo) ** (np.arange(BRACKET_POINTS + 1) / BRACKET_POINTS)
-
+    z = y / ybar
     evaluations = 0
-    gap_left, _ = _moment_gap(grid[0], y, r)
-    evaluations += 1
-    bracket = None
-    for i in range(1, grid.size):
-        gap_right, _ = _moment_gap(grid[i], y, r)
+
+    def gap(t: float) -> float:
+        nonlocal evaluations
         evaluations += 1
-        if (gap_right < 0.0) != (gap_left < 0.0):
-            bracket = (grid[i - 1], grid[i], gap_left)
+        return _moment_gap(t, z, r)[0]
+
+    # For heavy-tailed excesses the gap is typically positive as t -> 0 and
+    # tends to exp(r) - 1/(1 - r) < 0 as t -> inf, so the search steps up
+    # from a non-negative gap and down from a negative one.
+    t_lo, t_hi = T_WINDOW
+    t_a = 1.0
+    gap_a = gap(t_a)
+    step = BRACKET_STEP if gap_a >= 0.0 else 1.0 / BRACKET_STEP
+    while True:
+        t_b = min(max(t_a * step, t_lo), t_hi)
+        gap_b = gap(t_b)
+        if (gap_b < 0.0) != (gap_a < 0.0):
             break
-        gap_left = gap_right
-    if bracket is None:
-        raise LmeSolverError("no LME solution found: no sign change in bracket")
+        if t_b in T_WINDOW:
+            raise LmeSolverError("no_sign_change", "no sign change in bracket")
+        t_a, gap_a = t_b, gap_b
 
-    b_lo, b_hi, gap_lo = bracket
-    while b_hi - b_lo > BISECTION_REL_WIDTH * b_hi:
-        mid = 0.5 * (b_lo + b_hi)
-        gap_mid, _ = _moment_gap(mid, y, r)
-        evaluations += 1
-        if (gap_mid < 0.0) == (gap_lo < 0.0):
-            b_lo, gap_lo = mid, gap_mid
-        else:
-            b_hi = mid
-
-    b_hat = 0.5 * (b_lo + b_hi)
-    gap, gamma_hat = _moment_gap(b_hat, y, r)
+    # Relative tolerance only: the root ranges over many decades.
+    t_hat = brentq(gap, min(t_a, t_b), max(t_a, t_b),
+                   xtol=np.finfo(float).tiny, rtol=ROOT_RTOL)
+    b_hat = t_hat / ybar
+    residual, gamma_hat = _moment_gap(b_hat, y, r)
     evaluations += 1
-    if abs(gap) > G_TOLERANCE:
+    if abs(residual) > G_TOLERANCE:
         raise LmeSolverError(
-            f"no LME solution found: residual {abs(gap):.3e} above tolerance")
+            "residual", f"residual {abs(residual):.3e} above tolerance")
     return LmeEstimate(gamma_hat=gamma_hat, sigma_hat=gamma_hat / b_hat,
-                       b_hat=b_hat, residual=abs(gap), iterations=evaluations, r=r)
+                       b_hat=b_hat, residual=abs(residual),
+                       iterations=evaluations, r=r)

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import asymptotics, second_order
 from .estimator import ExcessSample, GpdParams, LmeSolverError, lme_fit, top_k_excesses
@@ -251,13 +251,13 @@ def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     return eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
 
 
-def _ks_against(values: np.ndarray, cdf) -> tuple[float, float]:
-    """Kolmogorov-Smirnov distance and asymptotic p-value."""
-    u = np.sort(cdf(values))
+def _ks_uniform(cdf_values: np.ndarray) -> tuple[float, float]:
+    """Kolmogorov-Smirnov distance of cdf values from uniform, asymptotic p-value."""
+    u = np.sort(cdf_values)
     m = u.size
     grid = np.arange(1, m + 1) / m
     d = float(max(np.max(grid - u), np.max(u - grid + 1.0 / m)))
-    return d, float(stats.kstwobign.sf(np.sqrt(m) * d))
+    return d, float(special.kolmogorov(np.sqrt(m) * d))
 
 
 def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostics:
@@ -273,9 +273,9 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
         raise ValueError(f"need at least {MIN_RECORDS_FOR_DIAGNOSTICS} records")
     whitener = _inverse_sqrt(np.asarray(theoretical, dtype=float))
     white = z @ whitener.T
-    ks = [_ks_against(white[:, j], stats.norm.cdf) for j in range(2)]
+    ks = [_ks_uniform(special.ndtr(white[:, j])) for j in range(2)]
     mahal = np.einsum("ij,jk,ik->i", z, np.linalg.inv(theoretical), z)
-    mahal_d, mahal_p = _ks_against(mahal, stats.chi2(2).cdf)
+    mahal_d, mahal_p = _ks_uniform(special.chdtr(2, mahal))
     return NormalityDiagnostics(
         ks_statistics=(ks[0][0], ks[1][0]), ks_p_values=(ks[0][1], ks[1][1]),
         mahalanobis_ks_statistic=mahal_d, mahalanobis_ks_p_value=mahal_p)
@@ -284,17 +284,20 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
 def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> ValidationReport:
     """Run all replications and compare against the theoretical covariance.
 
-    Replications execute independently (in processes when
-    ``worker_count_hint > 1``) and are aggregated in index order, so the
-    report is bit-identical for a fixed config regardless of worker count.
+    Replications execute independently and are aggregated in index order, so
+    the report is bit-identical for a fixed config regardless of worker
+    count.  They run in ``min(worker_count_hint, replications, cpu count)``
+    processes when that is more than one, and serially otherwise.
     Optionally writes the per-replication records as CSV and the report as
     JSON.
     """
     started = time.perf_counter()
     indices = range(config.replications)
-    if config.worker_count_hint > 1 and config.replications > 1:
-        chunk = max(1, config.replications // (config.worker_count_hint * 8))
-        with ProcessPoolExecutor(max_workers=config.worker_count_hint) as pool:
+    workers = min(config.worker_count_hint, config.replications,
+                  os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, config.replications // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_replicate_task,
                                     [(config, i) for i in indices],
                                     chunksize=chunk))

@@ -2,13 +2,15 @@
 
 Everything here is deliberately written without reusing the library's
 vectorized code paths: plain Python loops for the series, quadrature for the
-convolution tail, and a scalar root finder for the quantile inversion.
+convolution tail, a scalar root finder for the quantile inversion, and a
+fine scan plus bisection for the likelihood moment root.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import integrate, optimize
 
 
@@ -57,3 +59,40 @@ def invert_three_term_tail(x, ct, alpha):
     while gap(hi) > 0:
         hi *= 10.0
     return optimize.brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14)
+
+
+def lme_root_scan(excesses, r, points_per_decade=40):
+    """Smallest root b of the reduced likelihood moment equation.
+
+    Scans ``b * mean(excesses)`` geometrically over ``[1e-12, 1e12]`` for the
+    first sign change of ``mean((1 + b y)**(r / g(b))) - 1/(1 - r)`` with
+    ``g(b) = mean(log(1 + b y))``, then bisects until the bracket stops
+    shrinking.  Returns None when the scan finds no sign change.
+    """
+    y = np.asarray(excesses, dtype=float)
+    m = y.size
+    scale = math.fsum(y) / m
+
+    def gap(b):
+        logs = np.log1p(b * y)
+        g = math.fsum(logs) / m
+        return math.fsum(np.exp(logs * (r / g))) / m - 1.0 / (1.0 - r)
+
+    grid = [10.0 ** (i / points_per_decade - 12.0) / scale
+            for i in range(24 * points_per_decade + 1)]
+    lo_negative = gap(grid[0]) < 0.0
+    for lo, hi in zip(grid, grid[1:]):
+        hi_negative = gap(hi) < 0.0
+        if hi_negative != lo_negative:
+            break
+        lo_negative = hi_negative
+    else:
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (gap(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid

@@ -36,6 +36,13 @@ class TestCov:
         assert code == 1
         assert "coefficients required" in err
 
+    def test_arithmetic_error_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "cov", "--gamma", "0.3333", "--ar", "0.9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert "Traceback" not in err
+
     def test_domain_error_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "cov", "--gamma", "-0.5", "--r", "-1",
                              "--coeffs", "1")

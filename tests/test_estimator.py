@@ -1,8 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lme_root_scan
+from tailproc import estimator
 from tailproc.estimator import (
     ExcessSample,
     GpdParams,
@@ -10,7 +14,7 @@ from tailproc.estimator import (
     lme_fit,
     top_k_excesses,
 )
-from tailproc.process import philox_stream
+from tailproc.process import CoefficientSequence, InnovationModel, philox_stream, simulate
 
 
 def quantile_grid_sample(gamma, sigma, k):
@@ -111,8 +115,36 @@ class TestLmeFit:
 
     def test_constant_excesses_have_no_solution(self):
         sample = ExcessSample.from_excesses(np.full(100, 2.5))
-        with pytest.raises(LmeSolverError, match="no LME solution found"):
+        with pytest.raises(LmeSolverError, match="no LME solution found") as info:
             lme_fit(sample, r=-1.0)
+        assert info.value.reason == "degenerate"
+        clone = pickle.loads(pickle.dumps(info.value))
+        assert (clone.reason, str(clone)) == ("degenerate", str(info.value))
+
+    def test_residual_gate_failure_is_classified(self, monkeypatch):
+        monkeypatch.setattr(estimator, "G_TOLERANCE", -1.0)
+        with pytest.raises(LmeSolverError, match="no LME solution found") as info:
+            lme_fit(quantile_grid_sample(0.5, 1.0, 100), r=-1.0)
+        assert info.value.reason == "residual"
+
+    @pytest.mark.parametrize("source,k,stream", [
+        ("gpd", 144, 0), ("gpd", 144, 1), ("gpd", 144, 2),
+        ("gpd", 10**4, 0), ("gpd", 10**4, 1),
+        ("ma1", 144, 0), ("ma1", 144, 1), ("ma1", 1000, 2),
+    ])
+    def test_root_matches_reference_scan(self, source, k, stream):
+        if source == "gpd":
+            rng = philox_stream(2024, stream)
+            sample = ExcessSample.from_excesses(
+                GpdParams(1.0 / 3.0, 1.0).quantile(rng.random(k)))
+        else:
+            path = simulate(CoefficientSequence((1.0, 0.5)), InnovationModel(alpha=3.0),
+                            10**5, 2024, stream=stream)
+            sample = top_k_excesses(path.values, k)
+        fit = lme_fit(sample, r=-0.5)
+        reference = lme_root_scan(sample.excesses, -0.5)
+        assert fit.b_hat == pytest.approx(reference, rel=1e-9)
+        assert fit.iterations <= 30
 
     def test_r_must_be_negative(self):
         sample = quantile_grid_sample(0.5, 1.0, 100)

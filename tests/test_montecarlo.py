@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import tailproc
 from tailproc import montecarlo as mc
 from tailproc.asymptotics import estimator_cov
-from tailproc.process import CoefficientSequence, InnovationModel, philox_stream
+from tailproc.estimator import LmeSolverError, lme_fit, top_k_excesses
+from tailproc.process import CoefficientSequence, InnovationModel, philox_stream, simulate
 from tailproc.second_order import quantile_expansion, tail_expansion
 
 IID = CoefficientSequence((1.0,))
@@ -93,6 +99,18 @@ class TestRunReplication:
         failed = [rec for rec in records if not rec.ok]
         assert all(np.isnan(rec.z1) for rec in failed)
 
+    def test_no_sign_change_replication(self):
+        # Replication 5 of this MA(1) panel batch has no root of the moment
+        # equation: the gap is negative over the whole search window.
+        cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=10**6, k=144,
+                                  r=-0.5, replications=10,
+                                  master_seed=(1606 << 20) + 8)
+        assert mc.run_replication(cfg, 5).status == "no_solution"
+        path = simulate(DEP, MODEL, cfg.n, cfg.master_seed, stream=5)
+        with pytest.raises(LmeSolverError, match="no LME solution found") as info:
+            lme_fit(top_k_excesses(path.values, cfg.k), cfg.r)
+        assert info.value.reason == "no_sign_change"
+
     def test_gpd_direct_mean_near_zero(self):
         # iid control straight from the limit law: the standardized shape
         # coordinate has mean within 0.1 at this replication count.
@@ -149,6 +167,26 @@ class TestNormalityDiagnostics:
         direct = [stats.kstest(z[:, j], "norm").statistic for j in range(2)]
         assert diag.ks_statistics[0] == pytest.approx(direct[0], abs=1e-12)
         assert diag.ks_statistics[1] == pytest.approx(direct[1], abs=1e-12)
+
+    def test_matches_scipy_stats_bit_for_bit(self):
+        rng = philox_stream(11)
+        z = rng.multivariate_normal([0.3, -0.2], self.THEORY, size=400)
+        eigvals, eigvecs = np.linalg.eigh(self.THEORY)
+        white = z @ (eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T).T
+        mahal = np.einsum("ij,jk,ik->i", z, np.linalg.inv(self.THEORY), z)
+
+        def ks(cdf_values):
+            u = np.sort(cdf_values)
+            m = u.size
+            grid = np.arange(1, m + 1) / m
+            d = float(max(np.max(grid - u), np.max(u - grid + 1.0 / m)))
+            return d, float(stats.kstwobign.sf(np.sqrt(m) * d))
+
+        (d0, p0), (d1, p1) = (ks(stats.norm.cdf(white[:, j])) for j in range(2))
+        dm, pm = ks(stats.chi2(2).cdf(mahal))
+        assert mc.normality_diagnostics(z, self.THEORY) == mc.NormalityDiagnostics(
+            ks_statistics=(d0, d1), ks_p_values=(p0, p1),
+            mahalanobis_ks_statistic=dm, mahalanobis_ks_p_value=pm)
 
     def test_whitening_normalizes_covariance(self):
         rng = philox_stream(10)
@@ -229,6 +267,46 @@ class TestRunExperiment:
     def test_diagnostics_skipped_below_minimum(self):
         report = mc.run_experiment(small_config(replications=10))
         assert report.diagnostics is None
+
+
+@pytest.mark.parametrize("hint,replications,cpus,expected", [
+    (8, 3, 4, [3]), (8, 6, 4, [4]), (2, 6, 4, [2]), (8, 6, 1, []),
+    (8, 6, None, []), (1, 6, 4, []),
+])
+def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    mc.run_experiment(small_config(n=500, k=20, replications=replications,
+                                   worker_count_hint=hint))
+    assert sizes == expected
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(tailproc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tailproc; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_resolve_workers(monkeypatch):
