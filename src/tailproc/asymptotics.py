@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import CoefficientSequence, decay_certificate
+from .process import CoefficientSequence, decay_certificate, lag_pairs
 
 __all__ = [
     "PhiConstants",
@@ -146,15 +146,8 @@ def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiCon
     """
     _check_domain(gamma, r)
     norm, trunc = coefficient_norm(coeffs, gamma)
-    arr = np.abs(coeffs.as_array())
     s1 = s2 = s3 = 0.0
-    for j in range(1, arr.size):
-        lead, lag = arr[:-j], arr[j:]
-        both = (lead > 0) & (lag > 0)
-        if not np.any(both):
-            continue
-        lo = np.minimum(lead[both], lag[both])
-        hi = np.maximum(lead[both], lag[both])
+    for lo, hi in lag_pairs(coeffs):
         s1 += float(np.sum(lo ** (1.0 / gamma)))
         s2 += float(np.sum(hi ** (r / gamma) / lo ** ((r - 1.0) / gamma)))
         s3 += float(np.sum(lo ** (1.0 / gamma) * np.log(hi / lo)))

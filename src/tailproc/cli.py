@@ -26,6 +26,7 @@ CONFIG_KEYS = {
     "coeffs", "ar", "ma", "alpha", "kind", "pi1", "pi2",
     "r", "n", "k", "theta", "reps", "seed", "workers", "sampling",
 }
+COEFF_KEYS = ("coeffs", "ar", "ma")
 
 
 class UsageError(ValueError):
@@ -46,16 +47,21 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _coeffs_from_args(args) -> CoefficientSequence:
-    if args.coeffs is not None and (args.ar is not None or args.ma is not None):
-        raise UsageError("give either --coeffs or --ar/--ma, not both")
-    if args.coeffs is not None:
-        return CoefficientSequence(tuple(_parse_floats(args.coeffs)))
-    if args.ar is not None or args.ma is not None:
-        ar = _parse_floats(args.ar) if args.ar is not None else []
-        ma = _parse_floats(args.ma) if args.ma is not None else []
-        return arma_to_ma(ar, ma)
-    raise UsageError("coefficients required: pass --coeffs or --ar/--ma")
+def _coeffs(coeffs=None, ar=None, ma=None) -> CoefficientSequence:
+    """Explicit coefficients, or the truncated expansion of an ARMA model."""
+    if coeffs is not None and (ar is not None or ma is not None):
+        raise UsageError("give either coeffs or ar/ma, not both")
+    if coeffs is not None:
+        return CoefficientSequence(tuple(float(v) for v in coeffs))
+    if ar is not None or ma is not None:
+        return arma_to_ma(ar or [], ma or [])
+    raise UsageError("coefficients required: give coeffs or ar/ma")
+
+
+def _coeff_flags(args) -> dict:
+    """The coefficient flags given on the command line, parsed."""
+    return {key: _parse_floats(getattr(args, key)) for key in COEFF_KEYS
+            if getattr(args, key) is not None}
 
 
 def _model_from_args(args) -> InnovationModel:
@@ -66,8 +72,9 @@ def _model_from_args(args) -> InnovationModel:
     return InnovationModel(kind="one_sided_pareto", alpha=args.alpha)
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(payload: dict | str, output: str | None) -> None:
+    """Write JSON, or text already formatted, to ``output`` or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if output:
         with open(output, "w") as handle:
             handle.write(text + "\n")
@@ -92,19 +99,14 @@ def _read_column(path: str) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    coeffs = _coeffs_from_args(args)
+    coeffs = _coeffs(**_coeff_flags(args))
     model = _model_from_args(args)
     path = simulate(coeffs, model, args.n, args.seed)
     if args.format == "json":
         _emit({"seed": path.seed, "fingerprint": path.fingerprint,
                "values": path.values.tolist()}, args.output)
     else:
-        lines = "value\n" + "\n".join(repr(float(v)) for v in path.values) + "\n"
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(lines)
-        else:
-            sys.stdout.write(lines)
+        _emit("value\n" + "\n".join(repr(float(v)) for v in path.values), args.output)
     return EXIT_OK
 
 
@@ -127,14 +129,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cov(args) -> int:
-    coeffs = _coeffs_from_args(args)
+    coeffs = _coeffs(**_coeff_flags(args))
     report = asymptotics.estimator_cov(args.gamma, args.r, coeffs)
     _emit(report.to_dict(), args.output)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    coeffs = _coeffs_from_args(args)
+    coeffs = _coeffs(**_coeff_flags(args))
     report = second_order.check_conditions(args.alpha, coeffs, xi=args.xi)
     _emit(report.to_dict(), args.output)
     return EXIT_OK
@@ -156,25 +158,16 @@ def _load_config_file(path: str) -> dict:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config_file(args.config) if args.config else {}
-    # Command-line flags override file values.
-    overrides = {
-        "coeffs": _parse_floats(args.coeffs) if args.coeffs is not None else None,
-        "ar": _parse_floats(args.ar) if args.ar is not None else None,
-        "ma": _parse_floats(args.ma) if args.ma is not None else None,
-        "alpha": args.alpha, "r": args.r, "n": args.n, "k": args.k,
-        "theta": args.theta, "reps": args.reps, "seed": args.seed,
-        "workers": args.workers, "sampling": args.sampling,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    # Command-line flags override file values; coefficient flags replace the
+    # file's coeffs/ar/ma keys as a group.
+    flags = _coeff_flags(args)
+    if flags:
+        cfg = {key: value for key, value in cfg.items() if key not in COEFF_KEYS}
+    cfg.update(flags)
+    cfg.update({key: getattr(args, key) for key in CONFIG_KEYS.difference(COEFF_KEYS)
+                if getattr(args, key, None) is not None})
 
-    if cfg.get("coeffs") is not None:
-        coeffs = CoefficientSequence(tuple(float(v) for v in cfg["coeffs"]))
-    elif cfg.get("ar") is not None or cfg.get("ma") is not None:
-        coeffs = arma_to_ma(cfg.get("ar") or [], cfg.get("ma") or [])
-    else:
-        raise UsageError("missing config key: 'coeffs' (or 'ar'/'ma')")
+    coeffs = _coeffs(*(cfg.get(key) for key in COEFF_KEYS))
     for key in ("alpha", "r", "n", "reps", "seed"):
         if cfg.get(key) is None:
             raise UsageError(f"missing config key: {key!r}")

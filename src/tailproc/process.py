@@ -9,6 +9,7 @@ geometric-decay truncation, so every simulation is an exact finite filter.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "philox_stream",
     "arma_to_ma",
     "decay_certificate",
+    "lag_pairs",
     "pairwise_dependence_sum",
     "apply_filter",
     "simulate",
@@ -112,11 +114,11 @@ class CoefficientSequence:
     ``truncation_error_bound`` bounds the absolute coefficient mass discarded
     by an ARMA truncation (zero for explicitly given sequences).  ``decay_u``
     is the geometric rate backing the certificate ``|c_j| < A * u**-j``; for
-    ARMA-derived sequences it is the smallest autoregressive root modulus.
+    ARMA-derived sequences it is the square root of the smallest
+    autoregressive root modulus.
     """
 
     coeffs: tuple[float, ...]
-    origin: str = "explicit"
     truncation_error_bound: float = 0.0
     ar: tuple[float, ...] = ()
     ma: tuple[float, ...] = ()
@@ -129,8 +131,6 @@ class CoefficientSequence:
             raise ValueError("degenerate coefficients: all zero")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        if self.origin not in ("explicit", "arma"):
-            raise ValueError(f"unknown origin: {self.origin!r}")
         if self.truncation_error_bound < 0:
             raise ValueError("truncation_error_bound must be >= 0")
 
@@ -194,22 +194,24 @@ def arma_to_ma(ar, ma, tol: float = 1e-12) -> CoefficientSequence:
 
     if p == 0:
         coeffs = np.concatenate(([1.0], ma))
-        return CoefficientSequence(tuple(coeffs), origin="arma",
-                                   truncation_error_bound=0.0,
-                                   ar=tuple(ar), ma=tuple(ma), decay_u=2.0)
+        return CoefficientSequence(tuple(coeffs), ar=tuple(ar), ma=tuple(ma))
 
-    roots = _ar_roots(ar)
-    if np.any(np.abs(roots) <= 1.0 + 1e-12):
+    modulus = float(np.min(np.abs(_ar_roots(ar))))
+    if modulus <= 1.0 + 1e-12:
         raise ValueError("not causal: autoregressive root on or inside the unit circle")
-    u = float(np.min(np.abs(roots)))
 
-    # c_j = theta_j + sum_i phi_i c_{j-i}; track A = sup |c_j| u^j so the
-    # geometric remainder A u^{-J} / (u - 1) certifies the discarded mass.
-    # The sup is declared stable once it has not grown for `window` lags.
+    # c_j = theta_j + sum_i phi_i c_{j-i}.  Certify at u = sqrt(modulus),
+    # strictly inside (1, modulus): A = sup |c_j| u^j is then finite, for
+    # repeated roots too, and the geometric remainder A u^{-J} / (u - 1)
+    # certifies the discarded mass.  u^j overflows long before |c_j| u^j
+    # does, so A is tracked in logs.  The sup is declared stable once it has
+    # not grown for `window` lags.
+    u = math.sqrt(modulus)
+    log_u = math.log(u)
     window = 20
     max_terms = 200_000
     coeffs = [1.0]
-    amp = 1.0
+    log_amp = 0.0
     last_growth = 0
     j = 0
     while True:
@@ -219,36 +221,49 @@ def arma_to_ma(ar, ma, tol: float = 1e-12) -> CoefficientSequence:
         theta_j = ma[j - 1] if j <= q else 0.0
         c_j = theta_j + float(np.dot(ar[: min(j, p)], coeffs[-1 : -min(j, p) - 1 : -1]))
         coeffs.append(c_j)
-        scaled = abs(c_j) * u**j
-        if scaled > amp:
-            amp = scaled
+        scaled = math.log(abs(c_j)) + j * log_u if c_j != 0.0 else -math.inf
+        if scaled > log_amp:
+            log_amp = scaled
             last_growth = j
         if j < max(p, q) + window or j - last_growth < window:
             continue
-        bound = amp * (1.0 + 1e-9) * u ** (-j) / (u - 1.0)
+        bound = math.exp(log_amp - j * log_u) * (1.0 + 1e-9) / (u - 1.0)
         if bound < tol:
-            return CoefficientSequence(tuple(coeffs), origin="arma",
-                                       truncation_error_bound=bound,
+            return CoefficientSequence(tuple(coeffs), truncation_error_bound=bound,
                                        ar=tuple(ar), ma=tuple(ma), decay_u=u)
 
 
 def decay_certificate(coeffs: CoefficientSequence, u: float | None = None) -> tuple[float, float]:
     """Certified pair (A, u) with ``|c_j| < A * u**-j`` at every stored lag.
 
-    ``u`` defaults to the stored ARMA decay rate when available and to 2
-    otherwise (any value above 1 certifies a finite sequence).  ``A`` is the
-    smallest constant keeping the inequality strict.
+    ``u`` defaults to the stored ARMA decay rate when available and
+    otherwise to ``2**min(1, 256/J)`` for a sequence of order J: any value
+    above 1 certifies a finite sequence, and this one keeps ``u**J`` finite.
+    ``A`` is the smallest constant keeping the inequality strict.
     """
     arr = coeffs.as_array()
-    if not np.any(arr != 0.0):
-        raise ValueError("degenerate coefficients: all zero")
     if u is None:
-        u = coeffs.decay_u if coeffs.decay_u is not None else 2.0
+        u = coeffs.decay_u or 2.0 ** min(1.0, 256.0 / max(coeffs.order, 1))
     if not u > 1.0:
         raise ValueError("u must exceed 1")
     j = np.arange(arr.size)
     a_min = float(np.max(np.abs(arr) * u**j))
     return float(a_min * (1.0 + 1e-12) + np.finfo(float).tiny), float(u)
+
+
+def lag_pairs(coeffs: CoefficientSequence):
+    """Yield ``(lo, hi)`` for every lag ``j >= 1`` with a nonzero pair.
+
+    ``lo`` and ``hi`` are the elementwise min and max of ``|c_i|`` and
+    ``|c_{i+j}|`` over the indices i where both are nonzero; lags without
+    such a pair are skipped.
+    """
+    arr = np.abs(coeffs.as_array())
+    for j in range(1, arr.size):
+        lead, lag = arr[:-j], arr[j:]
+        both = (lead > 0) & (lag > 0)
+        if np.any(both):
+            yield np.minimum(lead[both], lag[both]), np.maximum(lead[both], lag[both])
 
 
 def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
@@ -261,15 +276,8 @@ def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    arr = np.abs(coeffs.as_array())
     total = 0.0
-    for j in range(1, arr.size):
-        lead, lag = arr[:-j], arr[j:]
-        both = (lead > 0) & (lag > 0)
-        if not np.any(both):
-            continue
-        lo = np.minimum(lead[both], lag[both])
-        hi = np.maximum(lead[both], lag[both])
+    for lo, hi in lag_pairs(coeffs):
         total += float(np.sum(lo ** (1.0 / gamma) * np.log(hi / lo)))
     return total
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,13 +32,21 @@ class TestCov:
         payload = json.loads(out)
         assert payload["norm_c"] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
+    def test_ar_root_near_unit_circle(self, capsys):
+        # c_j = 0.9**j and 1/gamma = 2, so the norm is 1/(1 - 0.81).
+        code, out, _ = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1",
+                               "--ar", "0.9")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["norm_c"] == pytest.approx(1.0 / 0.19, abs=1e-10)
+
     def test_requires_coefficients(self, capsys):
         code, _, err = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1")
         assert code == 1
         assert "coefficients required" in err
 
     def test_arithmetic_error_is_numerical_failure(self, capsys):
-        code, out, err = run_cli(capsys, "cov", "--gamma", "0.3333", "--ar", "0.9")
+        code, out, err = run_cli(capsys, "check", "--alpha", "3", "--coeffs", "1e200,1")
         assert code == 2
         assert out == ""
         assert err.startswith("numerical failure: ")
@@ -65,6 +74,34 @@ class TestCheck:
         witness = {c["name"]: c["witness"] for c in payload["checks"]}
         assert witness["(i)"]["eta"] == pytest.approx(0.45)
         assert witness["(i)"]["C_eta"] == pytest.approx(1.73204, abs=5e-6)
+
+    def test_rows_and_conditions_holding_by_construction(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--alpha", "3", "--coeffs", "1,0.5")
+        payload = json.loads(out)
+        assert code == 0
+        assert [c["name"] for c in payload["checks"]] == [
+            "geometric_decay", "(i)", "(ii)", "(iii)"]
+        assert payload["holds_by_construction"] == [
+            "cross_lag_sum", "innovation_moment", "innovation_smoothness", "k_growth"]
+
+    def test_long_sequence_certificate_is_finite(self, capsys):
+        # With u = 2 the certificate of 0.99**j at J = 3000 overflows to inf,
+        # which json.dumps writes as the non-JSON token Infinity.
+        coeffs = 0.99 ** np.arange(3001)
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "check", "--alpha", "3", "--coeffs",
+                                   ",".join(repr(float(c)) for c in coeffs))
+        assert code == 0
+        witness = {c["name"]: c["witness"]
+                   for c in json.loads(out, parse_constant=reject)["checks"]}
+        a_cert, u_cert = witness["geometric_decay"]["A"], witness["geometric_decay"]["u"]
+        assert np.isfinite(a_cert) and u_cert > 1.0
+        assert np.all(coeffs < a_cert * u_cert ** -np.arange(3001))
 
 
 class TestSimulateAndFit:
@@ -153,6 +190,25 @@ class TestValidate:
                                "--reps", "12")
         assert code == 0
         assert json.loads(out)["config"]["replications"] == 12
+
+    def test_both_coefficient_kinds_in_file_rejected(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"coeffs": [1], "ar": [0.5], "alpha": 3,
+                                        "r": -1, "n": 4000, "k": 60, "reps": 4,
+                                        "seed": 17, "workers": 1}))
+        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert code == 1
+        assert "not both" in err
+
+    def test_coeffs_flag_replaces_arma_keys_of_file(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"ar": [0.5], "alpha": 3, "r": -1,
+                                        "n": 4000, "k": 60, "reps": 4,
+                                        "seed": 17, "workers": 1}))
+        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path),
+                               "--coeffs", "1,0.5")
+        assert code == 0
+        assert json.loads(out)["config"]["coeffs"] == [1.0, 0.5]
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

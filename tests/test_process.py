@@ -87,8 +87,8 @@ class TestCoefficientSequence:
 class TestArmaToMa:
     def test_ar1_closed_form(self):
         seq = arma_to_ma([0.5], [], tol=1e-12)
-        assert seq.order == 40
-        expected = 0.5 ** np.arange(41)
+        assert seq.order == 83
+        expected = 0.5 ** np.arange(84)
         np.testing.assert_allclose(seq.as_array(), expected, rtol=1e-14)
         assert 0.0 < seq.truncation_error_bound < 1e-12
 
@@ -122,6 +122,21 @@ class TestArmaToMa:
         # And the summed continuation stays below the bound too.
         assert sum(abs(v) for v in c[seq.order + 1 :]) < seq.truncation_error_bound
 
+    @pytest.mark.parametrize("ar,ma", [([0.9], []), ([0.8], []), ([0.99], []),
+                                       ([0.9], [0.4]), ([1.0, -0.25], [])])
+    def test_roots_near_unit_circle_and_repeated_roots(self, ar, ma):
+        # Certified at sqrt(min |root|), inside (1, min |root|): no overflow
+        # of u**j, and a finite sup for the repeated root of (1, -0.25).
+        tol = 1e-12
+        seq = arma_to_ma(ar, ma, tol=tol)
+        assert seq.truncation_error_bound < tol
+        c = list(seq.coeffs)
+        for _ in range(20):
+            j = len(c)
+            theta = ma[j - 1] if j <= len(ma) else 0.0
+            c.append(theta + sum(phi * c[j - 1 - i] for i, phi in enumerate(ar)))
+            assert abs(c[-1]) < seq.truncation_error_bound
+
     def test_arma11_matches_direct_recursion(self):
         seq = arma_to_ma([0.6], [0.4], tol=1e-10)
         expected = [1.0, 1.0]
@@ -141,7 +156,7 @@ class TestDecayCertificate:
     def test_geometric_sequence(self):
         seq = arma_to_ma([0.5], [], tol=1e-12)
         a_cert, u_cert = decay_certificate(seq)
-        assert u_cert == 2.0
+        assert u_cert == np.sqrt(2.0)
         assert a_cert == pytest.approx(1.0, rel=1e-9)
 
     def test_strict_inequality_everywhere(self):

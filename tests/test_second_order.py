@@ -187,6 +187,14 @@ class TestCheckConditions:
         assert by_name["(ii)"].passed
         assert by_name["(ii)"].witness["value"] == pytest.approx(7.5, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha,coeffs", [(3.0, (1.0, 0.5)), (4.5, (1.0, 0.8, 0.3)),
+                                              (2.5, (0.2, 1.0))])
+    def test_condition_ii_is_the_ct3_bracket(self, alpha, coeffs):
+        seq = CoefficientSequence(coeffs)
+        by_name = {c.name: c for c in check_conditions(alpha, seq).checks}
+        value = by_name["(ii)"].witness["value"]
+        assert tail_expansion(alpha, seq).c_tilde[2] == 0.5 * alpha * (alpha + 1.0) * value
+
     def test_report_serializes(self):
         import json
 
