@@ -1,78 +1,14 @@
 """Heavy-tailed linear processes, likelihood moment fitting of threshold
 excesses, closed-form limit covariances, and Monte Carlo validation."""
 
-from .asymptotics import (
-    CovarianceReport,
-    PhiConstants,
-    RawLimits,
-    coefficient_norm,
-    estimator_cov,
-    jacobian_limit,
-    kappas,
-    linearization_matrix,
-    phi_constants,
-    raw_limits,
-    sigma_matrix,
-)
-from .estimator import (
-    ExcessSample,
-    GpdParams,
-    LmeEstimate,
-    LmeSolverError,
-    lme_fit,
-    top_k_excesses,
-)
-from .montecarlo import (
-    ExperimentConfig,
-    NormalityDiagnostics,
-    ReplicationRecord,
-    ValidationReport,
-    empirical_cov,
-    normality_diagnostics,
-    run_experiment,
-    run_replication,
-    sigma_nk,
-)
-from .process import (
-    CoefficientSequence,
-    InnovationModel,
-    SimulatedPath,
-    apply_filter,
-    arma_to_ma,
-    decay_certificate,
-    pairwise_dependence_sum,
-    philox_stream,
-    simulate,
-)
-from .second_order import (
-    ConditionReport,
-    QuantileExpansion,
-    TailExpansion,
-    check_conditions,
-    choose_k,
-    coefficient_power_sum,
-    quantile_expansion,
-    second_order_rates,
-    tail_expansion,
-    von_mises_ratio,
-)
+from . import asymptotics, estimator, montecarlo, process, second_order
+from .asymptotics import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .process import *  # noqa: F403
+from .second_order import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientSequence", "InnovationModel", "SimulatedPath",
-    "apply_filter", "arma_to_ma", "decay_certificate",
-    "pairwise_dependence_sum", "philox_stream", "simulate",
-    "GpdParams", "ExcessSample", "LmeEstimate", "LmeSolverError",
-    "top_k_excesses", "lme_fit",
-    "PhiConstants", "RawLimits", "CovarianceReport", "coefficient_norm",
-    "phi_constants", "raw_limits", "kappas", "sigma_matrix",
-    "linearization_matrix", "jacobian_limit", "estimator_cov",
-    "TailExpansion", "QuantileExpansion", "ConditionReport",
-    "coefficient_power_sum", "tail_expansion", "quantile_expansion",
-    "second_order_rates", "choose_k", "check_conditions", "von_mises_ratio",
-    "ExperimentConfig", "ReplicationRecord", "NormalityDiagnostics",
-    "ValidationReport", "sigma_nk", "run_replication", "run_experiment",
-    "empirical_cov", "normality_diagnostics",
-    "__version__",
-]
+__all__ = [name for module in (process, estimator, asymptotics, second_order, montecarlo)
+           for name in module.__all__] + ["__version__"]

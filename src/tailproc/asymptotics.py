@@ -9,7 +9,7 @@ coefficient series phi_1..phi_3 below, all zero in the iid case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,20 +86,13 @@ class CovarianceReport:
     estimator_cov: np.ndarray
 
     def to_dict(self) -> dict:
+        # The phi block carries the report's own gamma and r, so merging it
+        # keeps them first: gamma, r, norm_c, phi1..phi3, truncation_error.
         return {
             "gamma": self.gamma,
             "r": self.r,
-            "norm_c": self.phi.norm_c,
-            "phi1": self.phi.phi1,
-            "phi2": self.phi.phi2,
-            "phi3": self.phi.phi3,
-            "truncation_error": self.phi.truncation_error,
-            "raw_limits": {
-                "t1": self.raw.t1, "t2": self.raw.t2, "tI": self.raw.tI,
-                "t12": self.raw.t12, "t1I": self.raw.t1I, "t2I": self.raw.t2I,
-                "beta1p": self.raw.beta1p, "beta2p": self.raw.beta2p,
-                "beta1": self.raw.beta1, "beta2": self.raw.beta2,
-            },
+            **asdict(self.phi),
+            "raw_limits": asdict(self.raw),
             "kappa1": self.kappa1,
             "kappa2": self.kappa2,
             "kappa3": self.kappa3,
@@ -125,9 +118,8 @@ def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, 
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    arr = np.abs(coeffs.as_array())
     p = 1.0 / gamma
-    value = float(np.sum(arr[arr > 0] ** p))
+    value = coeffs.power_sum(p)
     if coeffs.truncation_error_bound == 0.0:
         return value, 0.0
     a_cert, u_cert = decay_certificate(coeffs)
@@ -142,15 +134,18 @@ def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiCon
     phi_1 sums ``min**(1/gamma)`` over all lag pairs, phi_2 sums
     ``max**(r/gamma) / min**((r-1)/gamma)`` and phi_3 sums
     ``min**(1/gamma) * log(max/min)``, each over pairs with both coefficients
-    nonzero and divided by the coefficient norm.
+    nonzero and divided by the coefficient norm.  The phi_2 term is evaluated
+    as ``min**(1/gamma) * (min/max)**(-r/gamma)``, whose factors cannot
+    overflow once the norm is finite.
     """
     _check_domain(gamma, r)
     norm, trunc = coefficient_norm(coeffs, gamma)
     s1 = s2 = s3 = 0.0
     for lo, hi in lag_pairs(coeffs):
-        s1 += float(np.sum(lo ** (1.0 / gamma)))
-        s2 += float(np.sum(hi ** (r / gamma) / lo ** ((r - 1.0) / gamma)))
-        s3 += float(np.sum(lo ** (1.0 / gamma) * np.log(hi / lo)))
+        w = lo ** (1.0 / gamma)
+        s1 += float(np.sum(w))
+        s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
+        s3 += float(np.sum(w * np.log(hi / lo)))
     return PhiConstants(norm_c=norm, phi1=s1 / norm, phi2=s2 / norm,
                         phi3=s3 / norm, gamma=gamma, r=r, truncation_error=trunc)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,11 +23,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
+# Config keys and the JSON type of their values: float stands for any JSON
+# number and list for a list of numbers.  null leaves NULLABLE_KEYS unset.
 CONFIG_KEYS = {
-    "coeffs", "ar", "ma", "alpha", "kind", "pi1", "pi2",
-    "r", "n", "k", "theta", "reps", "seed", "workers", "sampling",
+    "coeffs": list, "ar": list, "ma": list, "alpha": float, "kind": str,
+    "pi1": float, "pi2": float, "r": float, "n": float, "k": float,
+    "theta": float, "reps": float, "seed": float, "workers": float,
+    "sampling": str,
 }
 COEFF_KEYS = ("coeffs", "ar", "ma")
+NULLABLE_KEYS = COEFF_KEYS + ("k", "workers")
+TYPE_NAMES = {float: "a number", str: "a string", list: "a list of numbers"}
 
 
 class UsageError(ValueError):
@@ -45,6 +52,18 @@ def _parse_floats(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_type(value, kind) -> bool:
+    if kind is float:
+        return _is_number(value)
+    if kind is list:
+        return isinstance(value, list) and all(map(_is_number, value))
+    return isinstance(value, kind)
 
 
 def _coeffs(coeffs=None, ar=None, ma=None) -> CoefficientSequence:
@@ -121,10 +140,7 @@ def _cmd_fit(args) -> int:
             raise UsageError("--k is required when fitting a raw series")
         sample = top_k_excesses(data, args.k)
     fit = lme_fit(sample, args.r)
-    _emit({"gamma_hat": fit.gamma_hat, "sigma_hat": fit.sigma_hat,
-           "b_hat": fit.b_hat, "residual": fit.residual,
-           "iterations": fit.iterations, "r": fit.r,
-           "k": sample.k, "threshold": sample.threshold}, args.output)
+    _emit({**asdict(fit), "k": sample.k, "threshold": sample.threshold}, args.output)
     return EXIT_OK
 
 
@@ -150,9 +166,12 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    for key in raw:
+    for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise UsageError(f"unknown config key: {key!r}")
+        kind = CONFIG_KEYS[key]
+        if not (_has_type(value, kind) or value is None and key in NULLABLE_KEYS):
+            raise UsageError(f"config key {key!r} must be {TYPE_NAMES[kind]}")
     return raw
 
 
@@ -164,7 +183,7 @@ def _cmd_validate(args) -> int:
     if flags:
         cfg = {key: value for key, value in cfg.items() if key not in COEFF_KEYS}
     cfg.update(flags)
-    cfg.update({key: getattr(args, key) for key in CONFIG_KEYS.difference(COEFF_KEYS)
+    cfg.update({key: getattr(args, key) for key in CONFIG_KEYS.keys() - COEFF_KEYS
                 if getattr(args, key, None) is not None})
 
     coeffs = _coeffs(*(cfg.get(key) for key in COEFF_KEYS))

@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -34,11 +34,8 @@ __all__ = [
     "run_experiment",
     "empirical_cov",
     "normality_diagnostics",
-    "write_records_csv",
-    "resolve_workers",
 ]
 
-CSV_HEADER = ["index", "gamma_hat", "sigma_hat", "z1", "z2", "status"]
 FAILURE_FRACTION_LIMIT = 0.05
 MIN_RECORDS_FOR_DIAGNOSTICS = 50
 
@@ -116,6 +113,9 @@ class ReplicationRecord:
         return self.status == "ok"
 
 
+CSV_HEADER = [f.name for f in fields(ReplicationRecord)]
+
+
 @dataclass(frozen=True)
 class NormalityDiagnostics:
     """Distribution checks of the standardized pairs against the limit law."""
@@ -124,14 +124,6 @@ class NormalityDiagnostics:
     ks_p_values: tuple[float, float]
     mahalanobis_ks_statistic: float
     mahalanobis_ks_p_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ks_statistics": list(self.ks_statistics),
-            "ks_p_values": list(self.ks_p_values),
-            "mahalanobis_ks_statistic": self.mahalanobis_ks_statistic,
-            "mahalanobis_ks_p_value": self.mahalanobis_ks_p_value,
-        }
 
 
 @dataclass(frozen=True)
@@ -155,8 +147,7 @@ class ValidationReport:
         return {
             "config": {
                 "coeffs": list(cfg.coeffs.coeffs),
-                "innovation": {"kind": cfg.model.kind, "alpha": cfg.model.alpha,
-                               "pi1": cfg.model.pi1, "pi2": cfg.model.pi2},
+                "innovation": asdict(cfg.model),
                 "n": cfg.n, "k": cfg.k, "r": cfg.r,
                 "replications": cfg.replications,
                 "master_seed": cfg.master_seed,
@@ -167,7 +158,7 @@ class ValidationReport:
             "empirical_cov": self.empirical_cov.tolist(),
             "theoretical_cov": self.theoretical_cov.tolist(),
             "relative_deviation": self.relative_deviation.tolist(),
-            "diagnostics": self.diagnostics.to_dict() if self.diagnostics else None,
+            "diagnostics": asdict(self.diagnostics) if self.diagnostics else None,
             "second_order_rates": {"rate_2erv": self.rate_2erv,
                                    "rate_2rv": self.rate_2rv},
             "failure_count": self.failure_count,
@@ -351,14 +342,11 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
 
 
 def write_records_csv(records, path) -> None:
-    """Write per-replication records with the fixed column layout."""
+    """Write per-replication records, one column per ``ReplicationRecord`` field."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow([rec.index, repr(float(rec.gamma_hat)),
-                             repr(float(rec.sigma_hat)), repr(float(rec.z1)),
-                             repr(float(rec.z2)), rec.status])
+        writer.writerows(astuple(rec) for rec in records)
 
 
 def resolve_workers(explicit: int | None = None) -> int:

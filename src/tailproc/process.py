@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "philox_stream",
     "arma_to_ma",
     "decay_certificate",
-    "lag_pairs",
     "pairwise_dependence_sum",
     "apply_filter",
     "simulate",
@@ -141,6 +140,18 @@ class CoefficientSequence:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
+
+    def power_sum(self, u: float) -> float:
+        """``sum_j |c_j|**u`` over the nonzero coefficients.
+
+        Raises ``OverflowError`` when the sum is not a finite float.
+        """
+        arr = np.abs(self.as_array())
+        with np.errstate(over="ignore"):
+            total = float(np.sum(arr[arr > 0] ** u))
+        if not math.isfinite(total):
+            raise OverflowError(f"power sum of |c_j|**{u!r} overflows")
+        return total
 
 
 @dataclass(frozen=True)
@@ -316,5 +327,5 @@ def simulate(coeffs: CoefficientSequence, model: InnovationModel, n: int,
 
 def config_fingerprint(coeffs: CoefficientSequence, model: InnovationModel, n: int) -> str:
     """Stable hash of (coefficients, innovation model, length)."""
-    payload = repr((coeffs.coeffs, model.kind, model.alpha, model.pi1, model.pi2, int(n)))
+    payload = repr((coeffs.coeffs, *astuple(model), int(n)))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

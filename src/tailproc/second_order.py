@@ -10,7 +10,7 @@ rates, and a usable growth rule for the number of upper order statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -128,21 +128,20 @@ class ConditionReport:
             "xi": self.xi,
             "verdict": self.verdict,
             "failing": self.failing,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness,
-                 "note": c.note}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "holds_by_construction": list(HOLDS_BY_CONSTRUCTION),
         }
 
 
 def coefficient_power_sum(coeffs: CoefficientSequence, u: float) -> float:
-    """``C_u = sum_j c_j**u`` over the stored support (non-negative c_j)."""
+    """``C_u = sum_j c_j**u`` over the stored support (non-negative c_j).
+
+    Raises ``OverflowError`` when the sum is not a finite float.
+    """
     if u <= 0:
         raise ValueError("u must be positive")
-    arr = _require_nonneg(coeffs)
-    return float(np.sum(arr[arr > 0] ** u))
+    _require_nonneg(coeffs)
+    return coeffs.power_sum(u)
 
 
 def _ct3_terms(alpha: float, coeffs: CoefficientSequence) -> tuple[float, float]:

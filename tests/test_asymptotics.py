@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,12 @@ class TestCoefficientNorm:
         with pytest.raises(ValueError, match="gamma"):
             coefficient_norm(CoefficientSequence((1.0,)), gamma=0.0)
 
+    def test_overflow_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows"):
+                coefficient_norm(CoefficientSequence((1e200, 1.0)), gamma=0.25)
+
 
 class TestPhiConstants:
     def test_single_coefficient_all_zero(self):
@@ -79,6 +87,15 @@ class TestPhiConstants:
                     assert phi.phi1 == pytest.approx(p1, abs=1e-10)
                     assert phi.phi2 == pytest.approx(p2, abs=1e-10)
                     assert phi.phi3 == pytest.approx(p3, abs=1e-10)
+
+    def test_phi2_of_tiny_coefficients_does_not_overflow(self):
+        # Written as max**(r/gamma) / min**((r-1)/gamma), both powers of the
+        # (1e-40, 1e-40) pair overflow; the only pair that counts gives 1e-160.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = phi_constants(CoefficientSequence((1.0, 1e-40, 1e-40)),
+                                gamma=0.25, r=-2.0)
+        assert phi.phi2 == pytest.approx(1e-160, rel=1e-12)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="r must be negative"):
@@ -207,6 +224,16 @@ class TestEstimatorCov:
         b = estimator_cov(0.5, -0.7, CoefficientSequence((3.0, 1.5, 0.6)))
         np.testing.assert_allclose(b.estimator_cov, a.estimator_cov, rtol=1e-12)
         assert b.phi.phi1 == pytest.approx(a.phi.phi1, rel=1e-12)
+
+    def test_report_key_order(self):
+        report = estimator_cov(0.5, -1.0, CoefficientSequence((1.0, 0.5)))
+        payload = report.to_dict()
+        assert list(payload) == [
+            "gamma", "r", "norm_c", "phi1", "phi2", "phi3", "truncation_error",
+            "raw_limits", "kappa1", "kappa2", "kappa3", "sigma_matrix",
+            "l_matrix", "estimator_cov"]
+        assert list(payload["raw_limits"]) == [
+            "t1", "t2", "tI", "t12", "t1I", "t2I", "beta1p", "beta2p", "beta1", "beta2"]
 
     def test_report_serializes(self):
         import json

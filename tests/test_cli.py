@@ -51,6 +51,31 @@ class TestCov:
         assert out == ""
         assert err.startswith("numerical failure: ")
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_phi2_stays_finite_for_tiny_coefficients(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "cov", "--gamma", "0.25", "--r", "-2",
+                                     "--coeffs", "1,1e-40,1e-40")
+            assert run_cli(capsys, "cov", "--gamma", "0.25", "--r", "-2",
+                           "--ar", "0.9")[0] == 0
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_constant=reject)["phi2"] == pytest.approx(
+            1e-160, rel=1e-12)
+
+    def test_norm_overflow_is_numerical_failure(self, capsys):
+        # The norm sum |c_j|**4 overflows; it used to print "norm_c": Infinity.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "cov", "--gamma", "0.25", "--r", "-1",
+                                     "--coeffs", "1e200,1")
+        assert code == 2
+        assert out == ""
+        assert err == "numerical failure: power sum of |c_j|**4.0 overflows\n"
 
     def test_domain_error_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "cov", "--gamma", "-0.5", "--r", "-1",
@@ -151,6 +176,15 @@ class TestSimulateAndFit:
         assert code == 2
         assert "no LME solution found" in err
 
+    def test_fit_output_fields(self, capsys, tmp_path):
+        data = GpdParams(0.5, 1.0).quantile((np.arange(200) + 0.5) / 200)
+        path = tmp_path / "excesses.csv"
+        path.write_text("\n".join(repr(float(v)) for v in data))
+        code, out, _ = run_cli(capsys, "fit", "--input", str(path), "--excesses")
+        assert code == 0
+        assert list(json.loads(out)) == ["gamma_hat", "sigma_hat", "b_hat", "residual",
+                                         "iterations", "r", "k", "threshold"]
+
     def test_fit_k_mismatch_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "exc.csv"
         path.write_text("1.0\n2.0\n3.0\n")
@@ -216,6 +250,30 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
         assert code == 1
         assert "unknown config key: 'bogus'" in err
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("coeffs", 5, "a list of numbers"),
+        ("alpha", {}, "a number"),
+        ("n", [1000], "a number"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, key,
+                                                 value, expected):
+        cfg = {"coeffs": [1], "alpha": 3, "r": -1, "n": 4000, "k": 60,
+               "reps": 4, "seed": 17, "workers": 1, key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: config key {key!r} must be {expected}\n"
+
+    def test_null_leaves_optional_keys_unset(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"coeffs": [1], "ar": None, "alpha": 3,
+                                        "r": -1, "n": 4000, "k": None, "reps": 4,
+                                        "seed": 17, "workers": None}))
+        code, _, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert code == 0
 
     def test_missing_required_key_named(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

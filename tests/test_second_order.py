@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,12 @@ class TestPowerSum:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError, match="u must be positive"):
             coefficient_power_sum(DEP, 0.0)
+
+    def test_overflow_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows"):
+                coefficient_power_sum(CoefficientSequence((1e200, 1.0)), 2.0)
 
 
 class TestTailExpansion:
