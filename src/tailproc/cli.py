@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -200,7 +201,8 @@ def _cmd_validate(args) -> int:
         replications=int(cfg["reps"]), master_seed=int(cfg["seed"]),
         k=int(cfg["k"]) if cfg.get("k") is not None else None,
         theta=float(cfg.get("theta", 0.9)),
-        worker_count_hint=montecarlo.resolve_workers(cfg.get("workers")),
+        worker_count_hint=(int(cfg["workers"]) if cfg.get("workers") is not None
+                           else os.cpu_count() or 1),
         sampling=cfg.get("sampling", "series"))
 
     csv_path = json_path = None
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None, help="number of replications")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (TAILPROC_WORKERS or CPU count if omitted)")
+                   help="process count (CPU count if omitted)")
     p.add_argument("--sampling", choices=("series", "gpd_direct"), default=None,
                    help="replication sampling mode")
     p.add_argument("--output", default=None,
@@ -303,9 +305,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -101,6 +101,8 @@ class ExcessSample:
         exc.setflags(write=False)
         if exc.size != self.k:
             raise ValueError("excess count must equal k")
+        if not np.all(np.isfinite(exc)):
+            raise ValueError("excesses must be finite")
         if np.any(exc < 0):
             raise ValueError("excesses must be non-negative")
         if np.any(np.diff(exc) > 0):

@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 from scipy import special
@@ -47,6 +47,10 @@ class ExperimentConfig:
     ``sampling`` is ``"series"`` for the simulated linear process pipeline or
     ``"gpd_direct"`` for iid draws from the exact limit distribution (a
     control mode that bypasses the series and its threshold step).
+
+    ``centering`` is the quantile expansion behind the centering scale and
+    the second-order rates, built once per config; it is None for
+    ``"gpd_direct"``, whose scale is 1.
     """
 
     coeffs: CoefficientSequence
@@ -59,6 +63,8 @@ class ExperimentConfig:
     worker_count_hint: int = 1
     sampling: str = "series"
     theta: float | None = None
+    centering: second_order.QuantileExpansion | None = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.k + 1 > self.n:
@@ -74,9 +80,13 @@ class ExperimentConfig:
         if self.sampling not in ("series", "gpd_direct"):
             raise ValueError(f"unknown sampling mode: {self.sampling!r}")
         if self.sampling == "series":
-            # The centering scale needs the quantile expansion, which exists
-            # for one-sided Pareto innovations with non-negative coefficients.
-            _ = _scale(self)
+            # The quantile expansion exists for one-sided Pareto innovations
+            # with non-negative coefficients.
+            if self.model.kind != "one_sided_pareto":
+                raise ValueError("scale unavailable: supply a quantile expansion "
+                                 "(needs the one-sided Pareto model)")
+            texp = second_order.tail_expansion(self.model.alpha, self.coeffs)
+            object.__setattr__(self, "centering", second_order.quantile_expansion(texp))
 
     @classmethod
     def create(cls, coeffs: CoefficientSequence, model: InnovationModel, n: int,
@@ -177,20 +187,6 @@ def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
     return float(gamma * qexp.b(n / k))
 
 
-def _quantile_expansion(config: ExperimentConfig) -> second_order.QuantileExpansion:
-    if config.model.kind != "one_sided_pareto":
-        raise ValueError("scale unavailable: supply a quantile expansion "
-                         "(needs the one-sided Pareto model)")
-    texp = second_order.tail_expansion(config.model.alpha, config.coeffs)
-    return second_order.quantile_expansion(texp)
-
-
-def _scale(config: ExperimentConfig) -> float:
-    if config.sampling == "gpd_direct":
-        return 1.0
-    return sigma_nk(_quantile_expansion(config), config.gamma, config.n, config.k)
-
-
 def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     """Simulate, fit, and standardize one replication.
 
@@ -198,7 +194,8 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     pure function of ``(config, index)`` and independent of scheduling.
     Solver failures are recorded in ``status`` rather than raised.
     """
-    scale = _scale(config)
+    scale = 1.0 if config.centering is None else sigma_nk(
+        config.centering, config.gamma, config.n, config.k)
     if config.sampling == "gpd_direct":
         rng = philox_stream(config.master_seed, index)
         limit = GpdParams(gamma=config.gamma, sigma=1.0)
@@ -319,11 +316,11 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     if good.shape[0] >= MIN_RECORDS_FOR_DIAGNOSTICS:
         diagnostics = normality_diagnostics(good, theory)
 
-    if config.sampling == "series":
-        rate_2erv, rate_2rv = second_order.second_order_rates(
-            config.n, config.k, _quantile_expansion(config))
-    else:
+    if config.centering is None:
         rate_2erv = rate_2rv = 0.0
+    else:
+        rate_2erv, rate_2rv = second_order.second_order_rates(
+            config.n, config.k, config.centering)
 
     report = ValidationReport(
         config=config, empirical_mean=mean, empirical_cov=cov,
@@ -347,13 +344,3 @@ def write_records_csv(records, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
         writer.writerows(astuple(rec) for rec in records)
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count from an explicit value, the environment, or the CPU count."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("TAILPROC_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1

@@ -27,7 +27,6 @@ __all__ = [
     "second_order_rates",
     "choose_k",
     "check_conditions",
-    "von_mises_ratio",
 ]
 
 ZERO_REL_TOL = 1e-12  # cancellation threshold for the "nonzero" conditions
@@ -50,11 +49,15 @@ def _require_nonneg(coeffs: CoefficientSequence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailExpansion:
-    """Three-term tail expansion coefficients and the leading density term."""
+    """Three-term tail expansion coefficients.
+
+    ``ct3_terms`` holds the variance and mean terms of the ``ct3`` bracket;
+    their sum is the value condition (ii) requires to be nonzero.
+    """
 
     alpha: float
     c_tilde: tuple[float, float, float]
-    density_leading: float
+    ct3_terms: tuple[float, float]
 
     def survival(self, t):
         """Three-term approximation of P(X > t)."""
@@ -81,7 +84,6 @@ class QuantileExpansion:
     a: tuple[float, float, float]
     rho: float
     rho_prime: float
-    case_c2_zero: bool
     tail: TailExpansion
 
     @property
@@ -144,18 +146,6 @@ def coefficient_power_sum(coeffs: CoefficientSequence, u: float) -> float:
     return coeffs.power_sum(u)
 
 
-def _ct3_terms(alpha: float, coeffs: CoefficientSequence) -> tuple[float, float]:
-    """Variance and mean terms of the ``ct3`` bracket of ``tail_expansion``.
-
-    Their sum is the value condition (ii) requires to be nonzero.
-    """
-    mu, s2 = InnovationModel(alpha=alpha).moments()
-    c = lambda u: coefficient_power_sum(coeffs, u)
-    c1, ca, ca1, ca2 = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0)
-    return ((c(2.0) * ca - ca2) * s2,
-            (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2)
-
-
 def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     """Three-term tail expansion of the process survival function.
 
@@ -167,19 +157,19 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
         ct3 = alpha (alpha+1) / 2 * [ (C_2 C_alpha - C_{alpha+2}) s2
               + (C_1^2 C_alpha - 2 C_1 C_{alpha+1} + C_{alpha+2}) mu^2 ]
 
-    and the leading density term of the survival derivative is
-    ``-alpha * C_alpha * t**(-alpha-1)``.
+    Each power sum is evaluated once.
     """
     if alpha <= 2:
         raise ValueError("tail expansion requires alpha > 2")
-    mu, _ = InnovationModel(alpha=alpha).moments()
+    mu, s2 = InnovationModel(alpha=alpha).moments()
     c = lambda u: coefficient_power_sum(coeffs, u)
-    ct1 = c(alpha)
-    ct2 = alpha * mu * (c(1.0) * ct1 - c(alpha + 1.0))
-    term_var, term_mean = _ct3_terms(alpha, coeffs)
+    c1, ca, ca1, ca2, c2 = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0), c(2.0)
+    term_var = (c2 * ca - ca2) * s2
+    term_mean = (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2
+    ct2 = alpha * mu * (c1 * ca - ca1)
     ct3 = 0.5 * alpha * (alpha + 1.0) * (term_var + term_mean)
-    return TailExpansion(alpha=alpha, c_tilde=(ct1, ct2, ct3),
-                         density_leading=-alpha * ct1)
+    return TailExpansion(alpha=alpha, c_tilde=(ca, ct2, ct3),
+                         ct3_terms=(term_var, term_mean))
 
 
 def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:
@@ -195,10 +185,9 @@ def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:
     a2 = ct2 / (alpha * ct1)
     a3 = -(ct1 ** (-1.0 / alpha - 2.0)
            * ((1.0 + alpha) * ct2**2 / (2.0 * alpha) - ct1 * ct3) / alpha)
-    case_zero = expansion.c2_is_zero
     return QuantileExpansion(a=(a1, a2, a3), rho=-2.0 / alpha,
-                             rho_prime=-2.0 if case_zero else -1.0,
-                             case_c2_zero=case_zero, tail=expansion)
+                             rho_prime=-2.0 if expansion.c2_is_zero else -1.0,
+                             tail=expansion)
 
 
 def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, float]:
@@ -220,7 +209,7 @@ def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, 
     sk = np.sqrt(k)
     rate_2erv = sk * abs(2.0 * a3 / (a1 * alpha)) * x ** (-2.0 / alpha)
     b_val = float(qexp.b(x))
-    if qexp.case_c2_zero:
+    if qexp.tail.c2_is_zero:
         rate_2rv = sk * abs(2.0 * ct3 / ct1) / b_val**2
     else:
         rate_2rv = sk * abs(ct2 / ct1) / b_val
@@ -279,12 +268,12 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
         name="(i)", passed=bool(np.isfinite(c_eta)),
         witness={"xi": xi, "eta": eta, "C_eta": float(c_eta)}))
 
-    term_var, term_mean = _ct3_terms(alpha, coeffs)
+    texp = tail_expansion(alpha, coeffs)
+    term_var, term_mean = texp.ct3_terms
     checks.append(_nonzero_check(
         "(ii)", term_var + term_mean, abs(term_var) + abs(term_mean),
         {"variance_term": float(term_var), "mean_term": float(term_mean)}))
 
-    texp = tail_expansion(alpha, coeffs)
     ct1, ct2, ct3 = texp.c_tilde
     lhs = (1.0 + alpha) * ct2**2 / (2.0 * alpha)
     rhs = ct1 * ct3
@@ -294,17 +283,3 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
 
     return ConditionReport(alpha=alpha, coeffs=tuple(float(v) for v in arr),
                            xi=xi, checks=tuple(checks))
-
-
-def von_mises_ratio(t: float, expansion: TailExpansion) -> float:
-    """Hazard-type ratio ``t * density / survival`` from the expansion.
-
-    Uses the leading density term; the ratio tends to alpha as t grows, so
-    its distance from alpha measures how far t is from the tail regime.
-    """
-    alpha = expansion.alpha
-    ct1, _, _ = expansion.c_tilde
-    denom = float(expansion.survival(t))
-    if denom <= 0:
-        raise ValueError("t too small for expansion")
-    return float(t * (alpha * ct1 * t ** (-alpha - 1.0)) / denom)

@@ -192,6 +192,19 @@ class TestSimulateAndFit:
                                "--k", "5", "--r", "-1", "--excesses")
         assert code == 1 and "does not match" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flags", [["--excesses"], ["--k", "3"]])
+    def test_fit_rejects_non_finite_data(self, capsys, tmp_path, value, flags):
+        path = tmp_path / "data.csv"
+        path.write_text(f"3.0\n{value}\n2.0\n1.0\n0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit", "--input", str(path),
+                                     "--r", "-1", *flags)
+        assert code == 1
+        assert out == ""
+        assert err == "error: excesses must be finite\n"
+
     def test_missing_input_file(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent.csv",
                              "--k", "5", "--r", "-1")
@@ -274,6 +287,18 @@ class TestValidate:
                                         "seed": 17, "workers": None}))
         code, _, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
         assert code == 0
+
+    def test_zero_workers_rejected(self, capsys, tmp_path):
+        cfg = {"coeffs": [1], "alpha": 3, "r": -1, "n": 4000, "k": 60,
+               "reps": 4, "seed": 17}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "workers": 0}))
+        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert (code, err) == (1, "error: worker_count_hint must be >= 1\n")
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path),
+                               "--workers", "0")
+        assert (code, err) == (1, "error: worker_count_hint must be >= 1\n")
 
     def test_missing_required_key_named(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

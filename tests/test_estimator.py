@@ -95,6 +95,13 @@ class TestTopKExcesses:
             ExcessSample(excesses=np.array([1.0, 2.0]), threshold=0.0, k=2, n=3)
         with pytest.raises(ValueError, match="non-negative"):
             ExcessSample(excesses=np.array([1.0, -2.0]), threshold=0.0, k=2, n=3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ExcessSample(excesses=np.array([bad, 1.0]), threshold=0.0, k=2, n=3)
+
+    def test_series_holding_nan_rejected(self):
+        with pytest.raises(ValueError, match="excesses must be finite"):
+            top_k_excesses([5.0, np.nan, 4.0, 2.0, -3.0], 2)
 
 
 class TestLmeFit:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from scipy import stats
 
 import tailproc
 from tailproc import montecarlo as mc
+from tailproc import second_order
 from tailproc.asymptotics import estimator_cov
 from tailproc.estimator import LmeSolverError, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, philox_stream, simulate
@@ -78,6 +81,27 @@ class TestConfig:
         two_sided = InnovationModel(kind="two_sided_pareto", alpha=3.0)
         with pytest.raises(ValueError, match="scale unavailable"):
             small_config(model=two_sided)
+
+    def test_gpd_direct_has_no_centering(self):
+        two_sided = InnovationModel(kind="two_sided_pareto", alpha=3.0)
+        assert small_config(model=two_sided, sampling="gpd_direct").centering is None
+
+    def test_replace_rebuilds_centering(self):
+        cfg = small_config(coeffs=DEP)
+        for changes in ({"n": 9000}, {"coeffs": CoefficientSequence((1.0, 0.8))}):
+            replaced = dataclasses.replace(cfg, **changes)
+            fresh = small_config(**{"coeffs": DEP, **changes})
+            assert replaced.centering == fresh.centering
+            assert (mc.sigma_nk(replaced.centering, cfg.gamma, replaced.n, replaced.k)
+                    == mc.sigma_nk(fresh.centering, cfg.gamma, fresh.n, fresh.k))
+        assert dataclasses.replace(cfg, coeffs=IID).centering != cfg.centering
+
+    def test_centering_survives_pickling(self):
+        cfg = small_config(coeffs=DEP)
+        restored = pickle.loads(pickle.dumps(cfg))
+        assert restored == cfg
+        assert restored.centering == cfg.centering
+        assert mc.run_replication(restored, 3) == mc.run_replication(cfg, 3)
 
 
 class TestRunReplication:
@@ -309,9 +333,16 @@ def test_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_resolve_workers(monkeypatch):
-    assert mc.resolve_workers(3) == 3
-    monkeypatch.setenv("TAILPROC_WORKERS", "5")
-    assert mc.resolve_workers() == 5
-    monkeypatch.delenv("TAILPROC_WORKERS")
-    assert mc.resolve_workers() >= 1
+def test_run_experiment_builds_tail_expansion_at_most_twice(monkeypatch):
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return tail_expansion(*args)
+
+    monkeypatch.setattr(second_order, "tail_expansion", counting)
+    cfg = mc.ExperimentConfig.create(coeffs=DEP, model=MODEL, n=4000, r=-1.0,
+                                     replications=20, master_seed=17)
+    report = mc.run_experiment(cfg)
+    assert report.rate_2rv > 0.0
+    assert len(builds) <= 2

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import convolution_tail, invert_three_term_tail
+from tailproc import second_order
 from tailproc.process import CoefficientSequence
 from tailproc.second_order import (
-    TailExpansion,
     check_conditions,
     choose_k,
     coefficient_power_sum,
     quantile_expansion,
     second_order_rates,
     tail_expansion,
-    von_mises_ratio,
 )
 
 IID = CoefficientSequence((1.0,))
@@ -50,7 +49,7 @@ class TestTailExpansion:
     def test_iid_degenerates_exactly(self):
         texp = tail_expansion(3.0, IID)
         assert texp.c_tilde == (1.0, 0.0, 0.0)
-        assert texp.density_leading == -3.0
+        assert texp.ct3_terms == (0.0, 0.0)
         assert texp.c2_is_zero
 
     def test_hand_values(self):
@@ -58,8 +57,20 @@ class TestTailExpansion:
         assert texp.c_tilde[0] == pytest.approx(1.125, abs=1e-15)
         assert texp.c_tilde[1] == pytest.approx(2.8125, abs=1e-13)
         assert texp.c_tilde[2] == pytest.approx(8.4375, abs=1e-13)
-        assert texp.density_leading == pytest.approx(-3.375, abs=1e-15)
+        assert texp.ct3_terms == pytest.approx((0.5625, 0.84375), abs=1e-15)
         assert not texp.c2_is_zero
+
+    def test_each_power_sum_evaluated_once(self, monkeypatch):
+        exponents = []
+        power_sum = CoefficientSequence.power_sum
+
+        def counting(self, u):
+            exponents.append(u)
+            return power_sum(self, u)
+
+        monkeypatch.setattr(CoefficientSequence, "power_sum", counting)
+        tail_expansion(3.0, DEP)
+        assert sorted(exponents) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_alpha_must_exceed_two(self):
         with pytest.raises(ValueError, match="alpha > 2"):
@@ -90,7 +101,7 @@ class TestQuantileExpansion:
     def test_iid_is_pure_power(self):
         qexp = quantile_expansion(tail_expansion(3.0, IID))
         assert qexp.a == (1.0, 0.0, 0.0)
-        assert qexp.case_c2_zero
+        assert qexp.tail.c2_is_zero
         assert qexp.rho == pytest.approx(-2.0 / 3.0)
         assert qexp.rho_prime == -2.0
         assert float(qexp.b(1000.0)) == pytest.approx(10.0, rel=1e-15)
@@ -102,7 +113,7 @@ class TestQuantileExpansion:
         assert a2 == pytest.approx(2.8125 / 3.375, rel=1e-14)
         assert a3 == pytest.approx(1.0683330150425248, rel=1e-12)
         assert qexp.rho_prime == -1.0
-        assert not qexp.case_c2_zero
+        assert not qexp.tail.c2_is_zero
 
     def test_inversion_oracle(self):
         qexp = quantile_expansion(tail_expansion(3.0, DEP))
@@ -200,8 +211,29 @@ class TestCheckConditions:
     def test_condition_ii_is_the_ct3_bracket(self, alpha, coeffs):
         seq = CoefficientSequence(coeffs)
         by_name = {c.name: c for c in check_conditions(alpha, seq).checks}
-        value = by_name["(ii)"].witness["value"]
-        assert tail_expansion(alpha, seq).c_tilde[2] == 0.5 * alpha * (alpha + 1.0) * value
+        witness = by_name["(ii)"].witness
+        texp = tail_expansion(alpha, seq)
+        assert (witness["variance_term"], witness["mean_term"]) == texp.ct3_terms
+        assert witness["value"] == sum(texp.ct3_terms)
+        assert texp.c_tilde[2] == 0.5 * alpha * (alpha + 1.0) * witness["value"]
+
+    def test_builds_one_tail_expansion(self, monkeypatch):
+        builds, exponents = [], []
+        power_sum = CoefficientSequence.power_sum
+
+        def counting_expansion(*args):
+            builds.append(args)
+            return tail_expansion(*args)
+
+        def counting_power_sum(self, u):
+            exponents.append(u)
+            return power_sum(self, u)
+
+        monkeypatch.setattr(second_order, "tail_expansion", counting_expansion)
+        monkeypatch.setattr(CoefficientSequence, "power_sum", counting_power_sum)
+        check_conditions(3.0, DEP, xi=0.9)
+        assert len(builds) == 1
+        assert sorted(exponents) == pytest.approx([0.45, 1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_report_serializes(self):
         import json
@@ -213,31 +245,3 @@ class TestCheckConditions:
     def test_xi_domain(self):
         with pytest.raises(ValueError, match="xi"):
             check_conditions(3.0, DEP, xi=1.0)
-
-
-class TestVonMisesRatio:
-    def test_iid_is_exact(self):
-        texp = tail_expansion(3.0, IID)
-        for t in (1.0, 10.0, 1e6):
-            assert von_mises_ratio(t, texp) == pytest.approx(3.0, abs=1e-14)
-
-    def test_monotone_approach_with_error_bound(self):
-        texp = tail_expansion(3.0, DEP)
-        ct1, ct2, _ = texp.c_tilde
-        previous = None
-        for t in (1e2, 1e3, 1e4):
-            ratio = von_mises_ratio(t, texp)
-            assert abs(ratio - 3.0) < 3.0 * (ct2 / (ct1 * t)) * 1.1
-            if previous is not None:
-                assert abs(ratio - 3.0) < abs(previous - 3.0)
-            previous = ratio
-
-    def test_limit_at_large_t(self):
-        texp = tail_expansion(3.0, DEP)
-        assert von_mises_ratio(1e8, texp) == pytest.approx(3.0, abs=1e-6)
-
-    def test_t_too_small_rejected(self):
-        bad = TailExpansion(alpha=3.0, c_tilde=(1.0, -50.0, 0.0),
-                            density_leading=-3.0)
-        with pytest.raises(ValueError, match="t too small"):
-            von_mises_ratio(2.0, bad)
