@@ -19,6 +19,20 @@ IID = CoefficientSequence((1.0,))
 DEP = CoefficientSequence((1.0, 0.5))
 
 
+@pytest.fixture
+def power_sum_exponents(monkeypatch):
+    """Exponents of every ``CoefficientSequence.power_sum`` call, in call order."""
+    exponents = []
+    power_sum = CoefficientSequence.power_sum
+
+    def counting(self, u):
+        exponents.append(u)
+        return power_sum(self, u)
+
+    monkeypatch.setattr(CoefficientSequence, "power_sum", counting)
+    return exponents
+
+
 class TestPowerSum:
     def test_linear(self):
         assert coefficient_power_sum(DEP, 1.0) == 1.5
@@ -60,17 +74,9 @@ class TestTailExpansion:
         assert texp.ct3_terms == pytest.approx((0.5625, 0.84375), abs=1e-15)
         assert not texp.c2_is_zero
 
-    def test_each_power_sum_evaluated_once(self, monkeypatch):
-        exponents = []
-        power_sum = CoefficientSequence.power_sum
-
-        def counting(self, u):
-            exponents.append(u)
-            return power_sum(self, u)
-
-        monkeypatch.setattr(CoefficientSequence, "power_sum", counting)
+    def test_each_power_sum_evaluated_once(self, power_sum_exponents):
         tail_expansion(3.0, DEP)
-        assert sorted(exponents) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sorted(power_sum_exponents) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_alpha_must_exceed_two(self):
         with pytest.raises(ValueError, match="alpha > 2"):
@@ -217,23 +223,17 @@ class TestCheckConditions:
         assert witness["value"] == sum(texp.ct3_terms)
         assert texp.c_tilde[2] == 0.5 * alpha * (alpha + 1.0) * witness["value"]
 
-    def test_builds_one_tail_expansion(self, monkeypatch):
-        builds, exponents = [], []
-        power_sum = CoefficientSequence.power_sum
+    def test_builds_one_tail_expansion(self, monkeypatch, power_sum_exponents):
+        builds = []
 
-        def counting_expansion(*args):
+        def counting(*args):
             builds.append(args)
             return tail_expansion(*args)
 
-        def counting_power_sum(self, u):
-            exponents.append(u)
-            return power_sum(self, u)
-
-        monkeypatch.setattr(second_order, "tail_expansion", counting_expansion)
-        monkeypatch.setattr(CoefficientSequence, "power_sum", counting_power_sum)
+        monkeypatch.setattr(second_order, "tail_expansion", counting)
         check_conditions(3.0, DEP, xi=0.9)
         assert len(builds) == 1
-        assert sorted(exponents) == pytest.approx([0.45, 1.0, 2.0, 3.0, 4.0, 5.0])
+        assert sorted(power_sum_exponents) == pytest.approx([0.45, 1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_report_serializes(self):
         import json
