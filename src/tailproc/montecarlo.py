@@ -15,14 +15,14 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 from scipy import special
 
 from . import asymptotics, second_order
 from .estimator import ExcessSample, GpdParams, LmeSolverError, lme_fit, top_k_excesses
-from .process import CoefficientSequence, InnovationModel, philox_stream, simulate
+from .process import CoefficientSequence, InnovationModel, apply_filter, philox_stream
 
 __all__ = [
     "ExperimentConfig",
@@ -38,6 +38,10 @@ __all__ = [
 
 FAILURE_FRACTION_LIMIT = 0.05
 MIN_RECORDS_FOR_DIAGNOSTICS = 50
+# Relative slack on the bound |X_t| <= C * z_c of an output with no flagged
+# innovation: it absorbs the rounding of the inverse transform, of the
+# filter's J + 1 products and of C itself.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -187,12 +191,65 @@ def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
     return float(gamma * qexp.b(n / k))
 
 
+def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
+                   seed: int, stream: int, k: int) -> ExcessSample:
+    """``top_k_excesses(simulate(coeffs, model, n, seed, stream).values, k)``
+    with the filter evaluated only next to large innovations.
+
+    Innovations above ``z_c`` are flagged on the uniforms.  Flagged
+    innovation i reaches the outputs ``[i - J, i]``; runs of flagged
+    innovations closer than J + 2 share one segment, and ``apply_filter``
+    over the concatenated segments keeps only the outputs whose window lies
+    inside one segment, each the same dot product as on the full path.  The
+    start ``z_c`` puts about 4(k + 1) innovations above
+    ``C * z_c / max_j |c_j|``; ``run_replication`` gives the bound and the
+    retry rule.
+    """
+    order = coeffs.order
+    total = n + order
+    w = philox_stream(seed, stream).random(total)
+    # The same 1 - U as InnovationModel.sample, in place to save a path.
+    np.subtract(1.0, w, out=w)
+    c_abs = np.abs(coeffs.as_array())
+    c_sum = float(np.sum(c_abs))
+    z_c = float(np.max(c_abs)) / c_sum * (4.0 * (k + 1) / total) ** -model.gamma
+    while True:
+        # Z = w**-gamma exceeds z_c when w < z_c**-alpha; every Z >= 1 can
+        # exceed a z_c <= 1.
+        survival = z_c ** -model.alpha * (1.0 + _BOUND_MARGIN) if z_c > 1.0 else 2.0
+        flagged = np.flatnonzero(w < survival)
+        if flagged.size:
+            breaks = np.flatnonzero(np.diff(flagged) > order + 1) + 1
+            first = np.maximum(flagged[np.r_[0, breaks]] - order, 0)
+            stop = np.minimum(flagged[np.r_[breaks - 1, -1]], n - 1) + order + 1
+            lengths = stop - first
+            offsets = np.cumsum(lengths) - lengths
+            idx = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
+            x = apply_filter(coeffs, model.from_uniform(w[idx]))
+            if order:
+                run = np.repeat(np.arange(lengths.size), lengths)
+                x = x[run[:-order] == run[order:]]
+            cut = c_sum * z_c * (1.0 + _BOUND_MARGIN)
+            if x.size == n or np.count_nonzero(np.abs(x) > cut) > k:
+                return replace(top_k_excesses(x, k), n=n)
+        z_c /= 2.0
+
+
 def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     """Simulate, fit, and standardize one replication.
 
     The random stream is keyed by ``(master_seed, index)``, so the record is a
     pure function of ``(config, index)`` and independent of scheduling.
     Solver failures are recorded in ``status`` rather than raised.
+
+    A series replication draws the same uniforms as ``simulate`` but
+    evaluates the filter only on the windows of large innovations: with
+    ``C = sum_j |c_j|``, an output whose innovations all stay at or below
+    ``z_c`` has ``|X_t| <= C * z_c``, so once more than k evaluated outputs
+    exceed ``C * z_c`` they hold the top k + 1 of the path.  If they do
+    not, ``z_c`` is halved and the windows are taken again, at worst over
+    the whole path.  The sample, and so the record, is bit-identical to
+    ``top_k_excesses`` of the full ``simulate`` path.
     """
     scale = 1.0 if config.centering is None else sigma_nk(
         config.centering, config.gamma, config.n, config.k)
@@ -201,9 +258,8 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
         limit = GpdParams(gamma=config.gamma, sigma=1.0)
         sample = ExcessSample.from_excesses(limit.quantile(rng.random(config.k)))
     else:
-        path = simulate(config.coeffs, config.model, config.n,
-                        config.master_seed, stream=index)
-        sample = top_k_excesses(path.values, config.k)
+        sample = _series_sample(config.coeffs, config.model, config.n,
+                                config.master_seed, index, config.k)
     try:
         fit = lme_fit(sample, config.r)
     except LmeSolverError:

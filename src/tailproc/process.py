@@ -251,6 +251,8 @@ def decay_certificate(coeffs: CoefficientSequence, u: float | None = None) -> tu
     otherwise to ``2**min(1, 256/J)`` for a sequence of order J: any value
     above 1 certifies a finite sequence, and this one keeps ``u**J`` finite.
     ``A`` is the smallest constant keeping the inequality strict.
+
+    Raises ``OverflowError`` when ``A`` is not a finite float.
     """
     arr = coeffs.as_array()
     if u is None:
@@ -258,8 +260,12 @@ def decay_certificate(coeffs: CoefficientSequence, u: float | None = None) -> tu
     if not u > 1.0:
         raise ValueError("u must exceed 1")
     j = np.arange(arr.size)
-    a_min = float(np.max(np.abs(arr) * u**j))
-    return float(a_min * (1.0 + 1e-12) + np.finfo(float).tiny), float(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_min = float(np.max(np.abs(arr) * u**j))
+    a_cert = a_min * (1.0 + 1e-12) + float(np.finfo(float).tiny)
+    if not math.isfinite(a_cert):
+        raise OverflowError(f"decay certificate A of |c_j| * {u!r}**j overflows")
+    return a_cert, float(u)
 
 
 def lag_pairs(coeffs: CoefficientSequence):

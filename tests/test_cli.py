@@ -129,6 +129,18 @@ class TestCheck:
         assert np.all(coeffs < a_cert * u_cert ** -np.arange(3001))
 
 
+    def test_certificate_overflow_is_numerical_failure(self, capsys):
+        # |c_1| * 2**1 overflows; it used to warn before the failure line.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "check", "--alpha", "3",
+                                     "--coeffs", "1e308,1e308")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestSimulateAndFit:
     def test_round_trip_matches_library(self, capsys, tmp_path):
         out_path = tmp_path / "path.csv"

@@ -5,10 +5,13 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import tailproc
@@ -16,12 +19,14 @@ from tailproc import montecarlo as mc
 from tailproc import second_order
 from tailproc.asymptotics import estimator_cov
 from tailproc.estimator import LmeSolverError, lme_fit, top_k_excesses
-from tailproc.process import CoefficientSequence, InnovationModel, philox_stream, simulate
+from tailproc.process import (CoefficientSequence, InnovationModel, apply_filter,
+                              arma_to_ma, philox_stream, simulate)
 from tailproc.second_order import quantile_expansion, tail_expansion
 
 IID = CoefficientSequence((1.0,))
 DEP = CoefficientSequence((1.0, 0.5))
 MODEL = InnovationModel(alpha=3.0)
+ACCEPTANCE_SEED = 20260808   # MASTER_SEED of tests/test_acceptance.py
 
 
 def small_config(**overrides):
@@ -130,9 +135,11 @@ class TestRunReplication:
                                   r=-0.5, replications=10,
                                   master_seed=(1606 << 20) + 8)
         assert mc.run_replication(cfg, 5).status == "no_solution"
-        path = simulate(DEP, MODEL, cfg.n, cfg.master_seed, stream=5)
+        sample = mc._series_sample(DEP, MODEL, cfg.n, cfg.master_seed, 5, cfg.k)
+        assert_same_sample(sample, full_path_sample(DEP, MODEL, cfg.n,
+                                                    cfg.master_seed, 5, cfg.k))
         with pytest.raises(LmeSolverError, match="no LME solution found") as info:
-            lme_fit(top_k_excesses(path.values, cfg.k), cfg.r)
+            lme_fit(sample, cfg.r)
         assert info.value.reason == "no_sign_change"
 
     def test_gpd_direct_mean_near_zero(self):
@@ -145,6 +152,92 @@ class TestRunReplication:
         assert report.failure_count == 0
         assert abs(report.empirical_mean[0]) <= 0.1
         assert abs(report.empirical_mean[1]) <= 0.1
+
+
+def full_path_sample(coeffs, model, n, seed, stream, k):
+    return top_k_excesses(simulate(coeffs, model, n, seed, stream).values, k)
+
+
+def assert_same_sample(got, want):
+    assert got.excesses.tobytes() == want.excesses.tobytes()
+    assert (got.threshold, got.k, got.n) == (want.threshold, want.k, want.n)
+
+
+coefficient = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=2.0),
+                        st.floats(min_value=-2.0, max_value=-0.01))
+
+
+@st.composite
+def kernel_inputs(draw):
+    coeffs = draw(st.lists(coefficient, min_size=1, max_size=7)
+                  .filter(lambda c: any(c)))
+    n = draw(st.integers(min_value=4, max_value=5000))
+    return (tuple(coeffs), draw(st.floats(min_value=2.1, max_value=6.0)), n,
+            draw(st.integers(min_value=2, max_value=n - 1)),
+            draw(st.integers(min_value=0, max_value=2**32)),
+            draw(st.integers(min_value=0, max_value=1000)))
+
+
+class TestSeriesSample:
+    """The candidate-only kernel against the full path, bit for bit."""
+
+    @given(kernel_inputs())
+    @settings(max_examples=200, deadline=None)
+    @example(((1.0, 0.0, 0.0, 0.5), 3.0, 5000, 2, 7, 0))
+    @example(((0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 1.0), 5.5, 40, 39, 1, 2))
+    def test_matches_full_path(self, inputs):
+        coeffs, alpha, n, k, seed, stream = inputs
+        seq, model = CoefficientSequence(coeffs), InnovationModel(alpha=alpha)
+        assert_same_sample(mc._series_sample(seq, model, n, seed, stream, k),
+                           full_path_sample(seq, model, n, seed, stream, k))
+
+    @pytest.mark.parametrize("coeffs,n,seed,stream,k,sizes", [
+        # Too few candidates above the bound: halve once.
+        (IID, 200, 1036, 0, 2, [2, 100]),
+        # Halving flags every innovation: the whole path.
+        (IID, 90, 3347, 0, 2, [2, 90]),
+        # 4(k + 1) exceeds the innovation count, so the first z_c is below 1.
+        (DEP, 50, 3, 4, 20, [51]),
+    ])
+    def test_retry_branches(self, monkeypatch, coeffs, n, seed, stream, k, sizes):
+        seen = []
+
+        def counting(seq, innovations):
+            seen.append(len(innovations))
+            return apply_filter(seq, innovations)
+
+        monkeypatch.setattr(mc, "apply_filter", counting)
+        sample = mc._series_sample(coeffs, MODEL, n, seed, stream, k)
+        assert seen == sizes
+        assert_same_sample(sample, full_path_sample(coeffs, MODEL, n, seed, stream, k))
+
+    def test_long_filter_seeds(self):
+        ar = arma_to_ma([0.5], [])
+        assert ar.order == 83
+        for index in range(3):
+            assert_same_sample(mc._series_sample(ar, MODEL, 10**6, 2016, index, 144),
+                               full_path_sample(ar, MODEL, 10**6, 2016, index, 144))
+
+    @pytest.mark.parametrize("coeffs,k", [(DEP, 144), (IID, 1218)])
+    def test_acceptance_seeds(self, coeffs, k):
+        # The first replications of criteria 6 and 7.
+        for index in range(3):
+            assert_same_sample(
+                mc._series_sample(coeffs, MODEL, 10**6, ACCEPTANCE_SEED, index, k),
+                full_path_sample(coeffs, MODEL, 10**6, ACCEPTANCE_SEED, index, k))
+
+    def test_peak_memory_per_sample(self):
+        # The uniforms take 8 bytes per sample and the flag mask 1.
+        cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=10**6, k=144,
+                                  r=-0.5, replications=1, master_seed=5)
+        mc.run_replication(cfg, 0)
+        tracemalloc.start()
+        try:
+            mc.run_replication(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * cfg.n
 
 
 class TestEmpiricalCov:

@@ -169,6 +169,10 @@ class TestDecayCertificate:
         with pytest.raises(ValueError, match="u must exceed 1"):
             decay_certificate(CoefficientSequence((1.0,)), u=1.0)
 
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError, match="decay certificate"):
+            decay_certificate(CoefficientSequence((1e308, 1e308)))
+
 
 class TestPairwiseDependenceSum:
     def test_single_pair(self):
