@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "GpdParams",
@@ -156,9 +155,13 @@ def top_k_excesses(series, k: int) -> ExcessSample:
 
 def _moment_gap(b: float, excesses: np.ndarray, r: float) -> tuple[float, float]:
     """Value of the reduced moment equation and the implied shape at b."""
+    # The same bits as the two ``.mean()`` of the plain expression, with the
+    # power term computed in place on the log array.
     logs = np.log1p(b * excesses)
-    gamma_b = float(logs.mean())
-    gap = float(np.exp((r / gamma_b) * logs).mean()) - 1.0 / (1.0 - r)
+    gamma_b = float(np.add.reduce(logs) / logs.size)
+    logs *= r / gamma_b
+    np.exp(logs, out=logs)
+    gap = float(np.add.reduce(logs) / logs.size) - 1.0 / (1.0 - r)
     return gap, gamma_b
 
 
@@ -180,7 +183,9 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         their mean: from ``t = 1`` the search steps by a factor of 8 toward
         the sign change, within ``[1e-12, 1e12]``, and Brent's method refines
         the bracket to relative tolerance 1e-12.  ``iterations`` counts the
-        moment-gap evaluations, the final residual check included.
+        distinct moment-gap evaluations, the final residual check included:
+        Brent's method reuses the gaps of the bracket search at the two
+        bracket ends.
 
     Raises
     ------
@@ -198,12 +203,17 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     if positive.size < 2 or positive.max() == positive.min():
         raise LmeSolverError("degenerate", "excesses are degenerate")
 
+    from scipy.optimize import brentq  # loaded on first fit, not at import
+
     ybar = float(y.mean())
     z = y / ybar
     evaluations = 0
+    known: dict[float, float] = {}
 
     def gap(t: float) -> float:
         nonlocal evaluations
+        if t in known:
+            return known.pop(t)
         evaluations += 1
         return _moment_gap(t, z, r)[0]
 
@@ -224,6 +234,7 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         t_a, gap_a = t_b, gap_b
 
     # Relative tolerance only: the root ranges over many decades.
+    known.update({t_a: gap_a, t_b: gap_b})
     t_hat = brentq(gap, min(t_a, t_b), max(t_a, t_b),
                    xtol=np.finfo(float).tiny, rtol=ROOT_RTOL)
     b_hat = t_hat / ybar

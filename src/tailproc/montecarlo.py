@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
-from scipy import special
 
 from . import asymptotics, second_order
 from .estimator import ExcessSample, GpdParams, LmeSolverError, lme_fit, top_k_excesses
@@ -297,6 +296,8 @@ def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 def _ks_uniform(cdf_values: np.ndarray) -> tuple[float, float]:
     """Kolmogorov-Smirnov distance of cdf values from uniform, asymptotic p-value."""
+    from scipy import special
+
     u = np.sort(cdf_values)
     m = u.size
     grid = np.arange(1, m + 1) / m
@@ -312,6 +313,8 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
     standard normal and the squared Mahalanobis norms against chi-square with
     two degrees of freedom, all with asymptotic p-values.
     """
+    from scipy import special
+
     z = np.asarray(pairs, dtype=float)
     if z.shape[0] < MIN_RECORDS_FOR_DIAGNOSTICS:
         raise ValueError(f"need at least {MIN_RECORDS_FOR_DIAGNOSTICS} records")
@@ -331,7 +334,8 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     Replications execute independently and are aggregated in index order, so
     the report is bit-identical for a fixed config regardless of worker
     count.  They run in ``min(worker_count_hint, replications, cpu count)``
-    processes when that is more than one, and serially otherwise.
+    processes when that is more than one, and serially otherwise.  The pool
+    starts after ``scipy.optimize`` is loaded, so forked workers inherit it.
     Optionally writes the per-replication records as CSV and the report as
     JSON.
     """
@@ -341,6 +345,7 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
                   os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, config.replications // (workers * 8))
+        import scipy.optimize  # noqa: F401  -- lme_fit's solver, for the fork
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_replicate_task,
                                     [(config, i) for i in indices],

@@ -61,6 +61,17 @@ def invert_three_term_tail(x, ct, alpha):
     return optimize.brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
 
+def moment_gap_plain(b, excesses, r):
+    """Reduced moment gap and implied shape at b, as the plain expression.
+
+    ``mean(exp((r / g) * log1p(b y))) - 1/(1 - r)`` with
+    ``g = mean(log1p(b y))``, both means by ``ndarray.mean``.
+    """
+    logs = np.log1p(b * np.asarray(excesses, dtype=float))
+    gamma_b = float(logs.mean())
+    return float(np.exp((r / gamma_b) * logs).mean()) - 1.0 / (1.0 - r), gamma_b
+
+
 def lme_root_scan(excesses, r, points_per_decade=40):
     """Smallest root b of the reduced likelihood moment equation.
 

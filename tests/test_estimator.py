@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lme_root_scan
+from oracles import lme_root_scan, moment_gap_plain
 from tailproc import estimator
 from tailproc.estimator import (
     ExcessSample,
@@ -190,3 +190,37 @@ class TestLmeFit:
     def test_requires_two_excesses(self):
         with pytest.raises(ValueError, match="at least two"):
             lme_fit(ExcessSample.from_excesses([1.0]), r=-1.0)
+
+
+class TestMomentGap:
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3000),
+           gamma=st.floats(min_value=0.05, max_value=5.0),
+           log_t=st.floats(min_value=-12.0, max_value=12.0),
+           r=st.floats(min_value=-5.0, max_value=-0.01))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_plain_expression_bit_for_bit(self, seed, k, gamma, log_t, r):
+        y = GpdParams(gamma, 1.0).quantile(np.random.default_rng(seed).random(k))
+        b = 10.0 ** log_t / float(y.mean())
+        assert estimator._moment_gap(b, y, r) == moment_gap_plain(b, y, r)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0 / 3.0, 1.0, 3.0])
+    @pytest.mark.parametrize("r", [-0.5, -2.0])
+    def test_fit_never_repeats_an_evaluation(self, monkeypatch, gamma, r):
+        calls = []
+        moment_gap = estimator._moment_gap
+
+        def spy(b, excesses, r):
+            calls.append((b, excesses))
+            return moment_gap(b, excesses, r)
+
+        monkeypatch.setattr(estimator, "_moment_gap", spy)
+        sample = quantile_grid_sample(gamma, 2.0, 500)
+        fit = lme_fit(sample, r)
+        assert fit.iterations == len(calls)
+        # Every call but the residual check on the raw excesses is a distinct
+        # t on the excesses scaled to mean one.
+        *search, (b_final, final) = calls
+        assert final is sample.excesses and b_final == fit.b_hat
+        ts = [t for t, z in search]
+        assert len(set(ts)) == len(ts)
+        assert all(z is not sample.excesses for t, z in search)

@@ -415,15 +415,34 @@ def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
     assert sizes == expected
 
 
-def test_import_leaves_scipy_stats_unloaded():
+IMPORT_PATH_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+import tailproc
+from tailproc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["cov", "--gamma", "0.5", "--ar", "0.6"]),
+             cli.main(["check", "--alpha", "3", "--coeffs", "1,0.5"]),
+             cli.main(["simulate", "--coeffs", "1,0.5", "--n", "50"])]
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+sample = tailproc.ExcessSample.from_excesses(
+    tailproc.GpdParams(0.5, 1.0).quantile(np.linspace(0.05, 0.95, 40)))
+tailproc.lme_fit(sample, -1.0)
+print(json.dumps([codes, before, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_import_path_leaves_scipy_unloaded():
     src = str(Path(tailproc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tailproc; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          check=True)
+    codes, loaded, optimize_after_fit = json.loads(done.stdout)
+    assert codes == [0, 0, 0]
+    assert loaded == []
+    assert optimize_after_fit
 
 
 def test_run_experiment_builds_tail_expansion_at_most_twice(monkeypatch):
