@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -24,17 +24,19 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-# Config keys and the JSON type of their values: float stands for any JSON
-# number and list for a list of numbers.  null leaves NULLABLE_KEYS unset.
+# Config keys and their value types: float takes any JSON number, int a whole
+# one.  null leaves NULLABLE_KEYS unset.  Keys that are not coefficients or
+# InnovationModel fields pass to ExperimentConfig.create, renamed by KEYWORDS.
 CONFIG_KEYS = {
     "coeffs": list, "ar": list, "ma": list, "alpha": float, "kind": str,
-    "pi1": float, "pi2": float, "r": float, "n": float, "k": float,
-    "theta": float, "reps": float, "seed": float, "workers": float,
+    "pi1": float, "pi2": float, "r": float, "n": int, "k": int,
+    "theta": float, "reps": int, "seed": int, "workers": int,
     "sampling": str,
 }
 COEFF_KEYS = ("coeffs", "ar", "ma")
 NULLABLE_KEYS = COEFF_KEYS + ("k", "workers")
-TYPE_NAMES = {float: "a number", str: "a string", list: "a list of numbers"}
+KEYWORDS = {"reps": "replications", "seed": "master_seed", "workers": "worker_count_hint"}
+TYPE_NAMES = {float: "a number", int: "a number", str: "a string", list: "a list of numbers"}
 
 
 class UsageError(ValueError):
@@ -55,16 +57,21 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _has_type(value, kind) -> bool:
-    if kind is float:
-        return _is_number(value)
+def _convert(key: str, value):
+    """A config file value as its key's type."""
+    if key not in CONFIG_KEYS:
+        raise UsageError(f"unknown config key: {key!r}")
+    kind = CONFIG_KEYS[key]
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     if kind is list:
-        return isinstance(value, list) and all(map(_is_number, value))
-    return isinstance(value, kind)
+        valid = isinstance(value, list) and all(map(number, value))
+    else:
+        valid = isinstance(value, str) if kind is str else number(value)
+    if not valid:
+        raise UsageError(f"config key {key!r} must be {TYPE_NAMES[kind]}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"config key {key!r} must be a whole number")
+    return kind(value)
 
 
 def _coeffs(coeffs=None, ar=None, ma=None) -> CoefficientSequence:
@@ -103,16 +110,22 @@ def _emit(payload: dict | str, output: str | None) -> None:
 
 
 def _read_column(path: str) -> np.ndarray:
+    """The first field of every row but blank ones, ``#`` comments and a
+    header, which only the first other row may be."""
     values = []
+    header_allowed = True
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             token = line.strip().split(",")[0]
-            if not token:
+            if not token or token.startswith("#"):
                 continue
             try:
                 values.append(float(token))
             except ValueError:
-                continue  # header or comment line
+                if not header_allowed:
+                    raise UsageError(f"line {number} of {path} is not a number: "
+                                     f"{token!r}") from None
+            header_allowed = False
     if not values:
         raise UsageError(f"no numeric data found in {path}")
     return np.asarray(values)
@@ -167,13 +180,8 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    for key, value in raw.items():
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"unknown config key: {key!r}")
-        kind = CONFIG_KEYS[key]
-        if not (_has_type(value, kind) or value is None and key in NULLABLE_KEYS):
-            raise UsageError(f"config key {key!r} must be {TYPE_NAMES[kind]}")
-    return raw
+    return {key: _convert(key, value) for key, value in raw.items()
+            if value is not None or key not in NULLABLE_KEYS}
 
 
 def _cmd_validate(args) -> int:
@@ -187,23 +195,16 @@ def _cmd_validate(args) -> int:
     cfg.update({key: getattr(args, key) for key in CONFIG_KEYS.keys() - COEFF_KEYS
                 if getattr(args, key, None) is not None})
 
-    coeffs = _coeffs(*(cfg.get(key) for key in COEFF_KEYS))
+    coeffs = _coeffs(*(cfg.pop(key, None) for key in COEFF_KEYS))
     for key in ("alpha", "r", "n", "reps", "seed"):
-        if cfg.get(key) is None:
+        if key not in cfg:
             raise UsageError(f"missing config key: {key!r}")
-
-    model = InnovationModel(kind=cfg.get("kind", "one_sided_pareto"),
-                            alpha=float(cfg["alpha"]),
-                            pi1=float(cfg.get("pi1", 0.5)),
-                            pi2=float(cfg.get("pi2", 0.5)))
+    model = InnovationModel(**{f.name: cfg.pop(f.name) for f in fields(InnovationModel)
+                               if f.name in cfg})
+    cfg.setdefault("workers", os.cpu_count() or 1)
     config = montecarlo.ExperimentConfig.create(
-        coeffs=coeffs, model=model, n=int(cfg["n"]), r=float(cfg["r"]),
-        replications=int(cfg["reps"]), master_seed=int(cfg["seed"]),
-        k=int(cfg["k"]) if cfg.get("k") is not None else None,
-        theta=float(cfg.get("theta", 0.9)),
-        worker_count_hint=(int(cfg["workers"]) if cfg.get("workers") is not None
-                           else os.cpu_count() or 1),
-        sampling=cfg.get("sampling", "series"))
+        coeffs=coeffs, model=model,
+        **{KEYWORDS.get(key, key): value for key, value in cfg.items()})
 
     csv_path = json_path = None
     if args.output:

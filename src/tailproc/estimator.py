@@ -29,7 +29,7 @@ __all__ = [
 
 G_TOLERANCE = 1e-10  # accepted residual of the moment equation
 ROOT_RTOL = 1e-12    # relative tolerance of the root t
-T_WINDOW = (1e-12, 1e12)  # search window for t = b * mean excess
+T_WINDOW = (1e-12, 1e300)  # search window for t = b * mean excess; keeps t * max(z) finite
 BRACKET_STEP = 8.0   # geometric step of the bracket search from t = 1
 
 
@@ -39,7 +39,7 @@ class LmeSolverError(RuntimeError):
     ``reason`` classifies the failure: ``"degenerate"`` (fewer than two
     distinct positive excesses), ``"no_sign_change"`` (the moment gap keeps
     one sign over the search window) or ``"residual"`` (the located root
-    misses the residual gate).
+    misses the residual gate or is not finite).
     """
 
     def __init__(self, reason: str, detail: str):
@@ -85,35 +85,32 @@ class GpdParams:
 class ExcessSample:
     """Top-k excesses over the (k+1)th largest absolute observation.
 
-    ``excesses`` is sorted non-increasing; with continuous data every entry is
-    positive and exactly k absolute values exceed ``threshold``.
+    ``excesses`` is sorted non-increasing and ``k`` is its length; with continuous
+    data every entry is positive and exactly k absolute values exceed ``threshold``.
     """
 
     excesses: np.ndarray
     threshold: float
-    k: int
-    n: int
 
     def __post_init__(self):
         exc = np.array(self.excesses, dtype=float)
         object.__setattr__(self, "excesses", exc)
         exc.setflags(write=False)
-        if exc.size != self.k:
-            raise ValueError("excess count must equal k")
         if not np.all(np.isfinite(exc)):
             raise ValueError("excesses must be finite")
         if np.any(exc < 0):
             raise ValueError("excesses must be non-negative")
         if np.any(np.diff(exc) > 0):
             raise ValueError("excesses must be sorted non-increasing")
-        if self.k + 1 > self.n:
-            raise ValueError("k too large for the sample size")
+
+    @property
+    def k(self) -> int:
+        return self.excesses.size
 
     @classmethod
     def from_excesses(cls, excesses) -> "ExcessSample":
         """Wrap pre-computed excesses (threshold taken as 0)."""
-        exc = np.sort(np.asarray(excesses, dtype=float))[::-1].copy()
-        return cls(excesses=exc, threshold=0.0, k=exc.size, n=exc.size + 1)
+        return cls(excesses=np.sort(np.asarray(excesses, dtype=float))[::-1], threshold=0.0)
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def top_k_excesses(series, k: int) -> ExcessSample:
     part = np.partition(a, n - k - 1)
     threshold = float(part[n - k - 1])
     excesses = np.sort(part[n - k :])[::-1] - threshold
-    return ExcessSample(excesses=excesses, threshold=threshold, k=k, n=n)
+    return ExcessSample(excesses=excesses, threshold=threshold)
 
 
 def _moment_gap(b: float, excesses: np.ndarray, r: float) -> tuple[float, float]:
@@ -181,7 +178,7 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         Root of the reduced moment equation with residual below 1e-10.  The
         root is found in ``t = b * mean_excess`` on the excesses divided by
         their mean: from ``t = 1`` the search steps by a factor of 8 toward
-        the sign change, within ``[1e-12, 1e12]``, and Brent's method refines
+        the sign change, within ``[1e-12, 1e300]``, and Brent's method refines
         the bracket to relative tolerance 1e-12.  ``iterations`` counts the
         distinct moment-gap evaluations, the final residual check included:
         Brent's method reuses the gaps of the bracket search at the two
@@ -192,7 +189,7 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     LmeSolverError
         With ``reason`` ``"degenerate"`` (for example all excesses equal),
         ``"no_sign_change"`` (no sign change in the window) or ``"residual"``
-        (residual above 1e-10 at the root).
+        (residual above 1e-10 or not finite, or ``b_hat`` not finite).
     """
     if r >= 0:
         raise ValueError("r must be negative")
@@ -238,9 +235,11 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     t_hat = brentq(gap, min(t_a, t_b), max(t_a, t_b),
                    xtol=np.finfo(float).tiny, rtol=ROOT_RTOL)
     b_hat = t_hat / ybar
+    if not np.isfinite(b_hat):
+        raise LmeSolverError("residual", f"b_hat {b_hat} is not finite")
     residual, gamma_hat = _moment_gap(b_hat, y, r)
     evaluations += 1
-    if abs(residual) > G_TOLERANCE:
+    if not abs(residual) <= G_TOLERANCE:
         raise LmeSolverError(
             "residual", f"residual {abs(residual):.3e} above tolerance")
     return LmeEstimate(gamma_hat=gamma_hat, sigma_hat=gamma_hat / b_hat,

@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -51,15 +51,15 @@ class ExperimentConfig:
     ``"gpd_direct"`` for iid draws from the exact limit distribution (a
     control mode that bypasses the series and its threshold step).
 
-    ``centering`` is the quantile expansion behind the centering scale and
-    the second-order rates, built once per config; it is None for
-    ``"gpd_direct"``, whose scale is 1.
+    ``k=None`` takes k from the growth rule at ``theta``.  ``centering``, the
+    quantile expansion behind the scale and the second-order rates, is None
+    for ``"gpd_direct"`` (scale 1); both come from one tail expansion.
     """
 
     coeffs: CoefficientSequence
     model: InnovationModel
     n: int
-    k: int
+    k: int | None
     r: float
     replications: int
     master_seed: int
@@ -70,6 +70,11 @@ class ExperimentConfig:
         init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        texp = None
+        if self.k is None:
+            texp = second_order.tail_expansion(self.model.alpha, self.coeffs)
+            object.__setattr__(self, "k", second_order.choose_k(
+                self.n, self.theta, self.model.alpha, texp.c2_is_zero))
         if self.k + 1 > self.n:
             raise ValueError("k + 1 must not exceed n")
         if self.k < 2:
@@ -88,7 +93,7 @@ class ExperimentConfig:
             if self.model.kind != "one_sided_pareto":
                 raise ValueError("scale unavailable: supply a quantile expansion "
                                  "(needs the one-sided Pareto model)")
-            texp = second_order.tail_expansion(self.model.alpha, self.coeffs)
+            texp = texp or second_order.tail_expansion(self.model.alpha, self.coeffs)
             object.__setattr__(self, "centering", second_order.quantile_expansion(texp))
 
     @classmethod
@@ -96,14 +101,9 @@ class ExperimentConfig:
                r: float, replications: int, master_seed: int,
                k: int | None = None, theta: float = 0.9,
                worker_count_hint: int = 1, sampling: str = "series") -> "ExperimentConfig":
-        """Build a config, deriving k from the growth rule when not given."""
-        if k is None:
-            texp = second_order.tail_expansion(model.alpha, coeffs)
-            k = second_order.choose_k(n, theta, model.alpha, texp.c2_is_zero)
-        return cls(coeffs=coeffs, model=model, n=n, k=k, r=r,
-                   replications=replications, master_seed=master_seed,
-                   worker_count_hint=worker_count_hint, sampling=sampling,
-                   theta=theta)
+        """Build a config by keyword; theta defaults to 0.9."""
+        return cls(coeffs, model, n, k, r, replications, master_seed,
+                   worker_count_hint, sampling, theta)
 
     @property
     def gamma(self) -> float:
@@ -230,7 +230,7 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
                 x = x[run[:-order] == run[order:]]
             cut = c_sum * z_c * (1.0 + _BOUND_MARGIN)
             if x.size == n or np.count_nonzero(np.abs(x) > cut) > k:
-                return replace(top_k_excesses(x, k), n=n)
+                return top_k_excesses(x, k)
         z_c /= 2.0
 
 
@@ -352,7 +352,6 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
                                     chunksize=chunk))
     else:
         records = [run_replication(config, i) for i in indices]
-    records.sort(key=lambda rec: rec.index)
 
     good = np.array([[rec.z1, rec.z2] for rec in records if rec.ok], dtype=float)
     failure_count = config.replications - good.shape[0]
@@ -377,11 +376,8 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     if good.shape[0] >= MIN_RECORDS_FOR_DIAGNOSTICS:
         diagnostics = normality_diagnostics(good, theory)
 
-    if config.centering is None:
-        rate_2erv = rate_2rv = 0.0
-    else:
-        rate_2erv, rate_2rv = second_order.second_order_rates(
-            config.n, config.k, config.centering)
+    rate_2erv, rate_2rv = (0.0, 0.0) if config.centering is None else (
+        second_order.second_order_rates(config.n, config.k, config.centering))
 
     report = ValidationReport(
         config=config, empirical_mean=mean, empirical_cov=cov,

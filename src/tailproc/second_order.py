@@ -53,11 +53,15 @@ class TailExpansion:
 
     ``ct3_terms`` holds the variance and mean terms of the ``ct3`` bracket;
     their sum is the value condition (ii) requires to be nonzero.
+    ``inversion_terms`` holds ``(1+alpha) ct2^2 / (2 alpha)`` and ``ct1 ct3``;
+    their difference is the ``a3`` bracket, which condition (iii) requires
+    to be nonzero.
     """
 
     alpha: float
     c_tilde: tuple[float, float, float]
     ct3_terms: tuple[float, float]
+    inversion_terms: tuple[float, float]
 
     def survival(self, t):
         """Three-term approximation of P(X > t)."""
@@ -168,8 +172,8 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     term_mean = (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2
     ct2 = alpha * mu * (c1 * ca - ca1)
     ct3 = 0.5 * alpha * (alpha + 1.0) * (term_var + term_mean)
-    return TailExpansion(alpha=alpha, c_tilde=(ca, ct2, ct3),
-                         ct3_terms=(term_var, term_mean))
+    return TailExpansion(alpha=alpha, c_tilde=(ca, ct2, ct3), ct3_terms=(term_var, term_mean),
+                         inversion_terms=((1.0 + alpha) * ct2**2 / (2.0 * alpha), ca * ct3))
 
 
 def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:
@@ -180,11 +184,11 @@ def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:
         a3 = -ct1**(-1/alpha - 2) * [(1+alpha) ct2^2 / (2 alpha) - ct1 ct3] / alpha
     """
     alpha = expansion.alpha
-    ct1, ct2, ct3 = expansion.c_tilde
+    ct1, ct2, _ = expansion.c_tilde
+    lhs, rhs = expansion.inversion_terms
     a1 = ct1 ** (1.0 / alpha)
     a2 = ct2 / (alpha * ct1)
-    a3 = -(ct1 ** (-1.0 / alpha - 2.0)
-           * ((1.0 + alpha) * ct2**2 / (2.0 * alpha) - ct1 * ct3) / alpha)
+    a3 = -(ct1 ** (-1.0 / alpha - 2.0) * (lhs - rhs) / alpha)
     return QuantileExpansion(a=(a1, a2, a3), rho=-2.0 / alpha,
                              rho_prime=-2.0 if expansion.c2_is_zero else -1.0,
                              tail=expansion)
@@ -223,7 +227,7 @@ def choose_k(n: int, theta: float, alpha: float, case_c2_zero: bool) -> int:
     nonzero and ``floor(n**(4 theta/(4+alpha)))`` otherwise, clamped to
     [2, n-1].  Both exponents are below 2/3, so ``n / k**1.5`` always grows.
     """
-    if not 0.0 < theta < 1.0:
+    if theta is None or not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -274,9 +278,7 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
         "(ii)", term_var + term_mean, abs(term_var) + abs(term_mean),
         {"variance_term": float(term_var), "mean_term": float(term_mean)}))
 
-    ct1, ct2, ct3 = texp.c_tilde
-    lhs = (1.0 + alpha) * ct2**2 / (2.0 * alpha)
-    rhs = ct1 * ct3
+    lhs, rhs = texp.inversion_terms
     checks.append(_nonzero_check(
         "(iii)", lhs - rhs, abs(lhs) + abs(rhs),
         {"lhs": float(lhs), "rhs": float(rhs)}))

@@ -75,7 +75,7 @@ def moment_gap_plain(b, excesses, r):
 def lme_root_scan(excesses, r, points_per_decade=40):
     """Smallest root b of the reduced likelihood moment equation.
 
-    Scans ``b * mean(excesses)`` geometrically over ``[1e-12, 1e12]`` for the
+    Scans ``b * mean(excesses)`` geometrically over ``[1e-12, 1e300]`` for the
     first sign change of ``mean((1 + b y)**(r / g(b))) - 1/(1 - r)`` with
     ``g(b) = mean(log(1 + b y))``, then bisects until the bracket stops
     shrinking.  Returns None when the scan finds no sign change.
@@ -90,7 +90,7 @@ def lme_root_scan(excesses, r, points_per_decade=40):
         return math.fsum(np.exp(logs * (r / g))) / m - 1.0 / (1.0 - r)
 
     grid = [10.0 ** (i / points_per_decade - 12.0) / scale
-            for i in range(24 * points_per_decade + 1)]
+            for i in range(312 * points_per_decade + 1)]
     lo_negative = gap(grid[0]) < 0.0
     for lo, hi in zip(grid, grid[1:]):
         hi_negative = gap(hi) < 0.0

@@ -217,6 +217,42 @@ class TestSimulateAndFit:
         assert out == ""
         assert err == "error: excesses must be finite\n"
 
+    def test_fit_overflowing_scale_is_numerical_failure(self, capsys, tmp_path):
+        # Excesses of order 1e-310: b_hat = t_hat / mean excess overflows.
+        data = GpdParams(1.0 / 3.0, 1.0).quantile((np.arange(200) + 0.5) / 200) * 1e-310
+        path = tmp_path / "tiny.csv"
+        path.write_text("\n".join(repr(float(v)) for v in data) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit", "--input", str(path),
+                                     "--r", "-1", "--excesses")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: no LME solution found: b_hat")
+
+    def test_header_and_comments_are_skipped(self, capsys, tmp_path):
+        data = GpdParams(0.5, 1.0).quantile((np.arange(50) + 0.5) / 50)
+        rows = [repr(float(v)) for v in data]
+        plain, annotated = tmp_path / "plain.csv", tmp_path / "annotated.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        annotated.write_text("# GPD grid\n\nvalue,label\n" + "\n".join(rows[:10])
+                             + "\n  # midway\n" + "\n".join(rows[10:]) + "\n")
+        outputs = [run_cli(capsys, "fit", "--input", str(path), "--excesses")
+                   for path in (plain, annotated)]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("text,line", [
+        ("value\n1.5\n2.5\nfoo\n3.0\n", 4),
+        ("1.5\nvalue\n2.5\n", 2),
+        ("value\nheader\n1.5\n2.5\n", 2),
+    ])
+    def test_non_numeric_row_is_usage_error(self, capsys, tmp_path, text, line):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--excesses")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line {line} of {path} is not a number: ")
+
     def test_missing_input_file(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent.csv",
                              "--k", "5", "--r", "-1")
@@ -280,6 +316,12 @@ class TestValidate:
         ("coeffs", 5, "a list of numbers"),
         ("alpha", {}, "a number"),
         ("n", [1000], "a number"),
+        ("n", 2000.7, "a whole number"),
+        ("k", 20.9, "a whole number"),
+        ("reps", 3.9, "a whole number"),
+        ("seed", 1.5, "a whole number"),
+        ("workers", 1.2, "a whole number"),
+        ("n", float("inf"), "a whole number"),
     ])
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, key,
                                                  value, expected):
@@ -291,6 +333,16 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert err == f"error: config key {key!r} must be {expected}\n"
+
+    def test_integral_numbers_accepted_for_counts(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"coeffs": [1], "alpha": 3, "r": -1, "n": 4e3, '
+                            '"k": 60.0, "reps": 4.0, "seed": 1.7e1, "workers": 1e0}')
+        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert [config[key] for key in ("n", "k", "replications", "master_seed")] \
+            == [4000, 60, 4, 17]
 
     def test_null_leaves_optional_keys_unset(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

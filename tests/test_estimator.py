@@ -68,7 +68,7 @@ class TestTopKExcesses:
         sample = top_k_excesses([5.0, -1.0, 4.0, 2.0, -3.0], 2)
         assert sample.threshold == 3.0
         np.testing.assert_array_equal(sample.excesses, [2.0, 1.0])
-        assert (sample.k, sample.n) == (2, 5)
+        assert sample.k == 2
 
     def test_increasing_series(self):
         sample = top_k_excesses([1.0, 2.0, 3.0], 2)
@@ -92,12 +92,12 @@ class TestTopKExcesses:
 
     def test_sample_validation(self):
         with pytest.raises(ValueError, match="sorted"):
-            ExcessSample(excesses=np.array([1.0, 2.0]), threshold=0.0, k=2, n=3)
+            ExcessSample(excesses=np.array([1.0, 2.0]), threshold=0.0)
         with pytest.raises(ValueError, match="non-negative"):
-            ExcessSample(excesses=np.array([1.0, -2.0]), threshold=0.0, k=2, n=3)
+            ExcessSample(excesses=np.array([1.0, -2.0]), threshold=0.0)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                ExcessSample(excesses=np.array([bad, 1.0]), threshold=0.0, k=2, n=3)
+                ExcessSample(excesses=np.array([bad, 1.0]), threshold=0.0)
 
     def test_series_holding_nan_rejected(self):
         with pytest.raises(ValueError, match="excesses must be finite"):
@@ -152,6 +152,34 @@ class TestLmeFit:
         reference = lme_root_scan(sample.excesses, -0.5)
         assert fit.b_hat == pytest.approx(reference, rel=1e-9)
         assert fit.iterations <= 30
+
+    @pytest.mark.parametrize("gamma", [5.0, 8.0, 12.0, 20.0])
+    def test_large_shape_root_above_1e12_matches_reference_scan(self, gamma):
+        # The scale-free root t = b * mean excess of these grids lies above
+        # 1e12, beyond the search window's former upper end.
+        sample = quantile_grid_sample(gamma, 1.0, 1000)
+        fit = lme_fit(sample, r=-1.0)
+        assert fit.b_hat * sample.excesses.mean() > 1e12
+        assert fit.b_hat == pytest.approx(lme_root_scan(sample.excesses, -1.0), rel=1e-9)
+        assert abs(fit.gamma_hat - gamma) <= 0.02 * gamma
+
+    def test_overflowing_b_hat_is_a_residual_failure(self):
+        # Excesses scaled into the subnormal range: t_hat / mean excess
+        # overflows, and the fit fails instead of returning inf and nan.
+        sample = ExcessSample.from_excesses(
+            quantile_grid_sample(1.0 / 3.0, 1.0, 200).excesses * 1e-310)
+        with pytest.raises(LmeSolverError) as info:
+            lme_fit(sample, r=-1.0)
+        assert info.value.reason == "residual"
+
+    def test_nan_residual_fails_the_gate(self, monkeypatch):
+        sample = quantile_grid_sample(0.5, 1.0, 100)
+        moment_gap = estimator._moment_gap
+        monkeypatch.setattr(estimator, "_moment_gap", lambda b, y, r: (
+            (float("nan"), 1.0) if y is sample.excesses else moment_gap(b, y, r)))
+        with pytest.raises(LmeSolverError) as info:
+            lme_fit(sample, r=-1.0)
+        assert info.value.reason == "residual"
 
     def test_r_must_be_negative(self):
         sample = quantile_grid_sample(0.5, 1.0, 100)

@@ -82,6 +82,14 @@ class TestConfig:
                                              master_seed=0, theta=0.9)
         assert cfg_iid.k == 1218
 
+    def test_k_none_takes_the_growth_rule(self):
+        cfg = small_config(coeffs=DEP, n=10**6, k=None, theta=0.9)
+        assert cfg.k == 144
+        assert cfg == mc.ExperimentConfig.create(
+            coeffs=DEP, model=MODEL, n=10**6, r=-1.0, replications=40, master_seed=17)
+        with pytest.raises(ValueError, match="theta"):
+            small_config(k=None)
+
     def test_series_mode_requires_one_sided(self):
         two_sided = InnovationModel(kind="two_sided_pareto", alpha=3.0)
         with pytest.raises(ValueError, match="scale unavailable"):
@@ -160,7 +168,7 @@ def full_path_sample(coeffs, model, n, seed, stream, k):
 
 def assert_same_sample(got, want):
     assert got.excesses.tobytes() == want.excesses.tobytes()
-    assert (got.threshold, got.k, got.n) == (want.threshold, want.k, want.n)
+    assert (got.threshold, got.k) == (want.threshold, want.k)
 
 
 coefficient = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=2.0),
@@ -445,7 +453,7 @@ def test_import_path_leaves_scipy_unloaded():
     assert optimize_after_fit
 
 
-def test_run_experiment_builds_tail_expansion_at_most_twice(monkeypatch):
+def test_run_experiment_builds_tail_expansion_once(monkeypatch):
     builds = []
 
     def counting(*args):
@@ -457,4 +465,8 @@ def test_run_experiment_builds_tail_expansion_at_most_twice(monkeypatch):
                                      replications=20, master_seed=17)
     report = mc.run_experiment(cfg)
     assert report.rate_2rv > 0.0
-    assert len(builds) <= 2
+    assert len(builds) == 1
+    # A gpd_direct config builds one only to take k from the growth rule.
+    small_config(k=None, theta=0.9, sampling="gpd_direct")
+    small_config(sampling="gpd_direct")
+    assert len(builds) == 2

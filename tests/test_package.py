@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import tailproc
 from tailproc import asymptotics, estimator, montecarlo, process, second_order
@@ -48,3 +52,15 @@ def test_released_names_are_kept():
 
 def test_csv_header_is_the_record_fields():
     assert montecarlo.CSV_HEADER == [f.name for f in fields(montecarlo.ReplicationRecord)]
+
+
+def test_benchmark_harness_imports():
+    # The benchmark harness imports tailproc's public names; one dropped or
+    # renamed fails here instead of failing every benchmark workload.
+    src = Path(tailproc.__file__).resolve().parents[1]
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), str(benchmarks), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import checks, run, worker"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -223,6 +223,20 @@ class TestCheckConditions:
         assert witness["value"] == sum(texp.ct3_terms)
         assert texp.c_tilde[2] == 0.5 * alpha * (alpha + 1.0) * witness["value"]
 
+    @pytest.mark.parametrize("alpha,coeffs", [(3.0, (1.0, 0.5)), (4.5, (1.0, 0.8, 0.3)),
+                                              (2.5, (0.2, 1.0))])
+    def test_condition_iii_and_a3_share_the_inversion_bracket(self, alpha, coeffs):
+        seq = CoefficientSequence(coeffs)
+        by_name = {c.name: c for c in check_conditions(alpha, seq).checks}
+        witness = by_name["(iii)"].witness
+        texp = tail_expansion(alpha, seq)
+        ct1, ct2, ct3 = texp.c_tilde
+        lhs, rhs = texp.inversion_terms
+        assert (lhs, rhs) == ((1.0 + alpha) * ct2**2 / (2.0 * alpha), ct1 * ct3)
+        assert (witness["lhs"], witness["rhs"], witness["value"]) == (lhs, rhs, lhs - rhs)
+        a3 = quantile_expansion(texp).a[2]
+        assert a3 == -(ct1 ** (-1.0 / alpha - 2.0) * (lhs - rhs) / alpha)
+
     def test_builds_one_tail_expansion(self, monkeypatch, power_sum_exponents):
         builds = []
 
