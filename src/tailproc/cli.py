@@ -92,11 +92,13 @@ def _coeff_flags(args) -> dict:
 
 
 def _model_from_args(args) -> InnovationModel:
-    if getattr(args, "two_sided", False):
-        pi1 = args.pi1 if args.pi1 is not None else 0.5
-        return InnovationModel(kind="two_sided_pareto", alpha=args.alpha,
-                               pi1=pi1, pi2=1.0 - pi1)
-    return InnovationModel(kind="one_sided_pareto", alpha=args.alpha)
+    if not args.two_sided:
+        if args.pi1 is not None:
+            raise UsageError("--pi1 requires --two-sided")
+        return InnovationModel(kind="one_sided_pareto", alpha=args.alpha)
+    pi1 = args.pi1 if args.pi1 is not None else 0.5
+    return InnovationModel(kind="two_sided_pareto", alpha=args.alpha,
+                           pi1=pi1, pi2=1.0 - pi1)
 
 
 def _emit(payload: dict | str, output: str | None) -> None:

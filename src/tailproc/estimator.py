@@ -14,6 +14,8 @@ search from t = 1 followed by Brent's method.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ __all__ = [
 
 G_TOLERANCE = 1e-10  # accepted residual of the moment equation
 ROOT_RTOL = 1e-12    # relative tolerance of the root t
+ROOT_XTOL = sys.float_info.min  # smallest normal double: t ranges over many decades
+ROOT_MAX_ITER = 100  # Brent iterations before the solve gives up
 T_WINDOW = (1e-12, 1e300)  # search window for t = b * mean excess; keeps t * max(z) finite
 BRACKET_STEP = 8.0   # geometric step of the bracket search from t = 1
 
@@ -162,6 +166,64 @@ def _moment_gap(b: float, excesses: np.ndarray, r: float) -> tuple[float, float]
     return gap, gamma_b
 
 
+def _brentq(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method, given ``fa = f(a)`` and
+    ``fb = f(b)`` of opposite signs.
+
+    A line-for-line transcription of SciPy's ``brentq`` (``brentq.c``) with
+    ``xtol=ROOT_XTOL``, ``rtol=ROOT_RTOL`` and ``maxiter=ROOT_MAX_ITER``: it
+    calls ``f`` at the same points and returns the same root.  Raises
+    ``LmeSolverError("residual")`` on a value of ``f`` that is not finite and
+    when the iteration does not converge.
+    """
+    if not (math.isfinite(fa) and math.isfinite(fb)):
+        raise LmeSolverError("residual", f"moment gap {fa}, {fb} at the bracket ends")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # An underflowed denominator gives C an inf or nan step,
+                # which the step test below rejects.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if not math.isfinite(fcur):
+            raise LmeSolverError("residual", f"moment gap {fcur} at t = {xcur}")
+    raise LmeSolverError(
+        "residual", f"no convergence in {ROOT_MAX_ITER} Brent iterations")
+
+
 def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     """Likelihood moment fit of (shape, scale) to threshold excesses.
 
@@ -179,17 +241,19 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         root is found in ``t = b * mean_excess`` on the excesses divided by
         their mean: from ``t = 1`` the search steps by a factor of 8 toward
         the sign change, within ``[1e-12, 1e300]``, and Brent's method refines
-        the bracket to relative tolerance 1e-12.  ``iterations`` counts the
-        distinct moment-gap evaluations, the final residual check included:
-        Brent's method reuses the gaps of the bracket search at the two
-        bracket ends.
+        the bracket to relative tolerance 1e-12.  The Brent iteration is this
+        module's transcription of ``scipy.optimize.brentq``, which it matches
+        bit for bit; SciPy is not loaded.  ``iterations`` counts the distinct
+        moment-gap evaluations, the final residual check included: Brent's
+        method reuses the gaps of the bracket search at the two bracket ends.
 
     Raises
     ------
     LmeSolverError
         With ``reason`` ``"degenerate"`` (for example all excesses equal),
         ``"no_sign_change"`` (no sign change in the window) or ``"residual"``
-        (residual above 1e-10 or not finite, or ``b_hat`` not finite).
+        (a moment gap or the residual not finite, residual above 1e-10,
+        ``b_hat`` not finite, or no convergence in 100 Brent iterations).
     """
     if r >= 0:
         raise ValueError("r must be negative")
@@ -200,17 +264,12 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     if positive.size < 2 or positive.max() == positive.min():
         raise LmeSolverError("degenerate", "excesses are degenerate")
 
-    from scipy.optimize import brentq  # loaded on first fit, not at import
-
     ybar = float(y.mean())
     z = y / ybar
     evaluations = 0
-    known: dict[float, float] = {}
 
     def gap(t: float) -> float:
         nonlocal evaluations
-        if t in known:
-            return known.pop(t)
         evaluations += 1
         return _moment_gap(t, z, r)[0]
 
@@ -230,10 +289,9 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
             raise LmeSolverError("no_sign_change", "no sign change in bracket")
         t_a, gap_a = t_b, gap_b
 
-    # Relative tolerance only: the root ranges over many decades.
-    known.update({t_a: gap_a, t_b: gap_b})
-    t_hat = brentq(gap, min(t_a, t_b), max(t_a, t_b),
-                   xtol=np.finfo(float).tiny, rtol=ROOT_RTOL)
+    if t_a > t_b:
+        t_a, gap_a, t_b, gap_b = t_b, gap_b, t_a, gap_a
+    t_hat = _brentq(gap, t_a, t_b, gap_a, gap_b)
     b_hat = t_hat / ybar
     if not np.isfinite(b_hat):
         raise LmeSolverError("residual", f"b_hat {b_hat} is not finite")

@@ -53,7 +53,10 @@ class ExperimentConfig:
 
     ``k=None`` takes k from the growth rule at ``theta``.  ``centering``, the
     quantile expansion behind the scale and the second-order rates, is None
-    for ``"gpd_direct"`` (scale 1); both come from one tail expansion.
+    for ``"gpd_direct"`` (scale 1).  A ``"series"`` config builds one tail
+    expansion, which gives both the centering and the growth rule's case; a
+    ``"gpd_direct"`` config takes the case from ``second_tail_vanishes``,
+    so it needs no ``alpha > 2``.
     """
 
     coeffs: CoefficientSequence
@@ -71,10 +74,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         texp = None
-        if self.k is None:
+        if self.sampling == "series":
+            # The quantile expansion exists for one-sided Pareto innovations
+            # with non-negative coefficients.
+            if self.model.kind != "one_sided_pareto":
+                raise ValueError("scale unavailable: supply a quantile expansion "
+                                 "(needs the one-sided Pareto model)")
             texp = second_order.tail_expansion(self.model.alpha, self.coeffs)
+            object.__setattr__(self, "centering", second_order.quantile_expansion(texp))
+        elif self.sampling != "gpd_direct":
+            raise ValueError(f"unknown sampling mode: {self.sampling!r}")
+        if self.k is None:
+            c2_zero = texp.c2_is_zero if texp else second_order.second_tail_vanishes(
+                self.model.alpha, self.coeffs)
             object.__setattr__(self, "k", second_order.choose_k(
-                self.n, self.theta, self.model.alpha, texp.c2_is_zero))
+                self.n, self.theta, self.model.alpha, c2_zero))
         if self.k + 1 > self.n:
             raise ValueError("k + 1 must not exceed n")
         if self.k < 2:
@@ -85,16 +99,6 @@ class ExperimentConfig:
             raise ValueError("r must be negative")
         if self.worker_count_hint < 1:
             raise ValueError("worker_count_hint must be >= 1")
-        if self.sampling not in ("series", "gpd_direct"):
-            raise ValueError(f"unknown sampling mode: {self.sampling!r}")
-        if self.sampling == "series":
-            # The quantile expansion exists for one-sided Pareto innovations
-            # with non-negative coefficients.
-            if self.model.kind != "one_sided_pareto":
-                raise ValueError("scale unavailable: supply a quantile expansion "
-                                 "(needs the one-sided Pareto model)")
-            texp = texp or second_order.tail_expansion(self.model.alpha, self.coeffs)
-            object.__setattr__(self, "centering", second_order.quantile_expansion(texp))
 
     @classmethod
     def create(cls, coeffs: CoefficientSequence, model: InnovationModel, n: int,
@@ -334,10 +338,11 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     Replications execute independently and are aggregated in index order, so
     the report is bit-identical for a fixed config regardless of worker
     count.  They run in ``min(worker_count_hint, replications, cpu count)``
-    processes when that is more than one, and serially otherwise.  The pool
-    starts after ``scipy.optimize`` is loaded, so forked workers inherit it.
-    Optionally writes the per-replication records as CSV and the report as
-    JSON.
+    processes when that is more than one, and serially otherwise.  A
+    replication loads numpy only; SciPy (``scipy.special``) loads for the
+    normality diagnostics, which need ``MIN_RECORDS_FOR_DIAGNOSTICS`` good
+    records.  Optionally writes the per-replication records as CSV and the
+    report as JSON.
     """
     started = time.perf_counter()
     indices = range(config.replications)
@@ -345,7 +350,6 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
                   os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, config.replications // (workers * 8))
-        import scipy.optimize  # noqa: F401  -- lme_fit's solver, for the fork
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_replicate_task,
                                     [(config, i) for i in indices],

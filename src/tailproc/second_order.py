@@ -22,6 +22,7 @@ __all__ = [
     "ConditionCheck",
     "ConditionReport",
     "coefficient_power_sum",
+    "second_tail_vanishes",
     "tail_expansion",
     "quantile_expansion",
     "second_order_rates",
@@ -55,25 +56,21 @@ class TailExpansion:
     their sum is the value condition (ii) requires to be nonzero.
     ``inversion_terms`` holds ``(1+alpha) ct2^2 / (2 alpha)`` and ``ct1 ct3``;
     their difference is the ``a3`` bracket, which condition (iii) requires
-    to be nonzero.
+    to be nonzero.  ``c2_is_zero`` is ``second_tail_vanishes(alpha, coeffs)``,
+    decided from the power sums the expansion already holds.
     """
 
     alpha: float
     c_tilde: tuple[float, float, float]
     ct3_terms: tuple[float, float]
     inversion_terms: tuple[float, float]
+    c2_is_zero: bool
 
     def survival(self, t):
         """Three-term approximation of P(X > t)."""
         t = np.asarray(t, dtype=float)
         c1, c2, c3 = self.c_tilde
         return t ** -self.alpha * (c1 + c2 / t + c3 / t**2)
-
-    @property
-    def c2_is_zero(self) -> bool:
-        c1, c2, _ = self.c_tilde
-        scale = max(abs(c1), abs(c2), 1.0)
-        return abs(c2) <= ZERO_REL_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -150,6 +147,25 @@ def coefficient_power_sum(coeffs: CoefficientSequence, u: float) -> float:
     return coeffs.power_sum(u)
 
 
+def _cross_sum_vanishes(c1: float, ca: float, ca1: float) -> bool:
+    """Whether ``C_1 C_alpha - C_{alpha+1} = sum_{i != j} |c_i| |c_j|**alpha``
+    cancels: it does exactly when one coefficient is nonzero."""
+    return abs(c1 * ca - ca1) <= ZERO_REL_TOL * c1 * ca
+
+
+def second_tail_vanishes(alpha: float, coeffs: CoefficientSequence) -> bool:
+    """Whether the second tail coefficient ``ct2`` vanishes, the case of
+    ``choose_k`` and of the second-order rates.
+
+    ``ct2 = alpha * mu * (C_1 C_alpha - C_{alpha+1})`` with a positive
+    innovation mean ``mu``, so the bracket alone decides the case: three
+    power sums of ``|c_j|`` and no innovation moment, for any ``alpha > 0``.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return _cross_sum_vanishes(*(coeffs.power_sum(u) for u in (1.0, alpha, alpha + 1.0)))
+
+
 def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     """Three-term tail expansion of the process survival function.
 
@@ -173,7 +189,8 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     ct2 = alpha * mu * (c1 * ca - ca1)
     ct3 = 0.5 * alpha * (alpha + 1.0) * (term_var + term_mean)
     return TailExpansion(alpha=alpha, c_tilde=(ca, ct2, ct3), ct3_terms=(term_var, term_mean),
-                         inversion_terms=((1.0 + alpha) * ct2**2 / (2.0 * alpha), ca * ct3))
+                         inversion_terms=((1.0 + alpha) * ct2**2 / (2.0 * alpha), ca * ct3),
+                         c2_is_zero=_cross_sum_vanishes(c1, ca, ca1))
 
 
 def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:

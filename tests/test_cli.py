@@ -7,6 +7,7 @@ import pytest
 from tailproc.cli import main
 from tailproc.estimator import GpdParams, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, simulate
+from tailproc.second_order import choose_k
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +168,12 @@ class TestSimulateAndFit:
         payload = json.loads(out)
         assert len(payload["values"]) == 5 and payload["seed"] == 1
 
+    def test_pi1_requires_two_sided(self, capsys):
+        flags = ("simulate", "--coeffs", "1", "--n", "3", "--seed", "1", "--pi1", "0.2")
+        assert run_cli(capsys, *flags) == (1, "", "error: --pi1 requires --two-sided\n")
+        code, out, _ = run_cli(capsys, *flags, "--two-sided")
+        assert code == 0 and len(out.splitlines()) == 4
+
     def test_fit_excesses_quantile_grid(self, capsys, tmp_path):
         k = 10**4
         p = (np.arange(k) + 0.5) / k
@@ -275,6 +282,17 @@ class TestValidate:
         assert header == "index,gamma_hat,sigma_hat,z1,z2,status"
         report = json.loads((tmp_path / "out.report.json").read_text())
         assert report["empirical_mean"] == payload["empirical_mean"]
+
+    def test_gpd_direct_below_alpha_two_takes_k_from_the_rule(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 1.5, "sampling": "gpd_direct",
+                                        "r": -1, "n": 4000, "reps": 4, "seed": 17,
+                                        "workers": 1}))
+        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["k"] == choose_k(4000, 0.9, 1.5, True)
+        assert payload["failure_count"] == 0
 
     def test_cli_flags_override_config(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,9 +1,11 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from oracles import lme_root_scan, moment_gap_plain
 from tailproc import estimator
@@ -252,3 +254,92 @@ class TestMomentGap:
         ts = [t for t, z in search]
         assert len(set(ts)) == len(ts)
         assert all(z is not sample.excesses for t, z in search)
+
+
+def scipy_brentq_points(f, a, b):
+    """Root and evaluation points of ``scipy.optimize.brentq`` at the
+    tolerances of ``lme_fit``; SciPy evaluates both ends first."""
+    points = []
+
+    def recording(x):
+        points.append(x)
+        return f(x)
+
+    root = optimize.brentq(recording, a, b, xtol=estimator.ROOT_XTOL,
+                           rtol=estimator.ROOT_RTOL, maxiter=estimator.ROOT_MAX_ITER)
+    assert points[:2] == [a, b]
+    return root, points[2:]
+
+
+def brentq_points(f, a, b):
+    """Root and evaluation points of ``estimator._brentq``."""
+    points = []
+
+    def recording(x):
+        points.append(x)
+        return f(x)
+
+    return estimator._brentq(recording, a, b, f(a), f(b)), points
+
+
+class TestBrentq:
+    def test_matches_scipy_on_moment_gaps(self, monkeypatch):
+        brackets = []
+        brentq = estimator._brentq
+
+        def spy(f, a, b, fa, fb):
+            brackets.append((f, a, b))
+            return brentq(f, a, b, fa, fb)
+
+        monkeypatch.setattr(estimator, "_brentq", spy)
+        rng = np.random.default_rng(20070601)
+        for gamma in (0.1, 1.0 / 3.0, 1.0, 3.0):
+            for r in (-0.25, -1.0, -3.0):
+                for k in (30, 300, 3000):
+                    y = GpdParams(gamma, 1.0).quantile(rng.random(k))
+                    try:
+                        lme_fit(ExcessSample.from_excesses(y), r)
+                    except LmeSolverError as exc:
+                        assert exc.reason == "no_sign_change"  # never reaches Brent
+        monkeypatch.undo()
+        assert len(brackets) == 34
+        for f, a, b in brackets:
+            assert brentq_points(f, a, b) == scipy_brentq_points(f, a, b)
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: (x * x - 2.0) * x - 5.0, 2.0, 3.0),  # Wallis's cubic
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x - 1.0, 1.0, 2.0),                  # root at the lower end
+        (lambda x: x * x - 4.0, 0.0, 2.0),              # root at the upper end
+        # A bracket near the top of the search window, where the denominator
+        # of the extrapolation step underflows to zero.
+        (lambda x: math.log(x) - math.log(3e299), 1e299, 8e299),
+    ])
+    def test_matches_scipy_on_textbook_functions(self, f, a, b):
+        root, points = brentq_points(f, a, b)
+        assert (root, points) == scipy_brentq_points(f, a, b)
+        if f(a) == 0.0 or f(b) == 0.0:
+            assert points == [] and root in (a, b)
+
+    @pytest.mark.parametrize("fa", [-1.0, math.nan])
+    def test_non_finite_gap_is_a_residual_failure(self, fa):
+        with pytest.raises(LmeSolverError) as info:
+            estimator._brentq(lambda x: math.nan, 0.0, 1.0, fa, 1.0)
+        assert info.value.reason == "residual"
+
+    def test_no_convergence_is_a_residual_failure(self):
+        # A step function defeats every interpolation, and bisecting
+        # [0, 1e300] down to the step takes about 1000 halvings.
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return 1.0 if x > 1.0 else -1.0
+
+        with pytest.raises(LmeSolverError, match="100 Brent iterations") as info:
+            estimator._brentq(step, 0.0, 1e300, -1.0, 1.0)
+        assert info.value.reason == "residual"
+        assert len(calls) == estimator.ROOT_MAX_ITER
+        with pytest.raises(RuntimeError, match="converge"):
+            optimize.brentq(step, 0.0, 1e300, xtol=estimator.ROOT_XTOL,
+                            rtol=estimator.ROOT_RTOL, maxiter=estimator.ROOT_MAX_ITER)

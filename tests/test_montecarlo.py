@@ -90,6 +90,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="theta"):
             small_config(k=None)
 
+    @pytest.mark.parametrize("coeffs,c2_zero", [(IID, True), (DEP, False)])
+    def test_gpd_direct_growth_rule_below_alpha_two(self, coeffs, c2_zero):
+        cfg = small_config(coeffs=coeffs, model=InnovationModel(alpha=1.5), k=None,
+                           theta=0.9, sampling="gpd_direct")
+        assert cfg.k == second_order.choose_k(4000, 0.9, 1.5, c2_zero)
+        assert cfg.centering is None
+
     def test_series_mode_requires_one_sided(self):
         two_sided = InnovationModel(kind="two_sided_pareto", alpha=3.0)
         with pytest.raises(ValueError, match="scale unavailable"):
@@ -424,19 +431,29 @@ def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
 
 
 IMPORT_PATH_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import numpy as np
 import tailproc
-from tailproc import cli
+from tailproc import cli, montecarlo
+scipy_modules = lambda: sorted(name for name in sys.modules if name.startswith("scipy"))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["cov", "--gamma", "0.5", "--ar", "0.6"]),
              cli.main(["check", "--alpha", "3", "--coeffs", "1,0.5"]),
              cli.main(["simulate", "--coeffs", "1,0.5", "--n", "50"])]
-before = sorted(name for name in sys.modules if name.startswith("scipy"))
+loaded = [scipy_modules()]
 sample = tailproc.ExcessSample.from_excesses(
     tailproc.GpdParams(0.5, 1.0).quantile(np.linspace(0.05, 0.95, 40)))
 tailproc.lme_fit(sample, -1.0)
-print(json.dumps([codes, before, "scipy.optimize" in sys.modules]))
+loaded.append(scipy_modules())
+# Fewer records than the normality diagnostics need, on a pool of two.
+os.cpu_count = lambda: 2
+config = montecarlo.ExperimentConfig.create(
+    coeffs=tailproc.CoefficientSequence((1.0, 0.5)), model=tailproc.InnovationModel(alpha=3.0),
+    n=2000, k=40, r=-1.0, replications=montecarlo.MIN_RECORDS_FOR_DIAGNOSTICS - 1,
+    master_seed=5, worker_count_hint=2)
+report = montecarlo.run_experiment(config)
+loaded.append(scipy_modules())
+print(json.dumps([codes, loaded, report.diagnostics is None]))
 """
 
 
@@ -447,10 +464,11 @@ def test_import_path_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=60,
                           check=True)
-    codes, loaded, optimize_after_fit = json.loads(done.stdout)
+    codes, loaded, no_diagnostics = json.loads(done.stdout)
     assert codes == [0, 0, 0]
-    assert loaded == []
-    assert optimize_after_fit
+    # After the commands, after lme_fit and after a pooled run_experiment.
+    assert loaded == [[], [], []]
+    assert no_diagnostics
 
 
 def test_run_experiment_builds_tail_expansion_once(monkeypatch):
@@ -466,7 +484,7 @@ def test_run_experiment_builds_tail_expansion_once(monkeypatch):
     report = mc.run_experiment(cfg)
     assert report.rate_2rv > 0.0
     assert len(builds) == 1
-    # A gpd_direct config builds one only to take k from the growth rule.
+    # A gpd_direct config builds none, also when k comes from the growth rule.
     small_config(k=None, theta=0.9, sampling="gpd_direct")
     small_config(sampling="gpd_direct")
-    assert len(builds) == 2
+    assert len(builds) == 1

@@ -5,13 +5,15 @@ import pytest
 
 from oracles import convolution_tail, invert_three_term_tail
 from tailproc import second_order
-from tailproc.process import CoefficientSequence
+from tailproc.process import CoefficientSequence, arma_to_ma
 from tailproc.second_order import (
+    ZERO_REL_TOL,
     check_conditions,
     choose_k,
     coefficient_power_sum,
     quantile_expansion,
     second_order_rates,
+    second_tail_vanishes,
     tail_expansion,
 )
 
@@ -57,6 +59,34 @@ class TestPowerSum:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="overflows"):
                 coefficient_power_sum(CoefficientSequence((1e200, 1.0)), 2.0)
+
+
+class TestSecondTailVanishes:
+    def test_one_nonzero_coefficient_vanishes(self):
+        assert second_tail_vanishes(3.0, IID)
+        assert second_tail_vanishes(3.7, CoefficientSequence((0.0, 2.5, 0.0)))
+        assert not second_tail_vanishes(3.0, DEP)
+
+    def test_needs_no_innovation_moments(self, power_sum_exponents):
+        # alpha 1.5 has no innovation variance; negative coefficients enter by |c_j|.
+        assert second_tail_vanishes(1.5, IID)
+        assert not second_tail_vanishes(1.5, CoefficientSequence((1.0, -0.5)))
+        assert power_sum_exponents == [1.0, 1.5, 2.5] * 2
+        with pytest.raises(ValueError, match="alpha"):
+            second_tail_vanishes(0.0, IID)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 4.5])
+    @pytest.mark.parametrize("coeffs", [
+        IID, DEP, CoefficientSequence((1.0, 0.8, 0.3)), CoefficientSequence((0.2, 1.0)),
+        CoefficientSequence((1.0, 1.0)), CoefficientSequence((0.0, 3.0)),
+        arma_to_ma([0.5], []), arma_to_ma([0.6], [0.4]), arma_to_ma([], [0.5]),
+    ])
+    def test_agrees_with_the_ct2_rule(self, alpha, coeffs):
+        # The case as decided from ct2 itself, relative to ct1, ct2 and 1.
+        ct1, ct2, _ = tail_expansion(alpha, coeffs).c_tilde
+        by_ct2 = abs(ct2) <= ZERO_REL_TOL * max(abs(ct1), abs(ct2), 1.0)
+        assert second_tail_vanishes(alpha, coeffs) == by_ct2
+        assert tail_expansion(alpha, coeffs).c2_is_zero == by_ct2
 
 
 class TestTailExpansion:
