@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -194,33 +194,44 @@ def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
     return float(gamma * qexp.b(n / k))
 
 
+def _raw_cut(survival: float) -> int:
+    """Smallest Philox word ``raw`` whose ``1 - U`` lies below ``survival``.
+
+    ``Generator.random`` gives ``U = (raw >> 11) * 2**-53``, so
+    ``1 - U = (2**53 - (raw >> 11)) * 2**-53`` exactly, and
+    ``1 - U < survival`` holds exactly when ``raw >= _raw_cut(survival)``.
+    A cut of ``2**64`` or more flags no word; a survival above 1 flags all.
+    """
+    return max(2**53 + 1 - math.ceil(survival * 2.0**53), 0) << 11
+
+
 def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
                    seed: int, stream: int, k: int) -> ExcessSample:
     """``top_k_excesses(simulate(coeffs, model, n, seed, stream).values, k)``
     with the filter evaluated only next to large innovations.
 
-    Innovations above ``z_c`` are flagged on the uniforms.  Flagged
-    innovation i reaches the outputs ``[i - J, i]``; runs of flagged
-    innovations closer than J + 2 share one segment, and ``apply_filter``
-    over the concatenated segments keeps only the outputs whose window lies
-    inside one segment, each the same dot product as on the full path.  The
-    start ``z_c`` puts about 4(k + 1) innovations above
-    ``C * z_c / max_j |c_j|``; ``run_replication`` gives the bound and the
-    retry rule.
+    The stream's raw Philox words are drawn once and never converted as a
+    whole: innovations above ``z_c`` are flagged by an integer comparison of
+    the words with ``_raw_cut``, and only the window words become the
+    ``1 - U`` doubles of ``InnovationModel.sample``.  Flagged innovation i
+    reaches the outputs ``[i - J, i]``; runs of flagged innovations closer
+    than J + 2 share one segment, and ``apply_filter`` over the concatenated
+    segments keeps only the outputs whose window lies inside one segment,
+    each the same dot product as on the full path.  The start ``z_c`` puts
+    about 4(k + 1) innovations above ``C * z_c / max_j |c_j|``;
+    ``run_replication`` gives the bound and the retry rule.
     """
     order = coeffs.order
     total = n + order
-    w = philox_stream(seed, stream).random(total)
-    # The same 1 - U as InnovationModel.sample, in place to save a path.
-    np.subtract(1.0, w, out=w)
+    raw = philox_stream(seed, stream).bit_generator.random_raw(total)
     c_abs = np.abs(coeffs.as_array())
     c_sum = float(np.sum(c_abs))
     z_c = float(np.max(c_abs)) / c_sum * (4.0 * (k + 1) / total) ** -model.gamma
     while True:
-        # Z = w**-gamma exceeds z_c when w < z_c**-alpha; every Z >= 1 can
-        # exceed a z_c <= 1.
+        # Z = (1 - U)**-gamma exceeds z_c when 1 - U < z_c**-alpha; every
+        # Z >= 1 can exceed a z_c <= 1.
         survival = z_c ** -model.alpha * (1.0 + _BOUND_MARGIN) if z_c > 1.0 else 2.0
-        flagged = np.flatnonzero(w < survival)
+        flagged = np.flatnonzero(raw >= _raw_cut(survival))
         if flagged.size:
             breaks = np.flatnonzero(np.diff(flagged) > order + 1) + 1
             first = np.maximum(flagged[np.r_[0, breaks]] - order, 0)
@@ -228,7 +239,9 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
             lengths = stop - first
             offsets = np.cumsum(lengths) - lengths
             idx = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
-            x = apply_filter(coeffs, model.from_uniform(w[idx]))
+            # The 1 - U of InnovationModel.sample, bit for bit.
+            w = 1.0 - (raw[idx] >> 11) * 2.0**-53
+            x = apply_filter(coeffs, model.from_uniform(w))
             if order:
                 run = np.repeat(np.arange(lengths.size), lengths)
                 x = x[run[:-order] == run[order:]]
@@ -245,8 +258,9 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     pure function of ``(config, index)`` and independent of scheduling.
     Solver failures are recorded in ``status`` rather than raised.
 
-    A series replication draws the same uniforms as ``simulate`` but
-    evaluates the filter only on the windows of large innovations: with
+    A series replication draws the same Philox words as ``simulate`` but
+    flags large innovations on the raw words, converts only the windows
+    around them to uniforms and evaluates the filter only there: with
     ``C = sum_j |c_j|``, an output whose innovations all stay at or below
     ``z_c`` has ``|X_t| <= C * z_c``, so once more than k evaluated outputs
     exceed ``C * z_c`` they hold the top k + 1 of the path.  If they do
@@ -338,7 +352,8 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     Replications execute independently and are aggregated in index order, so
     the report is bit-identical for a fixed config regardless of worker
     count.  They run in ``min(worker_count_hint, replications, cpu count)``
-    processes when that is more than one, and serially otherwise.  A
+    processes when that is more than one, and serially otherwise; the
+    process pool (``multiprocessing``) loads only in the first case.  A
     replication loads numpy only; SciPy (``scipy.special``) loads for the
     normality diagnostics, which need ``MIN_RECORDS_FOR_DIAGNOSTICS`` good
     records.  Optionally writes the per-replication records as CSV and the
@@ -349,6 +364,8 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     workers = min(config.worker_count_hint, config.replications,
                   os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.replications // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_replicate_task,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -255,6 +256,48 @@ class TestSeriesSample:
         assert peak <= 10 * cfg.n
 
 
+@st.composite
+def words_and_survival(draw):
+    """Raw words around one ``1 - U`` value and a survival at or near it."""
+    top = draw(st.integers(min_value=0, max_value=2**53 - 1))
+    w = (2**53 - top) * 2.0**-53
+    survival = draw(st.one_of(
+        st.sampled_from([w, float(np.nextafter(w, 0.0)), float(np.nextafter(w, 2.0))]),
+        st.floats(min_value=0.0, max_value=2.0**-53),
+        st.floats(min_value=1.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=2.0)))
+    low = draw(st.integers(min_value=0, max_value=2**11 - 1))
+    words = [(t << 11) | low for t in (top - 1, top, top + 1) if 0 <= t < 2**53]
+    return words, survival
+
+
+class TestRawCut:
+    """``raw >= _raw_cut(s)`` against the float test ``1 - U < s``."""
+
+    @given(words_and_survival())
+    @settings(max_examples=500, deadline=None)
+    @example(([2**64 - 1], 2.0**-53))
+    @example(([2**64 - 1], 0.0))
+    @example(([0, 2**11 - 1], 1.0))
+    @example(([0, 2**64 - 1], 2.0))
+    @example(([2**63], 0.5))
+    @example(([2**63 - 1], 0.5))
+    def test_matches_float_test(self, case):
+        words, survival = case
+        uniform_complement = [1.0 - (raw >> 11) * 2.0**-53 for raw in words]
+        flags = np.array(words, dtype=np.uint64) >= mc._raw_cut(survival)
+        assert flags.tolist() == [w < survival for w in uniform_complement]
+
+    def test_edge_cuts(self):
+        # No 1 - U lies below 2**-53, and every one lies below a survival above 1.
+        assert mc._raw_cut(0.0) >= 2**64
+        assert mc._raw_cut(2.0**-53) >= 2**64
+        assert mc._raw_cut(float(np.nextafter(2.0**-53, 1.0))) == (2**53 - 1) << 11
+        assert mc._raw_cut(1.0) == 1 << 11
+        assert mc._raw_cut(float(np.nextafter(1.0, 2.0))) == 0
+        assert mc._raw_cut(2.0) == 0
+
+
 class TestEmpiricalCov:
     def test_hand_example(self):
         np.testing.assert_allclose(mc.empirical_cov([(0.0, 0.0), (2.0, 2.0)]),
@@ -423,7 +466,7 @@ def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     mc.run_experiment(small_config(n=500, k=20, replications=replications,
                                    worker_count_hint=hint))
@@ -457,18 +500,52 @@ print(json.dumps([codes, loaded, report.diagnostics is None]))
 """
 
 
-def test_import_path_leaves_scipy_unloaded():
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter on this tailproc; its JSON output."""
     src = str(Path(tailproc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT],
+    done = subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True, timeout=60,
                           check=True)
-    codes, loaded, no_diagnostics = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_import_path_leaves_scipy_unloaded():
+    codes, loaded, no_diagnostics = run_fresh(IMPORT_PATH_SCRIPT)
     assert codes == [0, 0, 0]
     # After the commands, after lme_fit and after a pooled run_experiment.
     assert loaded == [[], [], []]
     assert no_diagnostics
+
+
+SERIAL_PATH_SCRIPT = """
+import contextlib, io, json, sys
+import tailproc
+from tailproc import cli, montecarlo
+pool_modules = lambda: sorted(name for name in sys.modules
+                              if name.startswith("multiprocessing")
+                              or name == "concurrent.futures.process")
+loaded = [pool_modules()]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["cov", "--gamma", "0.5", "--ar", "0.6"]),
+             cli.main(["check", "--alpha", "3", "--coeffs", "1,0.5"]),
+             cli.main(["simulate", "--coeffs", "1,0.5", "--n", "50"])]
+loaded.append(pool_modules())
+config = montecarlo.ExperimentConfig.create(
+    coeffs=tailproc.CoefficientSequence((1.0, 0.5)), model=tailproc.InnovationModel(alpha=3.0),
+    n=2000, k=40, r=-1.0, replications=3, master_seed=5, worker_count_hint=1)
+montecarlo.run_experiment(config)
+loaded.append(pool_modules())
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_serial_path_leaves_process_pool_unloaded():
+    codes, loaded = run_fresh(SERIAL_PATH_SCRIPT)
+    assert codes == [0, 0, 0]
+    # After the import, after the commands and after a serial run_experiment.
+    assert loaded == [[], [], []]
 
 
 def test_run_experiment_builds_tail_expansion_once(monkeypatch):

@@ -265,3 +265,18 @@ def test_philox_stream_deterministic_and_keyed():
     c = philox_stream(1, 3).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed,stream", [
+    (0, 0), (1, 2), (2016, 7), (20260808, 0), (2**32, 1000), (2**64 - 1, 2**64 - 1),
+])
+def test_philox_doubles_are_shifted_raw_words(seed, stream):
+    # The series kernel flags innovations on raw words and relies on these
+    # two identities to reproduce InnovationModel.sample bit for bit.
+    m = 4099
+    uniforms = philox_stream(seed, stream).random(m)
+    top = philox_stream(seed, stream).bit_generator.random_raw(m) >> 11
+    assert uniforms.tobytes() == (top * 2.0**-53).tobytes(), (
+        "Generator.random is no longer (raw >> 11) * 2**-53 for Philox")
+    assert (1.0 - uniforms).tobytes() == ((2**53 - top) * 2.0**-53).tobytes(), (
+        "1 - Generator.random is no longer (2**53 - (raw >> 11)) * 2**-53")
