@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 
@@ -203,7 +202,7 @@ def _cmd_validate(args) -> int:
             raise UsageError(f"missing config key: {key!r}")
     model = InnovationModel(**{f.name: cfg.pop(f.name) for f in fields(InnovationModel)
                                if f.name in cfg})
-    cfg.setdefault("workers", os.cpu_count() or 1)
+    cfg.setdefault("workers", montecarlo.usable_cpus())
     config = montecarlo.ExperimentConfig.create(
         coeffs=coeffs, model=model,
         **{KEYWORDS.get(key, key): value for key, value in cfg.items()})
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None, help="number of replications")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (CPU count if omitted)")
+                   help="process count (usable CPU count if omitted)")
     p.add_argument("--sampling", choices=("series", "gpd_direct"), default=None,
                    help="replication sampling mode")
     p.add_argument("--output", default=None,

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 
@@ -41,6 +42,10 @@ MIN_RECORDS_FOR_DIAGNOSTICS = 50
 # innovation: it absorbs the rounding of the inverse transform, of the
 # filter's J + 1 products and of C itself.
 _BOUND_MARGIN = 1e-9
+# Words of the Philox stream one block of a series replication flags at a
+# time.  A multiple of 4, Philox's output width, so each block starts on a
+# counter step and is drawn from its own generator.
+_BLOCK_WORDS = 2**17
 
 
 @dataclass(frozen=True)
@@ -205,25 +210,123 @@ def _raw_cut(survival: float) -> int:
     return max(2**53 + 1 - math.ceil(survival * 2.0**53), 0) << 11
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (``taskset`` and cpusets shrink it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out(config: ExperimentConfig, cpus: int) -> tuple[int, int]:
+    """Pool processes of ``run_experiment(config)`` on ``cpus`` CPUs, and
+    draw threads of each of its series replications.
+
+    The pool has at most one process per replication and per CPU; each
+    replication draws its stream's blocks on the CPUs its process's share
+    leaves, on at least one thread and at most one per block.
+    """
+    processes = min(config.worker_count_hint, config.replications, cpus)
+    blocks = len(range(0, config.n + config.coeffs.order, _BLOCK_WORDS))
+    return processes, min(blocks, max(1, cpus // processes))
+
+
+def _map_threads(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]`` on ``threads`` threads, this one
+    included.
+
+    Each thread takes the next item until none is left or one has raised;
+    every helper has ended before the first exception is raised here.
+    """
+    results = [None] * len(items)
+    errors: list[BaseException] = []
+    todo = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _runs(points: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last point of each run of sorted ``points`` whose steps are
+    at most ``gap``."""
+    wide = points[1:] - points[:-1] > gap
+    return (np.concatenate((points[:1], points[1:][wide])),
+            np.concatenate((points[:-1][wide], points[-1:])))
+
+
+def _ranges(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The ranges ``[first_i, stop_i)``, concatenated."""
+    lengths = stop - first
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
+
+
+def _draw_block(key: np.ndarray, lo: int, total: int, order: int,
+                cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flags of stream words ``[lo, lo + _BLOCK_WORDS)`` and their windows.
+
+    Draws the words ``[lo - J, lo + _BLOCK_WORDS + J)`` of the stream
+    ``total`` words long from a generator started at the counter step at or
+    below ``lo - J`` (each step gives 4 words).  Returns the positions of
+    the block's words at or above ``cut``, then the positions and words of
+    their windows ``[f - J, f + J]``.
+    """
+    step = max(lo - order, 0) // 4
+    start = 4 * step
+    raw = np.random.Philox(counter=step, key=key).random_raw(
+        min(lo + _BLOCK_WORDS + order, total) - start)
+    flags = np.flatnonzero(raw[lo - start:lo + _BLOCK_WORDS - start] >= cut) + lo
+    if not flags.size:
+        return flags, flags, raw[:0]
+    first, last = _runs(flags, 2 * order + 1)
+    where = _ranges(np.maximum(first - order, 0), np.minimum(last + order + 1, total))
+    return flags, where, raw[where - start]
+
+
 def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
-                   seed: int, stream: int, k: int) -> ExcessSample:
+                   seed: int, stream: int, k: int, threads: int = 1) -> ExcessSample:
     """``top_k_excesses(simulate(coeffs, model, n, seed, stream).values, k)``
     with the filter evaluated only next to large innovations.
 
-    The stream's raw Philox words are drawn once and never converted as a
-    whole: innovations above ``z_c`` are flagged by an integer comparison of
-    the words with ``_raw_cut``, and only the window words become the
-    ``1 - U`` doubles of ``InnovationModel.sample``.  Flagged innovation i
-    reaches the outputs ``[i - J, i]``; runs of flagged innovations closer
-    than J + 2 share one segment, and ``apply_filter`` over the concatenated
-    segments keeps only the outputs whose window lies inside one segment,
-    each the same dot product as on the full path.  The start ``z_c`` puts
-    about 4(k + 1) innovations above ``C * z_c / max_j |c_j|``;
-    ``run_replication`` gives the bound and the retry rule.
+    The stream's raw Philox words are drawn in blocks of ``_BLOCK_WORDS``,
+    each from its own generator started at the block's counter, on
+    ``threads`` threads, so memory is O(threads x block), not 9 bytes per
+    sample.  A block flags its
+    innovations above ``z_c`` by an integer comparison of the words with
+    ``_raw_cut`` and keeps only the words of the windows ``[f - J, f + J]``
+    of its flags f; the blocks' windows are merged by position, and only
+    the window words become the ``1 - U`` doubles of
+    ``InnovationModel.sample``.  Flagged innovation i reaches the outputs
+    ``[i - J, i]``; runs of flagged innovations closer than J + 2 share one
+    segment, and ``apply_filter`` over the concatenated segments keeps only
+    the outputs whose window lies inside one segment, each the same dot
+    product as on the full path.  The start ``z_c`` puts about 4(k + 1)
+    innovations above ``C * z_c / max_j |c_j|``; ``run_replication`` gives
+    the bound and the retry rule, and a retry draws the blocks again.
     """
     order = coeffs.order
     total = n + order
-    raw = philox_stream(seed, stream).bit_generator.random_raw(total)
+    key = np.array([seed, stream], dtype=np.uint64)
+    blocks = range(0, total, _BLOCK_WORDS)
     c_abs = np.abs(coeffs.as_array())
     c_sum = float(np.sum(c_abs))
     z_c = float(np.max(c_abs)) / c_sum * (4.0 * (k + 1) / total) ** -model.gamma
@@ -231,22 +334,24 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
         # Z = (1 - U)**-gamma exceeds z_c when 1 - U < z_c**-alpha; every
         # Z >= 1 can exceed a z_c <= 1.
         survival = z_c ** -model.alpha * (1.0 + _BOUND_MARGIN) if z_c > 1.0 else 2.0
-        flagged = np.flatnonzero(raw >= _raw_cut(survival))
+        cut = _raw_cut(survival)
+        flagged, where, words = (np.concatenate(part) for part in zip(*_map_threads(
+            lambda lo: _draw_block(key, lo, total, order, cut), blocks, threads)))
         if flagged.size:
-            breaks = np.flatnonzero(np.diff(flagged) > order + 1) + 1
-            first = np.maximum(flagged[np.r_[0, breaks]] - order, 0)
-            stop = np.minimum(flagged[np.r_[breaks - 1, -1]], n - 1) + order + 1
-            lengths = stop - first
-            offsets = np.cumsum(lengths) - lengths
-            idx = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
+            # Windows that cross a block edge were kept by both blocks.
+            where, kept = np.unique(where, return_index=True)
+            first, last = _runs(flagged, order + 1)
+            first = np.maximum(first - order, 0)
+            stop = np.minimum(last, n - 1) + order + 1
+            idx = np.searchsorted(where, _ranges(first, stop))
             # The 1 - U of InnovationModel.sample, bit for bit.
-            w = 1.0 - (raw[idx] >> 11) * 2.0**-53
+            w = 1.0 - (words[kept[idx]] >> 11) * 2.0**-53
             x = apply_filter(coeffs, model.from_uniform(w))
             if order:
-                run = np.repeat(np.arange(lengths.size), lengths)
+                run = np.repeat(np.arange(first.size), stop - first)
                 x = x[run[:-order] == run[order:]]
-            cut = c_sum * z_c * (1.0 + _BOUND_MARGIN)
-            if x.size == n or np.count_nonzero(np.abs(x) > cut) > k:
+            bound = c_sum * z_c * (1.0 + _BOUND_MARGIN)
+            if x.size == n or np.count_nonzero(np.abs(x) > bound) > k:
                 return top_k_excesses(x, k)
         z_c /= 2.0
 
@@ -258,15 +363,19 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     pure function of ``(config, index)`` and independent of scheduling.
     Solver failures are recorded in ``status`` rather than raised.
 
-    A series replication draws the same Philox words as ``simulate`` but
-    flags large innovations on the raw words, converts only the windows
-    around them to uniforms and evaluates the filter only there: with
-    ``C = sum_j |c_j|``, an output whose innovations all stay at or below
-    ``z_c`` has ``|X_t| <= C * z_c``, so once more than k evaluated outputs
-    exceed ``C * z_c`` they hold the top k + 1 of the path.  If they do
-    not, ``z_c`` is halved and the windows are taken again, at worst over
-    the whole path.  The sample, and so the record, is bit-identical to
-    ``top_k_excesses`` of the full ``simulate`` path.
+    A series replication draws the same Philox words as ``simulate``, in
+    fixed blocks on the threads that ``run_experiment(config)``'s pool
+    leaves (every usable CPU for a serial config, the worker's share of
+    them for a pooled one), and holds only a block of words per thread, not
+    the path.  It flags large innovations on the raw words,
+    keeps only the windows around them, converts those to uniforms and
+    evaluates the filter only there: with ``C = sum_j |c_j|``, an output
+    whose innovations all stay at or below ``z_c`` has ``|X_t| <= C * z_c``,
+    so once more than k evaluated outputs exceed ``C * z_c`` they hold the
+    top k + 1 of the path.  If they do not, ``z_c`` is halved and the blocks
+    are drawn again, at worst keeping the whole path.  The sample, and so
+    the record, is bit-identical to ``top_k_excesses`` of the full
+    ``simulate`` path, whatever the thread count.
     """
     scale = 1.0 if config.centering is None else sigma_nk(
         config.centering, config.gamma, config.n, config.k)
@@ -276,7 +385,8 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
         sample = ExcessSample.from_excesses(limit.quantile(rng.random(config.k)))
     else:
         sample = _series_sample(config.coeffs, config.model, config.n,
-                                config.master_seed, index, config.k)
+                                config.master_seed, index, config.k,
+                                _fan_out(config, usable_cpus())[1])
     try:
         fit = lme_fit(sample, config.r)
     except LmeSolverError:
@@ -351,9 +461,13 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
 
     Replications execute independently and are aggregated in index order, so
     the report is bit-identical for a fixed config regardless of worker
-    count.  They run in ``min(worker_count_hint, replications, cpu count)``
-    processes when that is more than one, and serially otherwise; the
-    process pool (``multiprocessing``) loads only in the first case.  A
+    count.  They run in ``min(worker_count_hint, replications,
+    usable_cpus())`` processes when that is more than one, and serially
+    otherwise; the process pool (``multiprocessing``) loads only in the
+    first case.  A series replication draws its stream's blocks on the
+    CPUs the pool leaves: ``usable_cpus() // processes`` threads, at least
+    one and at most one per block, so a serial run uses every CPU and a
+    pool of one process per CPU starts no threads.  A
     replication loads numpy only; SciPy (``scipy.special``) loads for the
     normality diagnostics, which need ``MIN_RECORDS_FOR_DIAGNOSTICS`` good
     records.  Optionally writes the per-replication records as CSV and the
@@ -361,8 +475,7 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     """
     started = time.perf_counter()
     indices = range(config.replications)
-    workers = min(config.worker_count_hint, config.replications,
-                  os.cpu_count() or 1)
+    workers = _fan_out(config, usable_cpus())[0]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

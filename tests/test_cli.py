@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from tailproc import montecarlo
 from tailproc.cli import main
 from tailproc.estimator import GpdParams, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, simulate
@@ -381,6 +383,22 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path),
                                "--workers", "0")
         assert (code, err) == (1, "error: worker_count_hint must be >= 1\n")
+
+    def test_workers_default_to_usable_cpus(self, capsys, tmp_path, monkeypatch):
+        hints = []
+
+        def recording(config, **outputs):
+            hints.append(config.worker_count_hint)
+            return real(dataclasses.replace(config, worker_count_hint=1), **outputs)
+
+        real = montecarlo.run_experiment
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "run_experiment", recording)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1, "n": 4000,
+                                        "k": 60, "reps": 4, "seed": 17}))
+        code, _, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert (code, hints) == (0, [3])
 
     def test_missing_required_key_named(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,11 +1,13 @@
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import json
 import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -243,17 +245,167 @@ class TestSeriesSample:
                 full_path_sample(coeffs, MODEL, 10**6, ACCEPTANCE_SEED, index, k))
 
     def test_peak_memory_per_sample(self):
-        # The uniforms take 8 bytes per sample and the flag mask 1.
+        # Each draw thread holds one block of words (8 bytes each) and its
+        # flag mask (1 byte each) at a time; the windows add well under 1 MB.
+        # The budget does not grow with n.
+        for n in (10**6, 4 * 10**6):
+            cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=n, k=144,
+                                      r=-0.5, replications=1, master_seed=5)
+            threads = mc._fan_out(cfg, mc.usable_cpus())[1]
+            budget = threads * mc._BLOCK_WORDS * 9 + 2**20
+            mc.run_replication(cfg, 0)
+            tracemalloc.start()
+            try:
+                mc.run_replication(cfg, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, (n, peak, budget)
+
+
+@pytest.mark.usefixtures("blocks")
+class TestBlockEdges:
+    """Blocks of a few words on three threads, against the full path."""
+
+    @pytest.fixture(params=[4, 8, 64])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", request.param)
+        monkeypatch.setattr(mc, "_series_sample",
+                            functools.partial(mc._series_sample, threads=3))
+        drawn = []
+        draw_block = mc._draw_block
+
+        def recording(key, lo, total, order, cut):
+            part = draw_block(key, lo, total, order, cut)
+            drawn.append((lo, part[0]))
+            return part
+
+        monkeypatch.setattr(mc, "_draw_block", recording)
+        return request.param, drawn
+
+    @pytest.mark.parametrize("coeffs,n,k", [
+        (DEP, 2000, 40),
+        (CoefficientSequence((0.2, 1.0, 0.0, 0.7, 0.0, 0.1, 0.4)), 3000, 30),
+        # n + J = 4002 is not a multiple of 4.
+        (DEP, 4001, 12),
+    ])
+    def test_windows_straddle_block_edges(self, blocks, coeffs, n, k):
+        size, drawn = blocks
+        order = coeffs.order
+        for stream in range(3):
+            drawn.clear()
+            assert_same_sample(mc._series_sample(coeffs, MODEL, n, 11, stream, k),
+                               full_path_sample(coeffs, MODEL, n, 11, stream, k))
+            assert len(drawn) >= -(-(n + order) // size)
+            assert any(np.any((flags - lo < order) | (lo + size - 1 - flags < order))
+                       for lo, flags in drawn)
+
+    def test_order_longer_than_block(self, blocks):
+        ar = arma_to_ma([0.5], [])
+        assert ar.order == 83 > blocks[0]
+        for stream in range(2):
+            assert_same_sample(mc._series_sample(ar, MODEL, 3000, 2016, stream, 20),
+                               full_path_sample(ar, MODEL, 3000, 2016, stream, 20))
+
+    # The retry cases with the same apply_filter sizes.
+    test_retry_branches = TestSeriesSample.test_retry_branches
+
+
+class BlockFailure(Exception):
+    pass
+
+
+class TestDrawThreads:
+    def test_block_failure_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
+        ran_on = set()
+        draw_block = mc._draw_block
+
+        def failing(key, lo, total, order, cut):
+            ran_on.add(threading.get_ident())
+            if lo == 5 * mc._BLOCK_WORDS:
+                raise BlockFailure(lo)
+            return draw_block(key, lo, total, order, cut)
+
+        monkeypatch.setattr(mc, "_draw_block", failing)
+        before = set(threading.enumerate())
         cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=10**6, k=144,
                                   r=-0.5, replications=1, master_seed=5)
-        mc.run_replication(cfg, 0)
-        tracemalloc.start()
-        try:
-            mc.run_replication(cfg, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * cfg.n
+        with pytest.raises(BlockFailure):
+            mc.run_replication(cfg, 0)
+        assert set(threading.enumerate()) == before
+        assert ran_on
+
+    @staticmethod
+    def count_starts(monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        return starts
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_serial_replication_threads_bounded(self, monkeypatch, cpus):
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
+        starts = self.count_starts(monkeypatch)
+        mc.run_replication(small_config(coeffs=DEP, n=4000, k=40), 0)
+        blocks = 4   # ceil(4001 / 1024)
+        assert len(starts) == min(blocks, cpus) - 1
+
+    def test_pooled_run_starts_no_helper_threads(self, monkeypatch):
+        # The pool's tasks run here, as they would in a worker process.
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        starts = self.count_starts(monkeypatch)
+        mc.run_experiment(small_config(coeffs=DEP, replications=4, worker_count_hint=2))
+        assert starts == []
+
+
+@pytest.mark.parametrize("hint,replications,cpus,blocks,expected", [
+    (1, 400, 2, 8, (1, 2)),
+    (2, 40, 2, 8, (2, 1)),
+    (8, 3, 4, 8, (3, 1)),
+    (1, 400, 4, 1, (1, 1)),
+    (2, 400, 8, 8, (2, 4)),
+    (3, 400, 8, 2, (3, 2)),
+])
+def test_fan_out(monkeypatch, hint, replications, cpus, blocks, expected):
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
+    cfg = small_config(coeffs=DEP, n=blocks * 1024 - DEP.order, k=40,
+                       replications=replications, worker_count_hint=hint)
+    assert mc._fan_out(cfg, cpus) == expected
+
+
+def test_usable_cpus_follows_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert mc.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+        assert mc.usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert mc.usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc.usable_cpus() == 1
 
 
 @st.composite
@@ -467,7 +619,12 @@ def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        # No affinity set and no CPU count: one CPU.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    else:
+        monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
     mc.run_experiment(small_config(n=500, k=20, replications=replications,
                                    worker_count_hint=hint))
     assert sizes == expected
@@ -489,7 +646,7 @@ sample = tailproc.ExcessSample.from_excesses(
 tailproc.lme_fit(sample, -1.0)
 loaded.append(scipy_modules())
 # Fewer records than the normality diagnostics need, on a pool of two.
-os.cpu_count = lambda: 2
+montecarlo.usable_cpus = lambda: 2
 config = montecarlo.ExperimentConfig.create(
     coeffs=tailproc.CoefficientSequence((1.0, 0.5)), model=tailproc.InnovationModel(alpha=3.0),
     n=2000, k=40, r=-1.0, replications=montecarlo.MIN_RECORDS_FOR_DIAGNOSTICS - 1,
