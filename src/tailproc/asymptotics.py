@@ -9,6 +9,7 @@ coefficient series phi_1..phi_3 below, all zero in the iid case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -103,10 +104,10 @@ class CovarianceReport:
 
 
 def _check_domain(gamma: float, r: float) -> None:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if r >= 0:
-        raise ValueError("r must be negative")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    if not -math.inf < r < 0:
+        raise ValueError("r must be negative and finite")
 
 
 def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, float]:

@@ -63,10 +63,10 @@ class GpdParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     def cdf(self, x):
         """``1 - (1 + gamma*x/sigma)**(-1/gamma)`` for x >= 0."""
@@ -255,8 +255,8 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         (a moment gap or the residual not finite, residual above 1e-10,
         ``b_hat`` not finite, or no convergence in 100 Brent iterations).
     """
-    if r >= 0:
-        raise ValueError("r must be negative")
+    if not -math.inf < r < 0:
+        raise ValueError("r must be negative and finite")
     y = sample.excesses
     if sample.k < 2:
         raise ValueError("need at least two excesses")

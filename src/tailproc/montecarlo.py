@@ -42,9 +42,9 @@ MIN_RECORDS_FOR_DIAGNOSTICS = 50
 # innovation: it absorbs the rounding of the inverse transform, of the
 # filter's J + 1 products and of C itself.
 _BOUND_MARGIN = 1e-9
-# Words of the Philox stream one block of a series replication flags at a
-# time.  A multiple of 4, Philox's output width, so each block starts on a
-# counter step and is drawn from its own generator.
+# Outputs of a series replication one block filters at a time.  A multiple
+# of 4, Philox's output width, so each block starts on a counter step and is
+# drawn from its own generator.
 _BLOCK_WORDS = 2**17
 
 
@@ -100,8 +100,8 @@ class ExperimentConfig:
             raise ValueError("k must be >= 2")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.r >= 0:
-            raise ValueError("r must be negative")
+        if not -math.inf < self.r < 0:
+            raise ValueError("r must be negative and finite")
         if self.worker_count_hint < 1:
             raise ValueError("worker_count_hint must be >= 1")
 
@@ -227,7 +227,7 @@ def _fan_out(config: ExperimentConfig, cpus: int) -> tuple[int, int]:
     leaves, on at least one thread and at most one per block.
     """
     processes = min(config.worker_count_hint, config.replications, cpus)
-    blocks = len(range(0, config.n + config.coeffs.order, _BLOCK_WORDS))
+    blocks = len(range(0, config.n, _BLOCK_WORDS))
     return processes, min(blocks, max(1, cpus // processes))
 
 
@@ -280,26 +280,30 @@ def _ranges(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
 
 
-def _draw_block(key: np.ndarray, lo: int, total: int, order: int,
-                cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flags of stream words ``[lo, lo + _BLOCK_WORDS)`` and their windows.
+def _filter_block(coeffs: CoefficientSequence, model: InnovationModel,
+                  key: np.ndarray, lo: int, n: int, cut: int) -> np.ndarray:
+    """The outputs in ``[lo, hi)``, ``hi = min(lo + _BLOCK_WORDS, n)``, that
+    read a word at or above ``cut``, in order.
 
-    Draws the words ``[lo - J, lo + _BLOCK_WORDS + J)`` of the stream
-    ``total`` words long from a generator started at the counter step at or
-    below ``lo - J`` (each step gives 4 words).  Returns the positions of
-    the block's words at or above ``cut``, then the positions and words of
-    their windows ``[f - J, f + J]``.
+    Draws the words ``[lo, hi + J)`` those outputs read, from the generator
+    started at counter step ``lo // 4`` (each step gives 4 words).
     """
-    step = max(lo - order, 0) // 4
-    start = 4 * step
-    raw = np.random.Philox(counter=step, key=key).random_raw(
-        min(lo + _BLOCK_WORDS + order, total) - start)
-    flags = np.flatnonzero(raw[lo - start:lo + _BLOCK_WORDS - start] >= cut) + lo
+    order = coeffs.order
+    size = min(lo + _BLOCK_WORDS, n) - lo
+    raw = np.random.Philox(counter=lo // 4, key=key).random_raw(size + order)
+    flags = np.flatnonzero(raw >= cut)
     if not flags.size:
-        return flags, flags, raw[:0]
-    first, last = _runs(flags, 2 * order + 1)
-    where = _ranges(np.maximum(first - order, 0), np.minimum(last + order + 1, total))
-    return flags, where, raw[where - start]
+        return np.empty(0)
+    first, last = _runs(flags, order + 1)
+    first = np.maximum(first - order, 0)
+    stop = np.minimum(last, size - 1) + order + 1
+    # The 1 - U of InnovationModel.sample, bit for bit.
+    w = 1.0 - (raw[_ranges(first, stop)] >> 11) * 2.0**-53
+    x = apply_filter(coeffs, model.from_uniform(w))
+    if order:
+        run = np.repeat(np.arange(first.size), stop - first)
+        x = x[run[:-order] == run[order:]]
+    return x
 
 
 def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
@@ -307,52 +311,43 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     """``top_k_excesses(simulate(coeffs, model, n, seed, stream).values, k)``
     with the filter evaluated only next to large innovations.
 
-    The stream's raw Philox words are drawn in blocks of ``_BLOCK_WORDS``,
-    each from its own generator started at the block's counter, on
-    ``threads`` threads, so memory is O(threads x block), not 9 bytes per
-    sample.  A block flags its
-    innovations above ``z_c`` by an integer comparison of the words with
-    ``_raw_cut`` and keeps only the words of the windows ``[f - J, f + J]``
-    of its flags f; the blocks' windows are merged by position, and only
-    the window words become the ``1 - U`` doubles of
-    ``InnovationModel.sample``.  Flagged innovation i reaches the outputs
-    ``[i - J, i]``; runs of flagged innovations closer than J + 2 share one
-    segment, and ``apply_filter`` over the concatenated segments keeps only
-    the outputs whose window lies inside one segment, each the same dot
-    product as on the full path.  The start ``z_c`` puts about 4(k + 1)
-    innovations above ``C * z_c / max_j |c_j|``; ``run_replication`` gives
-    the bound and the retry rule, and a retry draws the blocks again.
+    Output t reads the innovations ``[t, t + J]`` of the stream's ``n + J``
+    raw Philox words.  The outputs are split into blocks of
+    ``_BLOCK_WORDS``, and each block, on one of ``threads`` threads, draws
+    the words its outputs read from its own generator started at the
+    block's counter, so memory is O(threads x block), not 9 bytes per
+    sample.  A block flags its innovations above ``z_c`` by an integer
+    comparison of the words with ``_raw_cut``; flagged innovation i reaches
+    the outputs ``[i - J, i]``, and runs of flags closer than J + 2 share
+    one segment of outputs.  Only the segments' words become the ``1 - U``
+    doubles of ``InnovationModel.sample``, and ``apply_filter`` over the
+    block's concatenated segments keeps only the outputs whose window lies
+    inside one segment, each the same dot product as on the full path.
+
+    With ``C = sum_j |c_j|``, an output whose innovations all stay at or
+    below ``z_c`` has ``|X_t| <= C * z_c``, so once more than k evaluated
+    outputs exceed ``C * z_c`` they hold the top k + 1 of the path.  The
+    start ``z_c`` puts about 4(k + 1) innovations above ``C * z_c / max_j
+    |c_j|``; while the test fails, ``z_c`` is halved and the blocks are
+    drawn again, at worst keeping the whole path.  The sample is
+    bit-identical to the full path's, whatever the thread count.
     """
-    order = coeffs.order
-    total = n + order
     key = np.array([seed, stream], dtype=np.uint64)
-    blocks = range(0, total, _BLOCK_WORDS)
     c_abs = np.abs(coeffs.as_array())
     c_sum = float(np.sum(c_abs))
-    z_c = float(np.max(c_abs)) / c_sum * (4.0 * (k + 1) / total) ** -model.gamma
+    z_c = (float(np.max(c_abs)) / c_sum
+           * (4.0 * (k + 1) / (n + coeffs.order)) ** -model.gamma)
     while True:
         # Z = (1 - U)**-gamma exceeds z_c when 1 - U < z_c**-alpha; every
         # Z >= 1 can exceed a z_c <= 1.
         survival = z_c ** -model.alpha * (1.0 + _BOUND_MARGIN) if z_c > 1.0 else 2.0
         cut = _raw_cut(survival)
-        flagged, where, words = (np.concatenate(part) for part in zip(*_map_threads(
-            lambda lo: _draw_block(key, lo, total, order, cut), blocks, threads)))
-        if flagged.size:
-            # Windows that cross a block edge were kept by both blocks.
-            where, kept = np.unique(where, return_index=True)
-            first, last = _runs(flagged, order + 1)
-            first = np.maximum(first - order, 0)
-            stop = np.minimum(last, n - 1) + order + 1
-            idx = np.searchsorted(where, _ranges(first, stop))
-            # The 1 - U of InnovationModel.sample, bit for bit.
-            w = 1.0 - (words[kept[idx]] >> 11) * 2.0**-53
-            x = apply_filter(coeffs, model.from_uniform(w))
-            if order:
-                run = np.repeat(np.arange(first.size), stop - first)
-                x = x[run[:-order] == run[order:]]
-            bound = c_sum * z_c * (1.0 + _BOUND_MARGIN)
-            if x.size == n or np.count_nonzero(np.abs(x) > bound) > k:
-                return top_k_excesses(x, k)
+        x = np.concatenate(_map_threads(
+            lambda lo: _filter_block(coeffs, model, key, lo, n, cut),
+            range(0, n, _BLOCK_WORDS), threads))
+        bound = c_sum * z_c * (1.0 + _BOUND_MARGIN)
+        if x.size == n or np.count_nonzero(np.abs(x) > bound) > k:
+            return top_k_excesses(x, k)
         z_c /= 2.0
 
 
@@ -363,19 +358,11 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     pure function of ``(config, index)`` and independent of scheduling.
     Solver failures are recorded in ``status`` rather than raised.
 
-    A series replication draws the same Philox words as ``simulate``, in
-    fixed blocks on the threads that ``run_experiment(config)``'s pool
-    leaves (every usable CPU for a serial config, the worker's share of
-    them for a pooled one), and holds only a block of words per thread, not
-    the path.  It flags large innovations on the raw words,
-    keeps only the windows around them, converts those to uniforms and
-    evaluates the filter only there: with ``C = sum_j |c_j|``, an output
-    whose innovations all stay at or below ``z_c`` has ``|X_t| <= C * z_c``,
-    so once more than k evaluated outputs exceed ``C * z_c`` they hold the
-    top k + 1 of the path.  If they do not, ``z_c`` is halved and the blocks
-    are drawn again, at worst keeping the whole path.  The sample, and so
-    the record, is bit-identical to ``top_k_excesses`` of the full
-    ``simulate`` path, whatever the thread count.
+    A series replication's sample is bit-identical to ``top_k_excesses`` of
+    the full ``simulate`` path, whatever the thread count, and it holds
+    O(threads x block) memory, not the path (see ``_series_sample``).  Its
+    draw threads are those ``run_experiment(config)``'s pool leaves: every
+    usable CPU for a serial config, the worker's share for a pooled one.
     """
     scale = 1.0 if config.centering is None else sigma_nk(
         config.centering, config.gamma, config.n, config.k)
@@ -464,15 +451,19 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     count.  They run in ``min(worker_count_hint, replications,
     usable_cpus())`` processes when that is more than one, and serially
     otherwise; the process pool (``multiprocessing``) loads only in the
-    first case.  A series replication draws its stream's blocks on the
-    CPUs the pool leaves: ``usable_cpus() // processes`` threads, at least
-    one and at most one per block, so a serial run uses every CPU and a
-    pool of one process per CPU starts no threads.  A
+    first case.  A series replication holds O(threads x block) memory and
+    runs on ``usable_cpus() // processes`` threads, at least one and at most
+    one per block, so a serial run uses every CPU and a pool of one process
+    per CPU starts no threads.  A
     replication loads numpy only; SciPy (``scipy.special``) loads for the
     normality diagnostics, which need ``MIN_RECORDS_FOR_DIAGNOSTICS`` good
     records.  Optionally writes the per-replication records as CSV and the
     report as JSON.
     """
+    # Open the outputs before the run, so that a bad path fails at once.
+    for path in (csv_path, json_path):
+        if path is not None:
+            open(path, "a").close()
     started = time.perf_counter()
     indices = range(config.replications)
     workers = _fan_out(config, usable_cpus())[0]

@@ -55,10 +55,10 @@ class InnovationModel:
     def __post_init__(self):
         if self.kind not in ("one_sided_pareto", "two_sided_pareto"):
             raise ValueError(f"unknown innovation kind: {self.kind!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.kind == "two_sided_pareto":
-            if self.pi1 < 0 or self.pi2 < 0:
+            if not (self.pi1 >= 0 and self.pi2 >= 0):
                 raise ValueError("tail weights must be non-negative")
             if abs(self.pi1 + self.pi2 - 1.0) > 1e-12:
                 raise ValueError("tail weights must sum to one")

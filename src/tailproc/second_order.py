@@ -10,6 +10,7 @@ rates, and a usable growth rule for the number of upper order statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -273,8 +274,8 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must lie in (0, 1)")
-    if alpha <= 2:
-        raise ValueError("conditions require alpha > 2")
+    if not 2 < alpha < math.inf:
+        raise ValueError("conditions require a finite alpha > 2")
     arr = _require_nonneg(coeffs)
     checks = []
 

@@ -400,6 +400,19 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
         assert (code, hints) == (0, [3])
 
+    def test_output_into_missing_directory_fails_before_the_run(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        calls = []
+        real = montecarlo.run_replication
+        monkeypatch.setattr(montecarlo, "run_replication",
+                            lambda *args: calls.append(args) or real(*args))
+        code, out, err = run_cli(capsys, "validate", "--coeffs", "1", "--alpha", "3",
+                                 "--r", "-1", "--n", "4000", "--k", "60", "--reps", "4",
+                                 "--seed", "17", "--workers", "1",
+                                 "--output", str(tmp_path / "missing" / "out"))
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith("error:")
+
     def test_missing_required_key_named(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1,
@@ -434,3 +447,23 @@ class TestUsage:
         for flag in flags:
             assert flag in out
         assert "default" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["cov", "--gamma", "0.5", "--r", "nan", "--coeffs", "1,0.5"],
+        ["cov", "--gamma", "inf", "--coeffs", "1,0.5"],
+        ["cov", "--gamma", "nan", "--coeffs", "1,0.5"],
+        ["check", "--alpha", "nan", "--coeffs", "1,0.5"],
+        ["check", "--alpha", "inf", "--coeffs", "1,0.5"],
+        ["simulate", "--coeffs", "1", "--two-sided", "--pi1", "nan", "--n", "5"],
+        ["simulate", "--coeffs", "1", "--alpha", "inf", "--n", "5"],
+        ["fit", "--input", "{series}", "--k", "2", "--r", "nan"],
+        ["validate", "--coeffs", "1", "--alpha", "3", "--r", "nan", "--n", "200",
+         "--k", "10", "--reps", "3", "--seed", "1", "--workers", "1"],
+    ], ids=" ".join)
+    def test_non_finite_parameters_rejected(self, capsys, tmp_path, argv):
+        series = tmp_path / "series.csv"
+        series.write_text("1\n2\n3\n5\n")
+        code, out, err = run_cli(capsys, *(a.format(series=series) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")

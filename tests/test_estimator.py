@@ -63,6 +63,11 @@ class TestGpd:
             GpdParams(0.0, 1.0)
         with pytest.raises(ValueError):
             GpdParams(0.5, 0.0)
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                GpdParams(value, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                GpdParams(0.5, value)
 
 
 class TestTopKExcesses:

@@ -273,14 +273,13 @@ class TestBlockEdges:
         monkeypatch.setattr(mc, "_series_sample",
                             functools.partial(mc._series_sample, threads=3))
         drawn = []
-        draw_block = mc._draw_block
+        filter_block = mc._filter_block
 
-        def recording(key, lo, total, order, cut):
-            part = draw_block(key, lo, total, order, cut)
-            drawn.append((lo, part[0]))
-            return part
+        def recording(coeffs, model, key, lo, n, cut):
+            drawn.append((lo, min(lo + request.param, n), cut))
+            return filter_block(coeffs, model, key, lo, n, cut)
 
-        monkeypatch.setattr(mc, "_draw_block", recording)
+        monkeypatch.setattr(mc, "_filter_block", recording)
         return request.param, drawn
 
     @pytest.mark.parametrize("coeffs,n,k", [
@@ -296,9 +295,13 @@ class TestBlockEdges:
             drawn.clear()
             assert_same_sample(mc._series_sample(coeffs, MODEL, n, 11, stream, k),
                                full_path_sample(coeffs, MODEL, n, 11, stream, k))
-            assert len(drawn) >= -(-(n + order) // size)
-            assert any(np.any((flags - lo < order) | (lo + size - 1 - flags < order))
-                       for lo, flags in drawn)
+            assert len(drawn) >= -(-n // size)
+            # Some block reads a flagged word in its J-word tail [hi, hi + J),
+            # which the next block reads too.
+            words = np.random.Philox(key=np.array([11, stream], dtype=np.uint64)
+                                     ).random_raw(n + order)
+            assert any(np.any(words[hi:hi + order] >= cut)
+                       for lo, hi, cut in drawn if hi < n)
 
     def test_order_longer_than_block(self, blocks):
         ar = arma_to_ma([0.5], [])
@@ -307,8 +310,19 @@ class TestBlockEdges:
             assert_same_sample(mc._series_sample(ar, MODEL, 3000, 2016, stream, 20),
                                full_path_sample(ar, MODEL, 3000, 2016, stream, 20))
 
-    # The retry cases with the same apply_filter sizes.
-    test_retry_branches = TestSeriesSample.test_retry_branches
+    # The cases of TestSeriesSample.test_retry_branches, one pass per size
+    # there.  apply_filter runs once per block here, so only passes count.
+    @pytest.mark.parametrize("coeffs,n,seed,stream,k,sizes", [
+        (IID, 200, 1036, 0, 2, [2, 100]),
+        (IID, 90, 3347, 0, 2, [2, 90]),
+        (DEP, 50, 3, 4, 20, [51]),
+    ])
+    def test_retry_branches(self, blocks, coeffs, n, seed, stream, k, sizes):
+        size, drawn = blocks
+        sample = mc._series_sample(coeffs, MODEL, n, seed, stream, k)
+        assert len({cut for _, _, cut in drawn}) == len(sizes)
+        assert len(drawn) == len(sizes) * -(-n // size)
+        assert_same_sample(sample, full_path_sample(coeffs, MODEL, n, seed, stream, k))
 
 
 class BlockFailure(Exception):
@@ -319,15 +333,15 @@ class TestDrawThreads:
     def test_block_failure_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
         ran_on = set()
-        draw_block = mc._draw_block
+        filter_block = mc._filter_block
 
-        def failing(key, lo, total, order, cut):
+        def failing(coeffs, model, key, lo, n, cut):
             ran_on.add(threading.get_ident())
             if lo == 5 * mc._BLOCK_WORDS:
                 raise BlockFailure(lo)
-            return draw_block(key, lo, total, order, cut)
+            return filter_block(coeffs, model, key, lo, n, cut)
 
-        monkeypatch.setattr(mc, "_draw_block", failing)
+        monkeypatch.setattr(mc, "_filter_block", failing)
         before = set(threading.enumerate())
         cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=10**6, k=144,
                                   r=-0.5, replications=1, master_seed=5)
