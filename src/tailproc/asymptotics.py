@@ -117,8 +117,8 @@ def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, 
     discarded mass via the geometric decay certificate; it is zero for
     explicitly given (exact) sequences.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     p = 1.0 / gamma
     value = coeffs.power_sum(p)
     if coeffs.truncation_error_bound == 0.0:

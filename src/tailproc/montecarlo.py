@@ -11,6 +11,7 @@ compared against the closed-form covariance.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -218,22 +219,9 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(config: ExperimentConfig, cpus: int) -> tuple[int, int]:
-    """Pool processes of ``run_experiment(config)`` on ``cpus`` CPUs, and
-    draw threads of each of its series replications.
-
-    The pool has at most one process per replication and per CPU; each
-    replication draws its stream's blocks on the CPUs its process's share
-    leaves, on at least one thread and at most one per block.
-    """
-    processes = min(config.worker_count_hint, config.replications, cpus)
-    blocks = len(range(0, config.n, _BLOCK_WORDS))
-    return processes, min(blocks, max(1, cpus // processes))
-
-
 def _map_threads(fn, items, threads: int) -> list:
     """``[fn(item) for item in items]`` on ``threads`` threads, this one
-    included.
+    included; one thread is the plain loop here.
 
     Each thread takes the next item until none is left or one has raised;
     every helper has ended before the first exception is raised here.
@@ -307,22 +295,23 @@ def _filter_block(coeffs: CoefficientSequence, model: InnovationModel,
 
 
 def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
-                   seed: int, stream: int, k: int, threads: int = 1) -> ExcessSample:
+                   seed: int, stream: int, k: int) -> ExcessSample:
     """``top_k_excesses(simulate(coeffs, model, n, seed, stream).values, k)``
     with the filter evaluated only next to large innovations.
 
     Output t reads the innovations ``[t, t + J]`` of the stream's ``n + J``
     raw Philox words.  The outputs are split into blocks of
-    ``_BLOCK_WORDS``, and each block, on one of ``threads`` threads, draws
-    the words its outputs read from its own generator started at the
-    block's counter, so memory is O(threads x block), not 9 bytes per
-    sample.  A block flags its innovations above ``z_c`` by an integer
-    comparison of the words with ``_raw_cut``; flagged innovation i reaches
-    the outputs ``[i - J, i]``, and runs of flags closer than J + 2 share
-    one segment of outputs.  Only the segments' words become the ``1 - U``
-    doubles of ``InnovationModel.sample``, and ``apply_filter`` over the
-    block's concatenated segments keeps only the outputs whose window lies
-    inside one segment, each the same dot product as on the full path.
+    ``_BLOCK_WORDS``, filtered in order in the caller's thread; each block
+    draws the words its outputs read from its own generator started at the
+    block's counter, so memory is one block's words and flags (9 bytes per
+    word), not 9 bytes per sample.  A block flags its innovations above
+    ``z_c`` by an integer comparison of the words with ``_raw_cut``; flagged
+    innovation i reaches the outputs ``[i - J, i]``, and runs of flags
+    closer than J + 2 share one segment of outputs.  Only the segments'
+    words become the ``1 - U`` doubles of ``InnovationModel.sample``, and
+    ``apply_filter`` over the block's concatenated segments keeps only the
+    outputs whose window lies inside one segment, each the same dot product
+    as on the full path.
 
     With ``C = sum_j |c_j|``, an output whose innovations all stay at or
     below ``z_c`` has ``|X_t| <= C * z_c``, so once more than k evaluated
@@ -330,7 +319,7 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     start ``z_c`` puts about 4(k + 1) innovations above ``C * z_c / max_j
     |c_j|``; while the test fails, ``z_c`` is halved and the blocks are
     drawn again, at worst keeping the whole path.  The sample is
-    bit-identical to the full path's, whatever the thread count.
+    bit-identical to the full path's.
     """
     key = np.array([seed, stream], dtype=np.uint64)
     c_abs = np.abs(coeffs.as_array())
@@ -342,9 +331,8 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
         # Z >= 1 can exceed a z_c <= 1.
         survival = z_c ** -model.alpha * (1.0 + _BOUND_MARGIN) if z_c > 1.0 else 2.0
         cut = _raw_cut(survival)
-        x = np.concatenate(_map_threads(
-            lambda lo: _filter_block(coeffs, model, key, lo, n, cut),
-            range(0, n, _BLOCK_WORDS), threads))
+        x = np.concatenate([_filter_block(coeffs, model, key, lo, n, cut)
+                            for lo in range(0, n, _BLOCK_WORDS)])
         bound = c_sum * z_c * (1.0 + _BOUND_MARGIN)
         if x.size == n or np.count_nonzero(np.abs(x) > bound) > k:
             return top_k_excesses(x, k)
@@ -359,10 +347,9 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     Solver failures are recorded in ``status`` rather than raised.
 
     A series replication's sample is bit-identical to ``top_k_excesses`` of
-    the full ``simulate`` path, whatever the thread count, and it holds
-    O(threads x block) memory, not the path (see ``_series_sample``).  Its
-    draw threads are those ``run_experiment(config)``'s pool leaves: every
-    usable CPU for a serial config, the worker's share for a pooled one.
+    the full ``simulate`` path, and it holds one block of memory, not the
+    path (see ``_series_sample``).  It runs in the caller's thread and starts
+    none.
     """
     scale = 1.0 if config.centering is None else sigma_nk(
         config.centering, config.gamma, config.n, config.k)
@@ -372,8 +359,7 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
         sample = ExcessSample.from_excesses(limit.quantile(rng.random(config.k)))
     else:
         sample = _series_sample(config.coeffs, config.model, config.n,
-                                config.master_seed, index, config.k,
-                                _fan_out(config, usable_cpus())[1])
+                                config.master_seed, index, config.k)
     try:
         fit = lme_fit(sample, config.r)
     except LmeSolverError:
@@ -386,10 +372,6 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
         z1=float(sk * (fit.gamma_hat - config.gamma)),
         z2=float(sk * (fit.sigma_hat / scale - 1.0)),
         status="ok")
-
-
-def _replicate_task(args: tuple[ExperimentConfig, int]) -> ReplicationRecord:
-    return run_replication(*args)
 
 
 def empirical_cov(pairs) -> np.ndarray:
@@ -446,19 +428,19 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
 def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> ValidationReport:
     """Run all replications and compare against the theoretical covariance.
 
-    Replications execute independently and are aggregated in index order, so
-    the report is bit-identical for a fixed config regardless of worker
-    count.  They run in ``min(worker_count_hint, replications,
-    usable_cpus())`` processes when that is more than one, and serially
-    otherwise; the process pool (``multiprocessing``) loads only in the
-    first case.  A series replication holds O(threads x block) memory and
-    runs on ``usable_cpus() // processes`` threads, at least one and at most
-    one per block, so a serial run uses every CPU and a pool of one process
-    per CPU starts no threads.  A
-    replication loads numpy only; SciPy (``scipy.special``) loads for the
-    normality diagnostics, which need ``MIN_RECORDS_FOR_DIAGNOSTICS`` good
-    records.  Optionally writes the per-replication records as CSV and the
-    report as JSON.
+    Replications execute independently, each on one thread, and are
+    aggregated in index order, so the report is bit-identical for a fixed
+    config regardless of worker count.  They run in ``min(worker_count_hint,
+    replications, usable_cpus())`` processes when that is more than one; the
+    process pool (``multiprocessing``) loads only in that case.  Otherwise
+    they run on ``min(usable_cpus(), replications, blocks)`` threads, this
+    one included, started once per run, where a series replication has one
+    block per ``_BLOCK_WORDS`` outputs and a ``gpd_direct`` one counts as
+    one block (its GIL-bound solver gains nothing from threads).  A running
+    replication holds one block of memory.  A replication loads numpy only;
+    SciPy (``scipy.special``) loads for the normality diagnostics, which
+    need ``MIN_RECORDS_FOR_DIAGNOSTICS`` good records.  Optionally writes
+    the per-replication records as CSV and the report as JSON.
     """
     # Open the outputs before the run, so that a bad path fails at once.
     for path in (csv_path, json_path):
@@ -466,17 +448,20 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
             open(path, "a").close()
     started = time.perf_counter()
     indices = range(config.replications)
-    workers = _fan_out(config, usable_cpus())[0]
-    if workers > 1:
+    replicate = functools.partial(run_replication, config)
+    cpus = usable_cpus()
+    processes = min(config.worker_count_hint, config.replications, cpus)
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, config.replications // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_replicate_task,
-                                    [(config, i) for i in indices],
-                                    chunksize=chunk))
+        chunk = max(1, config.replications // (processes * 8))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            records = list(pool.map(replicate, indices, chunksize=chunk))
     else:
-        records = [run_replication(config, i) for i in indices]
+        blocks = 1 if config.sampling == "gpd_direct" else len(
+            range(0, config.n, _BLOCK_WORDS))
+        records = _map_threads(replicate, indices,
+                               min(cpus, config.replications, blocks))
 
     good = np.array([[rec.z1, rec.z2] for rec in records if rec.ok], dtype=float)
     failure_count = config.replications - good.shape[0]

@@ -195,10 +195,10 @@ def arma_to_ma(ar, ma, tol: float = 1e-12) -> CoefficientSequence:
     ------
     ValueError
         If the autoregressive polynomial has a root of modulus <= 1 ("not
-        causal") or ``tol`` is not positive.
+        causal") or ``tol`` is not positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     ar = np.asarray(ar, dtype=float).ravel()
     ma = np.asarray(ma, dtype=float).ravel()
     p, q = ar.size, ma.size
@@ -257,8 +257,8 @@ def decay_certificate(coeffs: CoefficientSequence, u: float | None = None) -> tu
     arr = coeffs.as_array()
     if u is None:
         u = coeffs.decay_u or 2.0 ** min(1.0, 256.0 / max(coeffs.order, 1))
-    if not u > 1.0:
-        raise ValueError("u must exceed 1")
+    if not 1.0 < u < math.inf:
+        raise ValueError("u must exceed 1 and be finite")
     j = np.arange(arr.size)
     with np.errstate(over="ignore", invalid="ignore"):
         a_min = float(np.max(np.abs(arr) * u**j))
@@ -291,8 +291,8 @@ def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
     summation over the stored support.  Finite sequences always give a finite
     value; it is reported so the magnitude of serial dependence can be judged.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     total = 0.0
     for lo, hi in lag_pairs(coeffs):
         total += float(np.sum(lo ** (1.0 / gamma) * np.log(hi / lo)))

@@ -142,8 +142,8 @@ def coefficient_power_sum(coeffs: CoefficientSequence, u: float) -> float:
 
     Raises ``OverflowError`` when the sum is not a finite float.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not 0 < u < math.inf:
+        raise ValueError("u must be positive and finite")
     _require_nonneg(coeffs)
     return coeffs.power_sum(u)
 
@@ -162,8 +162,8 @@ def second_tail_vanishes(alpha: float, coeffs: CoefficientSequence) -> bool:
     innovation mean ``mu``, so the bracket alone decides the case: three
     power sums of ``|c_j|`` and no innovation moment, for any ``alpha > 0``.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return _cross_sum_vanishes(*(coeffs.power_sum(u) for u in (1.0, alpha, alpha + 1.0)))
 
 
@@ -249,8 +249,8 @@ def choose_k(n: int, theta: float, alpha: float, case_c2_zero: bool) -> int:
         raise ValueError("theta must lie in (0, 1)")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     exponent = 4.0 * theta / (4.0 + alpha) if case_c2_zero else 2.0 * theta / (2.0 + alpha)
     k = int(np.floor(n**exponent))
     return max(2, min(k, n - 1))

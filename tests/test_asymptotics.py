@@ -45,6 +45,8 @@ class TestCoefficientNorm:
     def test_gamma_validation(self):
         with pytest.raises(ValueError, match="gamma"):
             coefficient_norm(CoefficientSequence((1.0,)), gamma=0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            coefficient_norm(CoefficientSequence((1.0, 0.5)), gamma=float("inf"))
 
     def test_overflow_raises_without_warning(self):
         with warnings.catch_warnings():

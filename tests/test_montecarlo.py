@@ -1,7 +1,6 @@
 import concurrent.futures
 import csv
 import dataclasses
-import functools
 import json
 import os
 import pickle
@@ -245,14 +244,13 @@ class TestSeriesSample:
                 full_path_sample(coeffs, MODEL, 10**6, ACCEPTANCE_SEED, index, k))
 
     def test_peak_memory_per_sample(self):
-        # Each draw thread holds one block of words (8 bytes each) and its
-        # flag mask (1 byte each) at a time; the windows add well under 1 MB.
+        # A replication holds one block of words (8 bytes each) and its flag
+        # mask (1 byte each) at a time; the windows add well under 1 MB.
         # The budget does not grow with n.
+        budget = mc._BLOCK_WORDS * 9 + 2**20
         for n in (10**6, 4 * 10**6):
             cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=n, k=144,
                                       r=-0.5, replications=1, master_seed=5)
-            threads = mc._fan_out(cfg, mc.usable_cpus())[1]
-            budget = threads * mc._BLOCK_WORDS * 9 + 2**20
             mc.run_replication(cfg, 0)
             tracemalloc.start()
             try:
@@ -265,13 +263,11 @@ class TestSeriesSample:
 
 @pytest.mark.usefixtures("blocks")
 class TestBlockEdges:
-    """Blocks of a few words on three threads, against the full path."""
+    """Blocks of a few words, against the full path."""
 
     @pytest.fixture(params=[4, 8, 64])
     def blocks(self, request, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK_WORDS", request.param)
-        monkeypatch.setattr(mc, "_series_sample",
-                            functools.partial(mc._series_sample, threads=3))
         drawn = []
         filter_block = mc._filter_block
 
@@ -325,51 +321,42 @@ class TestBlockEdges:
         assert_same_sample(sample, full_path_sample(coeffs, MODEL, n, seed, stream, k))
 
 
-class BlockFailure(Exception):
+def count_starts(monkeypatch):
+    """The threads started from here on, by ``Thread.start`` calls."""
+    starts = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+class ReplicationFailure(Exception):
     pass
 
 
 class TestDrawThreads:
     def test_block_failure_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
-        ran_on = set()
-        filter_block = mc._filter_block
-
-        def failing(coeffs, model, key, lo, n, cut):
-            ran_on.add(threading.get_ident())
-            if lo == 5 * mc._BLOCK_WORDS:
-                raise BlockFailure(lo)
-            return filter_block(coeffs, model, key, lo, n, cut)
-
-        monkeypatch.setattr(mc, "_filter_block", failing)
-        before = set(threading.enumerate())
-        cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=10**6, k=144,
-                                  r=-0.5, replications=1, master_seed=5)
-        with pytest.raises(BlockFailure):
-            mc.run_replication(cfg, 0)
-        assert set(threading.enumerate()) == before
-        assert ran_on
-
-    @staticmethod
-    def count_starts(monkeypatch):
-        starts = []
-        start = threading.Thread.start
-
-        def counting(thread):
-            starts.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting)
-        return starts
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-    def test_serial_replication_threads_bounded(self, monkeypatch, cpus):
+        # A serial run on three threads whose replication 5 raises.
         monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
-        monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
-        starts = self.count_starts(monkeypatch)
-        mc.run_replication(small_config(coeffs=DEP, n=4000, k=40), 0)
-        blocks = 4   # ceil(4001 / 1024)
-        assert len(starts) == min(blocks, cpus) - 1
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
+        replicate = mc.run_replication
+
+        def failing(config, index):
+            if index == 5:
+                raise ReplicationFailure(index)
+            return replicate(config, index)
+
+        monkeypatch.setattr(mc, "run_replication", failing)
+        starts = count_starts(monkeypatch)
+        with pytest.raises(ReplicationFailure) as caught:
+            mc.run_experiment(small_config(replications=12))
+        assert caught.value.args == (5,)
+        assert len(starts) == 2
+        assert not any(thread.is_alive() for thread in starts)
 
     def test_pooled_run_starts_no_helper_threads(self, monkeypatch):
         # The pool's tasks run here, as they would in a worker process.
@@ -390,24 +377,9 @@ class TestDrawThreads:
                 return map(fn, iterable)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        starts = self.count_starts(monkeypatch)
+        starts = count_starts(monkeypatch)
         mc.run_experiment(small_config(coeffs=DEP, replications=4, worker_count_hint=2))
         assert starts == []
-
-
-@pytest.mark.parametrize("hint,replications,cpus,blocks,expected", [
-    (1, 400, 2, 8, (1, 2)),
-    (2, 40, 2, 8, (2, 1)),
-    (8, 3, 4, 8, (3, 1)),
-    (1, 400, 4, 1, (1, 1)),
-    (2, 400, 8, 8, (2, 4)),
-    (3, 400, 8, 2, (3, 2)),
-])
-def test_fan_out(monkeypatch, hint, replications, cpus, blocks, expected):
-    monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
-    cfg = small_config(coeffs=DEP, n=blocks * 1024 - DEP.order, k=40,
-                       replications=replications, worker_count_hint=hint)
-    assert mc._fan_out(cfg, cpus) == expected
 
 
 def test_usable_cpus_follows_affinity(monkeypatch):
@@ -547,13 +519,20 @@ class TestNormalityDiagnostics:
 
 
 class TestRunExperiment:
-    def test_report_identical_across_worker_counts(self):
+    def test_report_identical_across_worker_counts(self, monkeypatch):
         serial = mc.run_experiment(small_config(worker_count_hint=1))
         parallel = mc.run_experiment(small_config(worker_count_hint=2))
-        np.testing.assert_array_equal(serial.empirical_mean, parallel.empirical_mean)
-        np.testing.assert_array_equal(serial.empirical_cov, parallel.empirical_cov)
-        assert serial.failure_count == parallel.failure_count
-        assert serial.diagnostics == parallel.diagnostics
+        # Serial again, on three threads: 4 blocks of 1024 outputs each.
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
+        starts = count_starts(monkeypatch)
+        threaded = mc.run_experiment(small_config(worker_count_hint=1))
+        assert len(starts) == 2
+        for other in (parallel, threaded):
+            np.testing.assert_array_equal(serial.empirical_mean, other.empirical_mean)
+            np.testing.assert_array_equal(serial.empirical_cov, other.empirical_cov)
+            assert serial.failure_count == other.failure_count
+            assert serial.diagnostics == other.diagnostics
 
     def test_theoretical_matches_asymptotics_module(self):
         report = mc.run_experiment(small_config())
@@ -610,9 +589,13 @@ class TestRunExperiment:
         assert report.diagnostics is None
 
 
+# expected: (pool sizes, threads started).  A serial run of n 500 in blocks
+# of 128 outputs starts min(cpus, replications, 4) - 1 threads; a pool's
+# tasks start none.
 @pytest.mark.parametrize("hint,replications,cpus,expected", [
-    (8, 3, 4, [3]), (8, 6, 4, [4]), (2, 6, 4, [2]), (8, 6, 1, []),
-    (8, 6, None, []), (1, 6, 4, []),
+    (8, 3, 4, ([3], 0)), (8, 6, 4, ([4], 0)), (2, 6, 4, ([2], 0)),
+    (8, 6, 1, ([], 0)), (8, 6, None, ([], 0)), (1, 6, 4, ([], 3)),
+    (1, 2, 4, ([], 1)), (1, 6, 8, ([], 3)), (1, 6, 2, ([], 1)),
 ])
 def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
     sizes = []
@@ -639,9 +622,21 @@ def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     else:
         monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 128)
+    starts = count_starts(monkeypatch)
     mc.run_experiment(small_config(n=500, k=20, replications=replications,
                                    worker_count_hint=hint))
-    assert sizes == expected
+    assert (sizes, len(starts)) == expected
+
+
+def test_gpd_direct_serial_run_starts_no_threads(monkeypatch):
+    # One block per replication, whatever n: the solver holds the GIL.
+    monkeypatch.setattr(mc, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 128)
+    starts = count_starts(monkeypatch)
+    mc.run_experiment(small_config(n=500, k=20, replications=6,
+                                   sampling="gpd_direct"))
+    assert starts == []
 
 
 IMPORT_PATH_SCRIPT = """

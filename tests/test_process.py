@@ -108,6 +108,8 @@ class TestArmaToMa:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError, match="tol"):
             arma_to_ma([0.5], [], tol=0.0)
+        with pytest.raises(ValueError, match="tol"):
+            arma_to_ma([0.5], [], tol=float("nan"))
 
     def test_truncation_certificate_covers_next_terms(self):
         # Recompute the next 20 coefficients from the recursion; each must
@@ -168,6 +170,8 @@ class TestDecayCertificate:
     def test_u_must_exceed_one(self):
         with pytest.raises(ValueError, match="u must exceed 1"):
             decay_certificate(CoefficientSequence((1.0,)), u=1.0)
+        with pytest.raises(ValueError, match="u must exceed 1"):
+            decay_certificate(CoefficientSequence((1.0, 0.5)), u=float("inf"))
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError, match="decay certificate"):
@@ -188,6 +192,8 @@ class TestPairwiseDependenceSum:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError, match="gamma"):
             pairwise_dependence_sum(CoefficientSequence((1.0,)), gamma=0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            pairwise_dependence_sum(CoefficientSequence((1.0, 0.5)), gamma=float("nan"))
 
     @given(scale=st.floats(min_value=0.05, max_value=20.0),
            gamma=st.floats(min_value=0.3, max_value=3.0))

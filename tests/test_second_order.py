@@ -53,6 +53,8 @@ class TestPowerSum:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError, match="u must be positive"):
             coefficient_power_sum(DEP, 0.0)
+        with pytest.raises(ValueError, match="u must be positive"):
+            coefficient_power_sum(DEP, float("nan"))
 
     def test_overflow_raises_without_warning(self):
         with warnings.catch_warnings():
@@ -74,6 +76,8 @@ class TestSecondTailVanishes:
         assert power_sum_exponents == [1.0, 1.5, 2.5] * 2
         with pytest.raises(ValueError, match="alpha"):
             second_tail_vanishes(0.0, IID)
+        with pytest.raises(ValueError, match="alpha"):
+            second_tail_vanishes(float("nan"), DEP)
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 4.5])
     @pytest.mark.parametrize("coeffs", [
@@ -220,6 +224,10 @@ class TestChooseK:
     def test_theta_domain(self):
         with pytest.raises(ValueError, match="theta"):
             choose_k(100, 1.0, 3.0, False)
+
+    def test_alpha_domain(self):
+        with pytest.raises(ValueError, match="alpha"):
+            choose_k(100, 0.9, float("nan"), False)
 
 
 class TestCheckConditions:
