@@ -9,7 +9,8 @@ over the top-k excesses Y_j, for a fixed tuning exponent r < 0.  Substituting
 the first equation into the second reduces the system to a scalar root
 problem in b = shape/scale.  It is solved for the scale-free root
 t = b * mean(Y) on the excesses divided by their mean: a geometric bracket
-search from t = 1 followed by Brent's method.
+search from the probability-weighted-moment estimate of t (from t = 1 where
+it does not exist) followed by Brent's method.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ ROOT_RTOL = 1e-12    # relative tolerance of the root t
 ROOT_XTOL = sys.float_info.min  # smallest normal double: t ranges over many decades
 ROOT_MAX_ITER = 100  # Brent iterations before the solve gives up
 T_WINDOW = (1e-12, 1e300)  # search window for t = b * mean excess; keeps t * max(z) finite
-BRACKET_STEP = 8.0   # geometric step of the bracket search from t = 1
+BRACKET_STEP = 8.0   # geometric step of the bracket search after its first
 
 
 class LmeSolverError(RuntimeError):
@@ -122,8 +123,10 @@ class LmeEstimate:
     """Fitted (shape, scale) with solver diagnostics.
 
     ``gamma_hat`` equals the mean of ``log(1 + b_hat * Y_j)`` by construction
-    and ``sigma_hat = gamma_hat / b_hat``; ``residual`` is the final absolute
-    value of the moment equation at ``b_hat``.
+    and ``sigma_hat = gamma_hat / b_hat``; ``residual`` is the absolute value
+    of the moment equation at the root ``t_hat = b_hat * mean(Y)``.  Both are
+    those of Brent's evaluation at ``t_hat`` on the excesses divided by their
+    mean.
     """
 
     gamma_hat: float
@@ -239,13 +242,17 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     LmeEstimate
         Root of the reduced moment equation with residual below 1e-10.  The
         root is found in ``t = b * mean_excess`` on the excesses divided by
-        their mean: from ``t = 1`` the search steps by a factor of 8 toward
-        the sign change, within ``[1e-12, 1e300]``, and Brent's method refines
-        the bracket to relative tolerance 1e-12.  The Brent iteration is this
+        their mean.  The search starts at the probability-weighted-moment
+        estimate of t (Hosking and Wallis 1987), or at ``t = 1`` where that
+        estimate is not positive, as for shape at or above one.  It steps
+        toward the sign change, first by a factor of ``1 + 4/sqrt(k)`` and
+        then by 8, within ``[1e-12, 1e300]``, and Brent's method refines the
+        bracket to relative tolerance 1e-12.  The Brent iteration is this
         module's transcription of ``scipy.optimize.brentq``, which it matches
         bit for bit; SciPy is not loaded.  ``iterations`` counts the distinct
-        moment-gap evaluations, the final residual check included: Brent's
-        method reuses the gaps of the bracket search at the two bracket ends.
+        moment-gap evaluations: Brent's method reuses the gaps of the bracket
+        search at the two bracket ends, and the residual and ``gamma_hat``
+        are those of its evaluation at the root.
 
     Raises
     ------
@@ -264,42 +271,58 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     if positive.size < 2 or positive.max() == positive.min():
         raise LmeSolverError("degenerate", "excesses are degenerate")
 
-    ybar = float(y.mean())
-    z = y / ybar
-    evaluations = 0
+    # The excesses are first divided by the largest power of two at most
+    # max(y[0], 1): their sum stays finite, and the division is exact (bar
+    # excesses 2**1022 times below the largest), so a finite sum keeps its bits.
+    scale = math.ldexp(1.0, max(math.frexp(y[0])[1] - 1, 0))
+    z = y / scale
+    zbar = float(z.mean())
+    z /= zbar
+    ybar = zbar * scale
+    evaluations = {}
 
     def gap(t: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return _moment_gap(t, z, r)[0]
+        if t not in evaluations:
+            evaluations[t] = _moment_gap(t, z, r)
+        return evaluations[t][0]
 
+    # Start at the probability-weighted-moment estimate of t (Hosking and
+    # Wallis 1987): with z sorted non-increasing, 1 - p = (i + 0.35) / k is
+    # the plotting position of z[i], and t_pwm = mean(z) / (2 a1) - 2 with
+    # mean(z) one.  It exists for shape below one; otherwise start at t = 1.
     # For heavy-tailed excesses the gap is typically positive as t -> 0 and
     # tends to exp(r) - 1/(1 - r) < 0 as t -> inf, so the search steps up
-    # from a non-negative gap and down from a negative one.
+    # from a non-negative gap and down from a negative one: first by a factor
+    # of 1 + 4/sqrt(k), the scale of the start's error, then by 8.
+    k = sample.k
     t_lo, t_hi = T_WINDOW
-    t_a = 1.0
+    a1 = float(np.dot(np.arange(0.35, k), z)) / k**2
+    t_pwm = 1.0 / (2.0 * a1) - 2.0
+    t_a = min(max(t_pwm, t_lo), t_hi) if t_pwm > 0.0 else 1.0
     gap_a = gap(t_a)
-    step = BRACKET_STEP if gap_a >= 0.0 else 1.0 / BRACKET_STEP
+    up = gap_a >= 0.0
+    step = 1.0 + 4.0 / math.sqrt(k)
     while True:
-        t_b = min(max(t_a * step, t_lo), t_hi)
+        t_b = min(max(t_a * step if up else t_a / step, t_lo), t_hi)
         gap_b = gap(t_b)
         if (gap_b < 0.0) != (gap_a < 0.0):
             break
         if t_b in T_WINDOW:
             raise LmeSolverError("no_sign_change", "no sign change in bracket")
-        t_a, gap_a = t_b, gap_b
+        t_a, gap_a, step = t_b, gap_b, BRACKET_STEP
 
     if t_a > t_b:
         t_a, gap_a, t_b, gap_b = t_b, gap_b, t_a, gap_a
+    # Brent's method returns a point it has evaluated, so the residual and
+    # the shape at the root are those of that evaluation.
     t_hat = _brentq(gap, t_a, t_b, gap_a, gap_b)
+    residual, gamma_hat = evaluations[t_hat]
     b_hat = t_hat / ybar
     if not np.isfinite(b_hat):
         raise LmeSolverError("residual", f"b_hat {b_hat} is not finite")
-    residual, gamma_hat = _moment_gap(b_hat, y, r)
-    evaluations += 1
     if not abs(residual) <= G_TOLERANCE:
         raise LmeSolverError(
             "residual", f"residual {abs(residual):.3e} above tolerance")
     return LmeEstimate(gamma_hat=gamma_hat, sigma_hat=gamma_hat / b_hat,
                        b_hat=b_hat, residual=abs(residual),
-                       iterations=evaluations, r=r)
+                       iterations=len(evaluations), r=r)

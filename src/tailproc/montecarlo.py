@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("r must be negative and finite")
         if self.worker_count_hint < 1:
             raise ValueError("worker_count_hint must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must lie in [0, 2**64)")
 
     @classmethod
     def create(cls, coeffs: CoefficientSequence, model: InnovationModel, n: int,

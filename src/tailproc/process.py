@@ -31,8 +31,12 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream).
 
     Distinct streams are statistically independent and may be consumed in any
-    order, which keeps parallel replications deterministic.
+    order, which keeps parallel replications deterministic.  Both must lie in
+    ``[0, 2**64)``.
     """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64)")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -421,6 +421,18 @@ class TestValidate:
         assert code == 1
         assert "missing config key" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_is_usage_error(self, capsys, command, seed, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_replication", lambda *args: calls.append(args))
+        extra = ["--r", "-1", "--k", "10", "--reps", "3", "--workers", "1"]
+        code, out, err = run_cli(capsys, command, "--coeffs", "1,0.5", "--alpha", "3",
+                                 "--n", "200", "--seed", seed,
+                                 *(extra if command == "validate" else []))
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith("error:") and "seed must lie in [0, 2**64)" in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

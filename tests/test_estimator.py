@@ -182,8 +182,13 @@ class TestLmeFit:
     def test_nan_residual_fails_the_gate(self, monkeypatch):
         sample = quantile_grid_sample(0.5, 1.0, 100)
         moment_gap = estimator._moment_gap
-        monkeypatch.setattr(estimator, "_moment_gap", lambda b, y, r: (
-            (float("nan"), 1.0) if y is sample.excesses else moment_gap(b, y, r)))
+
+        def nan_at_root(b, z, r):
+            assert z is not sample.excesses
+            gap, gamma_b = moment_gap(b, z, r)
+            return (float("nan") if abs(gap) <= estimator.G_TOLERANCE else gap), gamma_b
+
+        monkeypatch.setattr(estimator, "_moment_gap", nan_at_root)
         with pytest.raises(LmeSolverError) as info:
             lme_fit(sample, r=-1.0)
         assert info.value.reason == "residual"
@@ -201,6 +206,44 @@ class TestLmeFit:
         fit1 = lme_fit(scaled, r=-1.0)
         assert fit1.gamma_hat == fit0.gamma_hat
         assert fit1.sigma_hat == 4.0 * fit0.sigma_hat
+
+    def test_scale_equivariance_at_an_overflowing_sum(self):
+        # The excesses' sum overflows, but not their mean.
+        rng = philox_stream(31)
+        base = ExcessSample.from_excesses(GpdParams(0.4, 1.0).quantile(rng.random(2000)))
+        scaled = ExcessSample.from_excesses(2.0**1015 * base.excesses)
+        with pytest.raises(OverflowError):
+            math.fsum(scaled.excesses)
+        fit0 = lme_fit(base, r=-1.0)
+        fit1 = lme_fit(scaled, r=-1.0)
+        assert fit1.gamma_hat == fit0.gamma_hat
+        assert fit1.sigma_hat == 2.0**1015 * fit0.sigma_hat
+
+    def test_start_at_pwm_estimate_bounds_evaluations(self):
+        # About six evaluations: the start, one step of 1 + 4/sqrt(k) across
+        # the root, and Brent's method.
+        iterations = [
+            lme_fit(ExcessSample.from_excesses(
+                GpdParams(1.0 / 3.0, 1.0).quantile(philox_stream(15, i).random(10**4))),
+                r=-0.5).iterations
+            for i in range(40)]
+        assert np.median(iterations) <= 7
+        assert max(iterations) <= 9
+
+    def test_start_at_one_without_pwm_estimate(self, monkeypatch):
+        # A light sample of shape 0.1 whose PWM estimate of t is negative.
+        sample = ExcessSample.from_excesses(
+            GpdParams(0.1, 1.0).quantile(philox_stream(35).random(20)))
+        z = sample.excesses / sample.excesses.mean()
+        a1 = np.dot(np.arange(sample.k) + 0.35, z) / sample.k**2
+        assert 1.0 / (2.0 * a1) - 2.0 <= 0.0
+        calls = []
+        moment_gap = estimator._moment_gap
+        monkeypatch.setattr(estimator, "_moment_gap",
+                            lambda t, z, r: calls.append(t) or moment_gap(t, z, r))
+        fit = lme_fit(sample, r=-0.5)
+        assert calls[0] == 1.0
+        assert fit.b_hat == pytest.approx(lme_root_scan(sample.excesses, -0.5), rel=1e-9)
 
     @given(lam=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=20, deadline=None)
@@ -244,21 +287,22 @@ class TestMomentGap:
         calls = []
         moment_gap = estimator._moment_gap
 
-        def spy(b, excesses, r):
-            calls.append((b, excesses))
-            return moment_gap(b, excesses, r)
+        def spy(t, z, r):
+            calls.append((t, z, moment_gap(t, z, r)))
+            return calls[-1][2]
 
         monkeypatch.setattr(estimator, "_moment_gap", spy)
         sample = quantile_grid_sample(gamma, 2.0, 500)
         fit = lme_fit(sample, r)
         assert fit.iterations == len(calls)
-        # Every call but the residual check on the raw excesses is a distinct
-        # t on the excesses scaled to mean one.
-        *search, (b_final, final) = calls
-        assert final is sample.excesses and b_final == fit.b_hat
-        ts = [t for t, z in search]
+        # Every call is a distinct t on the excesses scaled to mean one, and
+        # the fit is read off the call at the root: b_hat = t_hat / mean excess.
+        ts = [t for t, z, result in calls]
         assert len(set(ts)) == len(ts)
-        assert all(z is not sample.excesses for t, z in search)
+        assert all(z is calls[0][1] and z is not sample.excesses for t, z, result in calls)
+        ybar = float(sample.excesses.mean())
+        [(gap, gamma_b)] = [result for t, z, result in calls if t / ybar == fit.b_hat]
+        assert (fit.residual, fit.gamma_hat) == (abs(gap), gamma_b)
 
 
 def scipy_brentq_points(f, a, b):
