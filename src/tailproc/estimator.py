@@ -101,11 +101,15 @@ class ExcessSample:
         exc = np.array(self.excesses, dtype=float)
         object.__setattr__(self, "excesses", exc)
         exc.setflags(write=False)
-        if not np.all(np.isfinite(exc)):
-            raise ValueError("excesses must be finite")
-        if np.any(exc < 0):
-            raise ValueError("excesses must be non-negative")
-        if np.any(np.diff(exc) > 0):
+        # A NaN fails every comparison, so one pass checks a valid sample;
+        # only a bad one, or one not a sequence, takes the passes that name
+        # its fault.
+        if exc.ndim != 1 or (exc.size and not (
+                exc[0] < math.inf and exc[-1] >= 0 and np.all(exc[:-1] >= exc[1:]))):
+            if not np.all(np.isfinite(exc)):
+                raise ValueError("excesses must be finite")
+            if np.any(exc < 0):
+                raise ValueError("excesses must be non-negative")
             raise ValueError("excesses must be sorted non-increasing")
 
     @property
@@ -267,8 +271,9 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     y = sample.excesses
     if sample.k < 2:
         raise ValueError("need at least two excesses")
-    positive = y[y > 0]
-    if positive.size < 2 or positive.max() == positive.min():
+    # Sorted non-increasing, so the positive excesses are the first m.
+    m = int(np.count_nonzero(y > 0))
+    if m < 2 or y[0] == y[m - 1]:
         raise LmeSolverError("degenerate", "excesses are degenerate")
 
     # The excesses are first divided by the largest power of two at most

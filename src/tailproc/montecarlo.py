@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 
@@ -221,40 +220,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_threads(fn, items, threads: int) -> list:
-    """``[fn(item) for item in items]`` on ``threads`` threads, this one
-    included; one thread is the plain loop here.
-
-    Each thread takes the next item until none is left or one has raised;
-    every helper has ended before the first exception is raised here.
-    """
-    results = [None] * len(items)
-    errors: list[BaseException] = []
-    todo = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def work():
-        while not errors:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _runs(points: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
     """First and last point of each run of sorted ``points`` whose steps are
     at most ``gap``."""
@@ -432,17 +397,19 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
 
     Replications execute independently, each on one thread, and are
     aggregated in index order, so the report is bit-identical for a fixed
-    config regardless of worker count.  They run in ``min(worker_count_hint,
-    replications, usable_cpus())`` processes when that is more than one; the
-    process pool (``multiprocessing``) loads only in that case.  Otherwise
-    they run on ``min(usable_cpus(), replications, blocks)`` threads, this
-    one included, started once per run, where a series replication has one
-    block per ``_BLOCK_WORDS`` outputs and a ``gpd_direct`` one counts as
-    one block (its GIL-bound solver gains nothing from threads).  A running
-    replication holds one block of memory.  A replication loads numpy only;
-    SciPy (``scipy.special``) loads for the normality diagnostics, which
-    need ``MIN_RECORDS_FOR_DIAGNOSTICS`` good records.  Optionally writes
-    the per-replication records as CSV and the report as JSON.
+    config regardless of worker count.  They run on a process pool of
+    ``min(worker_count_hint, replications, usable_cpus())`` workers when that
+    is more than one, else on a thread pool of ``min(usable_cpus(),
+    replications, blocks)`` workers, else in a plain loop that starts no
+    thread and loads no ``concurrent.futures``.  A series replication has one
+    block per ``_BLOCK_WORDS`` outputs; a ``gpd_direct`` one counts as one
+    block (its GIL-bound solver gains nothing from threads).  A replication
+    that raises cancels those not yet started, and every worker has ended
+    before the exception leaves here.  A running replication holds one
+    block of memory.  A replication loads numpy only; SciPy
+    (``scipy.special``) loads for the normality diagnostics, which need
+    ``MIN_RECORDS_FOR_DIAGNOSTICS`` good records.  Optionally writes the
+    per-replication records as CSV and the report as JSON.
     """
     # Open the outputs before the run, so that a bad path fails at once.
     for path in (csv_path, json_path):
@@ -452,18 +419,21 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     indices = range(config.replications)
     replicate = functools.partial(run_replication, config)
     cpus = usable_cpus()
+    blocks = 1 if config.sampling == "gpd_direct" else len(
+        range(0, config.n, _BLOCK_WORDS))
     processes = min(config.worker_count_hint, config.replications, cpus)
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    threads = min(cpus, config.replications, blocks)
+    if processes > 1 or threads > 1:
+        from concurrent import futures
 
-        chunk = max(1, config.replications // (processes * 8))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        executor, workers = ((futures.ProcessPoolExecutor, processes) if processes > 1
+                             else (futures.ThreadPoolExecutor, threads))
+        # ThreadPoolExecutor.map ignores chunksize.
+        chunk = max(1, config.replications // (workers * 8))
+        with executor(max_workers=workers) as pool:
             records = list(pool.map(replicate, indices, chunksize=chunk))
     else:
-        blocks = 1 if config.sampling == "gpd_direct" else len(
-            range(0, config.n, _BLOCK_WORDS))
-        records = _map_threads(replicate, indices,
-                               min(cpus, config.replications, blocks))
+        records = list(map(replicate, indices))
 
     good = np.array([[rec.z1, rec.z2] for rec in records if rec.ok], dtype=float)
     failure_count = config.replications - good.shape[0]

@@ -98,8 +98,9 @@ class TestTopKExcesses:
         assert np.sum(np.abs(series) > sample.threshold) == 50
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError, match="sorted"):
-            ExcessSample(excesses=np.array([1.0, 2.0]), threshold=0.0)
+        for unsorted in ([1.0, 2.0], 1.0, [[2.0, 1.0]]):
+            with pytest.raises(ValueError, match="sorted"):
+                ExcessSample(excesses=np.array(unsorted), threshold=0.0)
         with pytest.raises(ValueError, match="non-negative"):
             ExcessSample(excesses=np.array([1.0, -2.0]), threshold=0.0)
         for bad in (np.nan, np.inf):

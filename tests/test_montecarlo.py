@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -334,13 +335,19 @@ def count_starts(monkeypatch):
     return starts
 
 
+def assert_threads_bounded(starts, bound):
+    """At most ``bound`` threads were started, and none is still running."""
+    assert len(starts) <= bound
+    assert not any(thread.is_alive() for thread in starts)
+
+
 class ReplicationFailure(Exception):
     pass
 
 
-class TestDrawThreads:
+class TestReplicationThreads:
     def test_block_failure_reaches_caller(self, monkeypatch):
-        # A serial run on three threads whose replication 5 raises.
+        # A serial run on three threads (4 blocks) whose replication 5 raises.
         monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
         monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
         replicate = mc.run_replication
@@ -355,8 +362,36 @@ class TestDrawThreads:
         with pytest.raises(ReplicationFailure) as caught:
             mc.run_experiment(small_config(replications=12))
         assert caught.value.args == (5,)
-        assert len(starts) == 2
-        assert not any(thread.is_alive() for thread in starts)
+        assert starts
+        assert_threads_bounded(starts, 3)
+
+    def test_replications_in_flight_are_bounded(self, monkeypatch):
+        # 12 replications of 4 blocks on 3 CPUs: at most 3 run at once.  Each
+        # sleeps a little, so that a wider pool would show.
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
+        replicate = mc.run_replication
+        lock = threading.Lock()
+        running = [0]
+        seen = []
+
+        def counted(config, index):
+            with lock:
+                running[0] += 1
+                seen.append(running[0])
+            try:
+                time.sleep(0.005)
+                return replicate(config, index)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(mc, "run_replication", counted)
+        starts = count_starts(monkeypatch)
+        mc.run_experiment(small_config(replications=12))
+        assert len(seen) == 12
+        assert 1 <= max(seen) <= 3
+        assert_threads_bounded(starts, 3)
 
     def test_pooled_run_starts_no_helper_threads(self, monkeypatch):
         # The pool's tasks run here, as they would in a worker process.
@@ -527,7 +562,8 @@ class TestRunExperiment:
         monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
         starts = count_starts(monkeypatch)
         threaded = mc.run_experiment(small_config(worker_count_hint=1))
-        assert len(starts) == 2
+        assert starts
+        assert_threads_bounded(starts, 3)
         for other in (parallel, threaded):
             np.testing.assert_array_equal(serial.empirical_mean, other.empirical_mean)
             np.testing.assert_array_equal(serial.empirical_cov, other.empirical_cov)
@@ -589,13 +625,13 @@ class TestRunExperiment:
         assert report.diagnostics is None
 
 
-# expected: (pool sizes, threads started).  A serial run of n 500 in blocks
-# of 128 outputs starts min(cpus, replications, 4) - 1 threads; a pool's
-# tasks start none.
+# expected: (pool sizes, thread bound).  A serial run of n 500 in blocks of
+# 128 outputs starts at most min(cpus, replications, 4) threads, and none
+# when that is 1; a pool's tasks start none.
 @pytest.mark.parametrize("hint,replications,cpus,expected", [
     (8, 3, 4, ([3], 0)), (8, 6, 4, ([4], 0)), (2, 6, 4, ([2], 0)),
-    (8, 6, 1, ([], 0)), (8, 6, None, ([], 0)), (1, 6, 4, ([], 3)),
-    (1, 2, 4, ([], 1)), (1, 6, 8, ([], 3)), (1, 6, 2, ([], 1)),
+    (8, 6, 1, ([], 0)), (8, 6, None, ([], 0)), (1, 6, 4, ([], 4)),
+    (1, 2, 4, ([], 2)), (1, 6, 8, ([], 4)), (1, 6, 2, ([], 2)),
 ])
 def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
     sizes = []
@@ -626,7 +662,10 @@ def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
     starts = count_starts(monkeypatch)
     mc.run_experiment(small_config(n=500, k=20, replications=replications,
                                    worker_count_hint=hint))
-    assert (sizes, len(starts)) == expected
+    pool_sizes, bound = expected
+    assert sizes == pool_sizes
+    assert bool(starts) == (bound > 0)
+    assert_threads_bounded(starts, bound)
 
 
 def test_gpd_direct_serial_run_starts_no_threads(monkeypatch):
@@ -690,8 +729,7 @@ import contextlib, io, json, sys
 import tailproc
 from tailproc import cli, montecarlo
 pool_modules = lambda: sorted(name for name in sys.modules
-                              if name.startswith("multiprocessing")
-                              or name == "concurrent.futures.process")
+                              if name.startswith(("multiprocessing", "concurrent")))
 loaded = [pool_modules()]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["cov", "--gamma", "0.5", "--ar", "0.6"]),
@@ -710,7 +748,8 @@ print(json.dumps([codes, loaded]))
 def test_serial_path_leaves_process_pool_unloaded():
     codes, loaded = run_fresh(SERIAL_PATH_SCRIPT)
     assert codes == [0, 0, 0]
-    # After the import, after the commands and after a serial run_experiment.
+    # No pool module (multiprocessing, concurrent.futures) after the import,
+    # after the commands or after a serial run_experiment.
     assert loaded == [[], [], []]
 
 
