@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -43,6 +44,11 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -5e-1 as an option; no flag here starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on bad usage by default; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -90,8 +90,8 @@ class GpdParams:
 class ExcessSample:
     """Top-k excesses over the (k+1)th largest absolute observation.
 
-    ``excesses`` is sorted non-increasing and ``k`` is its length; with continuous
-    data every entry is positive and exactly k absolute values exceed ``threshold``.
+    ``excesses`` is stored sorted non-increasing, read-only, and ``k`` is its length; with
+    continuous data every entry is positive and exactly k absolute values exceed ``threshold``.
     """
 
     excesses: np.ndarray
@@ -99,18 +99,17 @@ class ExcessSample:
 
     def __post_init__(self):
         exc = np.array(self.excesses, dtype=float)
+        if exc.ndim != 1:
+            raise ValueError("excesses must be one-dimensional")
+        exc[::-1].sort()
         object.__setattr__(self, "excesses", exc)
         exc.setflags(write=False)
-        # A NaN fails every comparison, so one pass checks a valid sample;
-        # only a bad one, or one not a sequence, takes the passes that name
-        # its fault.
-        if exc.ndim != 1 or (exc.size and not (
-                exc[0] < math.inf and exc[-1] >= 0 and np.all(exc[:-1] >= exc[1:]))):
+        # The sort puts a NaN first and -inf last, so two comparisons check
+        # a valid sample; only a bad one takes the passes that name its fault.
+        if exc.size and not (exc[0] < math.inf and exc[-1] >= 0):
             if not np.all(np.isfinite(exc)):
                 raise ValueError("excesses must be finite")
-            if np.any(exc < 0):
-                raise ValueError("excesses must be non-negative")
-            raise ValueError("excesses must be sorted non-increasing")
+            raise ValueError("excesses must be non-negative")
 
     @property
     def k(self) -> int:
@@ -118,8 +117,8 @@ class ExcessSample:
 
     @classmethod
     def from_excesses(cls, excesses) -> "ExcessSample":
-        """Wrap pre-computed excesses (threshold taken as 0)."""
-        return cls(excesses=np.sort(np.asarray(excesses, dtype=float))[::-1], threshold=0.0)
+        """Wrap pre-computed excesses, in any order (threshold taken as 0)."""
+        return cls(excesses=excesses, threshold=0.0)
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,7 @@ def top_k_excesses(series, k: int) -> ExcessSample:
     threshold are handled deterministically: the returned excess multiset is
     the one produced by breaking ties in original index order, which always
     contains ``count(|x| > threshold)`` positive values padded with zeros.
+    ``ExcessSample`` sorts them; subtracting the threshold first keeps the same bits.
     """
     a = np.abs(np.asarray(series, dtype=float).ravel())
     n = a.size
@@ -157,8 +157,7 @@ def top_k_excesses(series, k: int) -> ExcessSample:
         raise ValueError("k too large for the sample size")
     part = np.partition(a, n - k - 1)
     threshold = float(part[n - k - 1])
-    excesses = np.sort(part[n - k :])[::-1] - threshold
-    return ExcessSample(excesses=excesses, threshold=threshold)
+    return ExcessSample(excesses=part[n - k :] - threshold, threshold=threshold)
 
 
 def _moment_gap(b: float, excesses: np.ndarray, r: float) -> tuple[float, float]:
@@ -173,23 +172,23 @@ def _moment_gap(b: float, excesses: np.ndarray, r: float) -> tuple[float, float]
     return gap, gamma_b
 
 
-def _brentq(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of ``f`` in ``[a, b]`` by Brent's method, given ``fa = f(a)`` and
-    ``fb = f(b)`` of opposite signs.
+def _brentq(f, a: float, b: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method, for ``f(a)`` and
+    ``f(b)`` of opposite signs.
 
     A line-for-line transcription of SciPy's ``brentq`` (``brentq.c``) with
     ``xtol=ROOT_XTOL``, ``rtol=ROOT_RTOL`` and ``maxiter=ROOT_MAX_ITER``: it
-    calls ``f`` at the same points and returns the same root.  Raises
-    ``LmeSolverError("residual")`` on a value of ``f`` that is not finite and
-    when the iteration does not converge.
+    calls ``f`` at the same points, the two ends first, and returns the same
+    root.  Raises ``LmeSolverError("residual")`` on a value of ``f`` that is
+    not finite and when the iteration does not converge.
     """
-    if not (math.isfinite(fa) and math.isfinite(fb)):
-        raise LmeSolverError("residual", f"moment gap {fa}, {fb} at the bracket ends")
-    if fa == 0.0:
+    xpre, xcur, fpre, fcur = a, b, f(a), f(b)
+    if not (math.isfinite(fpre) and math.isfinite(fcur)):
+        raise LmeSolverError("residual", f"moment gap {fpre}, {fcur} at the bracket ends")
+    if fpre == 0.0:
         return a
-    if fb == 0.0:
+    if fcur == 0.0:
         return b
-    xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = spre = scur = 0.0
     for _ in range(ROOT_MAX_ITER):
         if fpre != 0.0 and fcur != 0.0 and (
@@ -253,10 +252,10 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         then by 8, within ``[1e-12, 1e300]``, and Brent's method refines the
         bracket to relative tolerance 1e-12.  The Brent iteration is this
         module's transcription of ``scipy.optimize.brentq``, which it matches
-        bit for bit; SciPy is not loaded.  ``iterations`` counts the distinct
-        moment-gap evaluations: Brent's method reuses the gaps of the bracket
-        search at the two bracket ends, and the residual and ``gamma_hat``
-        are those of its evaluation at the root.
+        bit for bit; SciPy is not loaded.  One cache of moment gaps by t
+        serves the bracket search and Brent's method, which finds its bracket
+        ends there.  ``iterations`` counts the distinct evaluations, and the
+        residual and ``gamma_hat`` are those of the evaluation at the root.
 
     Raises
     ------
@@ -304,23 +303,19 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     a1 = float(np.dot(np.arange(0.35, k), z)) / k**2
     t_pwm = 1.0 / (2.0 * a1) - 2.0
     t_a = min(max(t_pwm, t_lo), t_hi) if t_pwm > 0.0 else 1.0
-    gap_a = gap(t_a)
-    up = gap_a >= 0.0
+    up = gap(t_a) >= 0.0
     step = 1.0 + 4.0 / math.sqrt(k)
     while True:
         t_b = min(max(t_a * step if up else t_a / step, t_lo), t_hi)
-        gap_b = gap(t_b)
-        if (gap_b < 0.0) != (gap_a < 0.0):
+        if (gap(t_b) < 0.0) != (gap(t_a) < 0.0):
             break
         if t_b in T_WINDOW:
             raise LmeSolverError("no_sign_change", "no sign change in bracket")
-        t_a, gap_a, step = t_b, gap_b, BRACKET_STEP
+        t_a, step = t_b, BRACKET_STEP
 
-    if t_a > t_b:
-        t_a, gap_a, t_b, gap_b = t_b, gap_b, t_a, gap_a
     # Brent's method returns a point it has evaluated, so the residual and
     # the shape at the root are those of that evaluation.
-    t_hat = _brentq(gap, t_a, t_b, gap_a, gap_b)
+    t_hat = _brentq(gap, min(t_a, t_b), max(t_a, t_b))
     residual, gamma_hat = evaluations[t_hat]
     b_hat = t_hat / ybar
     if not np.isfinite(b_hat):

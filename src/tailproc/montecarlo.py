@@ -411,11 +411,14 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     ``MIN_RECORDS_FOR_DIAGNOSTICS`` good records.  Optionally writes the
     per-replication records as CSV and the report as JSON.
     """
+    started = time.perf_counter()
+    # The closed form first: its numerical failures cost no replication or file.
+    theory = asymptotics.estimator_cov(config.gamma, config.r,
+                                       config.coeffs).estimator_cov
     # Open the outputs before the run, so that a bad path fails at once.
     for path in (csv_path, json_path):
         if path is not None:
             open(path, "a").close()
-    started = time.perf_counter()
     indices = range(config.replications)
     replicate = functools.partial(run_replication, config)
     cpus = usable_cpus()
@@ -437,9 +440,6 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
 
     good = np.array([[rec.z1, rec.z2] for rec in records if rec.ok], dtype=float)
     failure_count = config.replications - good.shape[0]
-
-    theory = asymptotics.estimator_cov(config.gamma, config.r,
-                                       config.coeffs).estimator_cov
     flags: list[str] = []
     if failure_count > FAILURE_FRACTION_LIMIT * config.replications:
         flags.append("unreliable")

@@ -148,13 +148,15 @@ class CoefficientSequence:
     def power_sum(self, u: float) -> float:
         """``sum_j |c_j|**u`` over the nonzero coefficients.
 
-        Raises ``OverflowError`` when the sum is not a finite float.
+        Raises ``OverflowError`` on a sum that is not finite, ``ArithmeticError`` on a zero one.
         """
         arr = np.abs(self.as_array())
         with np.errstate(over="ignore"):
             total = float(np.sum(arr[arr > 0] ** u))
         if not math.isfinite(total):
             raise OverflowError(f"power sum of |c_j|**{u!r} overflows")
+        if total == 0.0:
+            raise ArithmeticError(f"power sum of |c_j|**{u!r} underflows to zero")
         return total
 
 

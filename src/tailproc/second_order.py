@@ -42,11 +42,9 @@ HOLDS_BY_CONSTRUCTION = ("cross_lag_sum", "innovation_moment",
                          "innovation_smoothness", "k_growth")
 
 
-def _require_nonneg(coeffs: CoefficientSequence) -> np.ndarray:
-    arr = coeffs.as_array()
-    if np.any(arr < 0):
+def _require_nonneg(coeffs: CoefficientSequence) -> None:
+    if np.any(coeffs.as_array() < 0):
         raise ValueError("tail expansion requires non-negative coefficients")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ class ConditionReport:
 def coefficient_power_sum(coeffs: CoefficientSequence, u: float) -> float:
     """``C_u = sum_j c_j**u`` over the stored support (non-negative c_j).
 
-    Raises ``OverflowError`` when the sum is not a finite float.
+    Raises ``OverflowError`` on a sum that is not finite, ``ArithmeticError`` on a zero one.
     """
     if not 0 < u < math.inf:
         raise ValueError("u must be positive and finite")
@@ -183,7 +181,8 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     if alpha <= 2:
         raise ValueError("tail expansion requires alpha > 2")
     mu, s2 = InnovationModel(alpha=alpha).moments()
-    c = lambda u: coefficient_power_sum(coeffs, u)
+    _require_nonneg(coeffs)
+    c = coeffs.power_sum
     c1, ca, ca1, ca2, c2 = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0), c(2.0)
     term_var = (c2 * ca - ca2) * s2
     term_mean = (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2
@@ -266,17 +265,16 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
                      xi: float = 0.9) -> ConditionReport:
     """Evaluate the regularity conditions behind the normal limit.
 
-    The geometric decay certificate is delegated to the process layer; the
-    fractional power sum (i) and the two nonvanishing combinations (ii) and
-    (iii) are evaluated numerically.  The conditions that cannot fail for a
-    finite non-negative sequence with ``alpha > 2`` are not evaluated; the
-    report names them in ``HOLDS_BY_CONSTRUCTION``.
+    The geometric decay certificate is delegated to the process layer.  (i)
+    passes, since ``power_sum`` raises unless ``C_eta`` is finite and positive;
+    (ii) and (iii) are evaluated on the tail expansion, which rejects negative
+    coefficients.  The conditions that cannot fail for a finite non-negative
+    sequence with ``alpha > 2`` are named in ``HOLDS_BY_CONSTRUCTION``.
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must lie in (0, 1)")
     if not 2 < alpha < math.inf:
         raise ValueError("conditions require a finite alpha > 2")
-    arr = _require_nonneg(coeffs)
     checks = []
 
     a_cert, u_cert = decay_certificate(coeffs)
@@ -285,10 +283,9 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
         note="geometric decay certificate over the stored support"))
 
     eta = xi * min(alpha / (alpha + 3.0), 0.5)
-    c_eta = coefficient_power_sum(coeffs, eta)
     checks.append(ConditionCheck(
-        name="(i)", passed=bool(np.isfinite(c_eta)),
-        witness={"xi": xi, "eta": eta, "C_eta": float(c_eta)}))
+        name="(i)", passed=True, note="power_sum raises unless C_eta is finite and positive",
+        witness={"xi": xi, "eta": eta, "C_eta": coeffs.power_sum(eta)}))
 
     texp = tail_expansion(alpha, coeffs)
     term_var, term_mean = texp.ct3_terms
@@ -301,5 +298,4 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
         "(iii)", lhs - rhs, abs(lhs) + abs(rhs),
         {"lhs": float(lhs), "rhs": float(rhs)}))
 
-    return ConditionReport(alpha=alpha, coeffs=tuple(float(v) for v in arr),
-                           xi=xi, checks=tuple(checks))
+    return ConditionReport(alpha=alpha, coeffs=coeffs.coeffs, xi=xi, checks=tuple(checks))

@@ -144,6 +144,33 @@ class TestCheck:
         assert len(err.splitlines()) == 1
 
 
+UNDERFLOW_RUN = ["--coeffs", "1e-200", "--alpha", "3", "--r", "-0.5", "--n", "200",
+                 "--k", "20", "--reps", "3", "--seed", "1", "--workers", "1"]
+
+
+class TestPowerSumUnderflow:
+    @pytest.mark.parametrize("argv", [
+        ["cov", "--gamma", "0.3333", "--r", "-0.5", "--coeffs", "1e-200,1e-200"],
+        ["check", "--alpha", "3", "--coeffs", "1e-200,1e-200"],
+        ["validate", *UNDERFLOW_RUN, "--sampling", "gpd_direct"],
+        ["validate", *UNDERFLOW_RUN, "--sampling", "series"],
+    ], ids=" ".join)
+    def test_is_a_numerical_failure_before_any_replication(self, capsys, monkeypatch,
+                                                            tmp_path, argv):
+        # Every |c_j|**u with u near 3 underflows; cov used to fail with a bare
+        # division by zero, check to pass (i) and fail (ii) and (iii) on zero
+        # witnesses, and validate only after every replication had run.
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_replication", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "run"))
+        assert (code, out, calls, list(tmp_path.iterdir())) == (2, "", [], [])
+        assert err.startswith("numerical failure: power sum of |c_j|**")
+        assert err.rstrip().endswith("underflows to zero")
+        assert len(err.splitlines()) == 1
+
+
 class TestSimulateAndFit:
     def test_round_trip_matches_library(self, capsys, tmp_path):
         out_path = tmp_path / "path.csv"
@@ -442,6 +469,28 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "cov", "--coeffs", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["cov", "--gamma", "0.5", "--coeffs", "1,0.5"],
+        ["fit", "--input", "{excesses}", "--excesses"],
+        ["validate", "--coeffs", "1", "--alpha", "3", "--n", "200", "--k", "20",
+         "--reps", "3", "--seed", "1", "--workers", "1", "--sampling", "gpd_direct"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_number_in_exponent_form(self, capsys, tmp_path, argv):
+        # argparse's own pattern takes -5e-1 for an unknown option; _Parser
+        # replaces that pattern, an argparse internal this test pins.
+        excesses = tmp_path / "excesses.csv"
+        grid = GpdParams(0.5, 1.0).quantile((np.arange(50) + 0.5) / 50)
+        excesses.write_text("\n".join(repr(float(v)) for v in grid) + "\n")
+        outputs = []
+        for r in ("-5e-1", "-0.5"):
+            code, out, err = run_cli(capsys, *(a.format(excesses=excesses) for a in argv),
+                                     "--r", r)
+            payload = json.loads(out)
+            payload.pop("elapsed_seconds", None)
+            outputs.append((code, json.dumps(payload), err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
     @pytest.mark.parametrize("command,flags", [
         ("simulate", ["--coeffs", "--alpha", "--n", "--seed", "--output",

@@ -98,14 +98,27 @@ class TestTopKExcesses:
         assert np.sum(np.abs(series) > sample.threshold) == 50
 
     def test_sample_validation(self):
-        for unsorted in ([1.0, 2.0], 1.0, [[2.0, 1.0]]):
-            with pytest.raises(ValueError, match="sorted"):
-                ExcessSample(excesses=np.array(unsorted), threshold=0.0)
+        given = np.array([1.0, 2.0])
+        sample = ExcessSample(excesses=given, threshold=0.0)
+        np.testing.assert_array_equal(sample.excesses, [2.0, 1.0])
+        np.testing.assert_array_equal(given, [1.0, 2.0])  # sorted as a copy
+        assert not sample.excesses.flags.writeable
+        for not_a_sequence in (1.0, [[2.0, 1.0]]):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                ExcessSample(excesses=np.array(not_a_sequence), threshold=0.0)
         with pytest.raises(ValueError, match="non-negative"):
             ExcessSample(excesses=np.array([1.0, -2.0]), threshold=0.0)
-        for bad in (np.nan, np.inf):
+        for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [np.nan, -1.0]):
             with pytest.raises(ValueError, match="finite"):
-                ExcessSample(excesses=np.array([bad, 1.0]), threshold=0.0)
+                ExcessSample(excesses=np.array(bad), threshold=0.0)
+
+    def test_shuffled_sample_is_the_sorted_one(self):
+        y = GpdParams(0.5, 1.0).quantile(philox_stream(7).random(1000))
+        ordered = ExcessSample.from_excesses(np.sort(y)[::-1])
+        shuffled = ExcessSample(excesses=np.random.default_rng(7).permutation(y),
+                                threshold=0.0)
+        assert shuffled.excesses.tobytes() == ordered.excesses.tobytes()
+        assert lme_fit(shuffled, -1.0) == lme_fit(ordered, -1.0)
 
     def test_series_holding_nan_rejected(self):
         with pytest.raises(ValueError, match="excesses must be finite"):
@@ -317,8 +330,7 @@ def scipy_brentq_points(f, a, b):
 
     root = optimize.brentq(recording, a, b, xtol=estimator.ROOT_XTOL,
                            rtol=estimator.ROOT_RTOL, maxiter=estimator.ROOT_MAX_ITER)
-    assert points[:2] == [a, b]
-    return root, points[2:]
+    return root, points
 
 
 def brentq_points(f, a, b):
@@ -329,7 +341,7 @@ def brentq_points(f, a, b):
         points.append(x)
         return f(x)
 
-    return estimator._brentq(recording, a, b, f(a), f(b)), points
+    return estimator._brentq(recording, a, b), points
 
 
 class TestBrentq:
@@ -337,9 +349,9 @@ class TestBrentq:
         brackets = []
         brentq = estimator._brentq
 
-        def spy(f, a, b, fa, fb):
+        def spy(f, a, b):
             brackets.append((f, a, b))
-            return brentq(f, a, b, fa, fb)
+            return brentq(f, a, b)
 
         monkeypatch.setattr(estimator, "_brentq", spy)
         rng = np.random.default_rng(20070601)
@@ -368,13 +380,16 @@ class TestBrentq:
     def test_matches_scipy_on_textbook_functions(self, f, a, b):
         root, points = brentq_points(f, a, b)
         assert (root, points) == scipy_brentq_points(f, a, b)
+        assert points[:2] == [a, b]
         if f(a) == 0.0 or f(b) == 0.0:
-            assert points == [] and root in (a, b)
+            assert points == [a, b] and root in (a, b)
 
     @pytest.mark.parametrize("fa", [-1.0, math.nan])
     def test_non_finite_gap_is_a_residual_failure(self, fa):
+        # A NaN at the lower end, or inside a bracket with finite ends.
+        f = lambda x: fa if x == 0.0 else 1.0 if x == 1.0 else math.nan
         with pytest.raises(LmeSolverError) as info:
-            estimator._brentq(lambda x: math.nan, 0.0, 1.0, fa, 1.0)
+            estimator._brentq(f, 0.0, 1.0)
         assert info.value.reason == "residual"
 
     def test_no_convergence_is_a_residual_failure(self):
@@ -387,9 +402,9 @@ class TestBrentq:
             return 1.0 if x > 1.0 else -1.0
 
         with pytest.raises(LmeSolverError, match="100 Brent iterations") as info:
-            estimator._brentq(step, 0.0, 1e300, -1.0, 1.0)
+            estimator._brentq(step, 0.0, 1e300)
         assert info.value.reason == "residual"
-        assert len(calls) == estimator.ROOT_MAX_ITER
+        assert len(calls) == estimator.ROOT_MAX_ITER + 2  # the two ends first
         with pytest.raises(RuntimeError, match="converge"):
             optimize.brentq(step, 0.0, 1e300, xtol=estimator.ROOT_XTOL,
                             rtol=estimator.ROOT_RTOL, maxiter=estimator.ROOT_MAX_ITER)

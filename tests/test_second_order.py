@@ -62,6 +62,14 @@ class TestPowerSum:
             with pytest.raises(OverflowError, match="overflows"):
                 coefficient_power_sum(CoefficientSequence((1e200, 1.0)), 2.0)
 
+    def test_underflow_to_zero_raises_naming_the_exponent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"\|c_j\|\*\*3\.0 underflows to zero"):
+                coefficient_power_sum(CoefficientSequence((1e-200, 1e-200)), 3.0)
+            # One term that underflows does not zero the sum.
+            assert coefficient_power_sum(CoefficientSequence((1.0, 1e-200)), 3.0) == 1.0
+
 
 class TestSecondTailVanishes:
     def test_one_nonzero_coefficient_vanishes(self):
@@ -286,6 +294,23 @@ class TestCheckConditions:
         check_conditions(3.0, DEP, xi=0.9)
         assert len(builds) == 1
         assert sorted(power_sum_exponents) == pytest.approx([0.45, 1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_checks_the_signs_once(self, monkeypatch):
+        scans = []
+        require_nonneg = second_order._require_nonneg
+        monkeypatch.setattr(second_order, "_require_nonneg",
+                            lambda coeffs: scans.append(coeffs) or require_nonneg(coeffs))
+        check_conditions(3.0, DEP)
+        assert scans == [DEP]
+        for build in (tail_expansion, check_conditions):
+            with pytest.raises(ValueError, match="non-negative"):
+                build(3.0, CoefficientSequence((1.0, -0.5)))
+
+    def test_condition_i_holds_by_construction(self):
+        report = check_conditions(3.0, DEP)
+        row = {c.name: c for c in report.checks}["(i)"]
+        assert row.passed and "power_sum raises" in row.note
+        assert report.coeffs is DEP.coeffs
 
     def test_report_serializes(self):
         import json
