@@ -152,47 +152,34 @@ def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiCon
 
 
 def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:
-    """The six variance and covariance limits of the scaled tail sums."""
+    """The six variance and covariance limits of the scaled tail sums, with
+    ``t1 = 2 gamma t1I`` and ``t2 = -2r / (1 - 2r) t2I``."""
     _check_domain(gamma, r)
     g, p1, p2, p3 = gamma, phi.phi1, phi.phi2, phi.phi3
-    t1 = 2.0 * g * (g + 2.0 * g * p1 + p3)
-    t2 = -2.0 * r * (-r + (1.0 - 2.0 * r) * p1 - p2) / ((1.0 - r) * (1.0 - 2.0 * r))
-    tI = 1.0 + 2.0 * p1
-    t12 = (-g * r * (2.0 - r) + (2.0 * r**2 - 4.0 * r + 1.0) * g * p1
-           - g * p2 - r * (1.0 - r) * p3) / (1.0 - r) ** 2
     t1I = g + 2.0 * g * p1 + p3
     t2I = (-r + (1.0 - 2.0 * r) * p1 - p2) / (1.0 - r)
-    return RawLimits(t1=t1, t2=t2, tI=tI, t12=t12, t1I=t1I, t2I=t2I,
+    t12 = (-g * r * (2.0 - r) + (2.0 * r**2 - 4.0 * r + 1.0) * g * p1
+           - g * p2 - r * (1.0 - r) * p3) / (1.0 - r) ** 2
+    return RawLimits(t1=2.0 * g * t1I, t2=-2.0 * r / (1.0 - 2.0 * r) * t2I,
+                     tI=1.0 + 2.0 * p1, t12=t12, t1I=t1I, t2I=t2I,
                      beta1p=g / (g + 1.0), beta2p=-r / (1.0 - r + g),
                      beta1=g, beta2=-r / (1.0 - r))
 
 
+def _centered(raw: RawLimits) -> tuple[float, float, float]:
+    b1, b2 = raw.beta1p, raw.beta2p
+    return (raw.t1 - 2.0 * b1 * raw.t1I + b1**2 * raw.tI,
+            raw.t2 - 2.0 * b2 * raw.t2I + b2**2 * raw.tI,
+            raw.t12 - b1 * raw.t2I - b2 * raw.t1I + b1 * b2 * raw.tI)
+
+
 def kappas(gamma: float, r: float, phi: PhiConstants) -> tuple[float, float, float]:
-    """Variance and covariance limits of the centered tail sums.
-
-    Evaluated term by term exactly as the closed forms are written, with the
-    phi-free and phi-weighted groups combined last to limit cancellation.
-    """
-    _check_domain(gamma, r)
-    g, p1, p2, p3 = gamma, phi.phi1, phi.phi2, phi.phi3
-
-    kappa1 = ((1.0 + 2.0 * p1) * g**2 * (2.0 * g**2 + 2.0 * g + 1.0)
-              + 2.0 * g**2 * (g + 1.0) * p3) / (g + 1.0) ** 2
-
-    kappa2 = (-2.0 * g * r * (g + 1.0) * (-r + p1 * (1.0 - 2.0 * r) - p2)
-              + r**2 * (1.0 - r) * (1.0 + 2.0 * p2)) \
-        / ((1.0 - r) * (1.0 - 2.0 * r) * (1.0 - r + g) ** 2)
-
-    term0 = -g * r * ((2.0 - r) * (g**2 + g + 1.0) - 1.0) \
-        / ((1.0 - r) ** 2 * (1.0 + g) * (1.0 - r + g))
-    term1 = -g * (2.0 * r * (2.0 - r) * (g**2 + g + 1.0)
-                  - (g**2 + g + 3.0 * r - r**2)) \
-        / ((1.0 - r) ** 2 * (1.0 + g) * (1.0 - r + g)) * p1
-    term2 = -g * (g + r) / ((1.0 - r) ** 2 * (1.0 + g)) * p2
-    term3 = -g * r / ((1.0 - r) * (1.0 - r + g)) * p3
-    kappa3 = term0 + (term1 + term2 + term3)
-
-    return kappa1, kappa2, kappa3
+    """Limit variances and covariance of the tail sums, each centered by its
+    ``beta'`` times the exceedance count, from ``raw_limits``:
+    ``kappa_1 = t1 - 2 beta1' t1I + beta1'**2 tI``, ``kappa_2`` likewise from
+    t2, t2I and beta2', and ``kappa_3 = t12 - beta1' t2I - beta2' t1I +
+    beta1' beta2' tI``."""
+    return _centered(raw_limits(gamma, r, phi))
 
 
 def sigma_matrix(kappa1: float, kappa2: float, kappa3: float) -> np.ndarray:
@@ -228,10 +215,9 @@ def linearization_matrix(gamma: float, r: float) -> np.ndarray:
 
 def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> CovarianceReport:
     """Asymptotic covariance ``L S L^T`` of the standardized estimator pair."""
-    _check_domain(gamma, r)
     phi = phi_constants(coeffs, gamma, r)
     raw = raw_limits(gamma, r, phi)
-    kappa1, kappa2, kappa3 = kappas(gamma, r, phi)
+    kappa1, kappa2, kappa3 = _centered(raw)
     sigma = sigma_matrix(kappa1, kappa2, kappa3)
     lmat = linearization_matrix(gamma, r)
     cov = lmat @ sigma @ lmat.T

@@ -52,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

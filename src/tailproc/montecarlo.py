@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,11 +57,11 @@ class ExperimentConfig:
     control mode that bypasses the series and its threshold step).
 
     ``k=None`` takes k from the growth rule at ``theta``.  ``centering``, the
-    quantile expansion behind the scale and the second-order rates, is None
-    for ``"gpd_direct"`` (scale 1).  A ``"series"`` config builds one tail
-    expansion, which gives both the centering and the growth rule's case; a
-    ``"gpd_direct"`` config takes the case from ``second_tail_vanishes``,
-    so it needs no ``alpha > 2``.
+    quantile expansion behind ``scale`` (``sigma_nk``, which divides sigma_hat)
+    and the second-order rates, is None for ``"gpd_direct"`` (scale 1).  A
+    ``"series"`` config builds one tail expansion, which gives both the
+    centering and the growth rule's case; a ``"gpd_direct"`` config takes
+    the case from ``second_tail_vanishes``, so it needs no ``alpha > 2``.
     """
 
     coeffs: CoefficientSequence
@@ -76,6 +76,7 @@ class ExperimentConfig:
     theta: float | None = None
     centering: second_order.QuantileExpansion | None = field(
         init=False, repr=False, compare=False, default=None)
+    scale: float = field(init=False, repr=False, compare=False, default=1.0)
 
     def __post_init__(self):
         texp = None
@@ -106,6 +107,9 @@ class ExperimentConfig:
             raise ValueError("worker_count_hint must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must lie in [0, 2**64)")
+        if self.centering is not None:
+            object.__setattr__(self, "scale", sigma_nk(self.centering, self.gamma,
+                                                       self.n, self.k))
 
     @classmethod
     def create(cls, coeffs: CoefficientSequence, model: InnovationModel, n: int,
@@ -318,8 +322,6 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     path (see ``_series_sample``).  It runs in the caller's thread and starts
     none.
     """
-    scale = 1.0 if config.centering is None else sigma_nk(
-        config.centering, config.gamma, config.n, config.k)
     if config.sampling == "gpd_direct":
         rng = philox_stream(config.master_seed, index)
         limit = GpdParams(gamma=config.gamma, sigma=1.0)
@@ -337,7 +339,7 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
     return ReplicationRecord(
         index=index, gamma_hat=fit.gamma_hat, sigma_hat=fit.sigma_hat,
         z1=float(sk * (fit.gamma_hat - config.gamma)),
-        z2=float(sk * (fit.sigma_hat / scale - 1.0)),
+        z2=float(sk * (fit.sigma_hat / config.scale - 1.0)),
         status="ok")
 
 
@@ -482,4 +484,4 @@ def write_records_csv(records, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        writer.writerows(astuple(rec) for rec in records)
+        writer.writerows([getattr(rec, name) for name in CSV_HEADER] for rec in records)

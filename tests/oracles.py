@@ -30,6 +30,29 @@ def phi_bruteforce(coeffs, gamma, r):
     return norm, s1 / norm, s2 / norm, s3 / norm
 
 
+def kappas_expanded(gamma, r, phi1, phi2, phi3):
+    """kappa_1..kappa_3 as the paper writes them, expanded term by term.
+
+    The library derives the same limits from its raw limits; these closed
+    forms are the independent reference.
+    """
+    g, p1, p2, p3 = gamma, phi1, phi2, phi3
+    kappa1 = ((1.0 + 2.0 * p1) * g**2 * (2.0 * g**2 + 2.0 * g + 1.0)
+              + 2.0 * g**2 * (g + 1.0) * p3) / (g + 1.0) ** 2
+    kappa2 = (-2.0 * g * r * (g + 1.0) * (-r + p1 * (1.0 - 2.0 * r) - p2)
+              + r**2 * (1.0 - r) * (1.0 + 2.0 * p2)) \
+        / ((1.0 - r) * (1.0 - 2.0 * r) * (1.0 - r + g) ** 2)
+    term0 = -g * r * ((2.0 - r) * (g**2 + g + 1.0) - 1.0) \
+        / ((1.0 - r) ** 2 * (1.0 + g) * (1.0 - r + g))
+    term1 = -g * (2.0 * r * (2.0 - r) * (g**2 + g + 1.0)
+                  - (g**2 + g + 3.0 * r - r**2)) \
+        / ((1.0 - r) ** 2 * (1.0 + g) * (1.0 - r + g)) * p1
+    term2 = -g * (g + r) / ((1.0 - r) ** 2 * (1.0 + g)) * p2
+    term3 = -g * r / ((1.0 - r) * (1.0 - r + g)) * p3
+    kappa3 = term0 + (term1 + term2 + term3)
+    return kappa1, kappa2, kappa3
+
+
 def convolution_tail(t, c0, c1, alpha):
     """P(c0*Z0 + c1*Z1 > t) for independent Pareto(alpha) variables on [1, inf).
 

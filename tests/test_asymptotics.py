@@ -1,9 +1,10 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import phi_bruteforce
+from oracles import kappas_expanded, phi_bruteforce
 from tailproc.asymptotics import (
     PhiConstants,
     coefficient_norm,
@@ -131,29 +132,31 @@ class TestKappas:
         _, k2, _ = kappas(1.0, -1.0, phi_at(0.0, 0.0, 0.0))
         assert k2 == pytest.approx((4.0 + 2.0) / 54.0, abs=1e-15)
 
-    def test_identities_on_dense_grid(self):
-        # kappa_i must agree with the bilinear combinations of the raw limits
-        # implied by the centered transforms, with the cross term positive.
-        phi_grid = np.linspace(0.0, 1.0, 5)
-        gammas = np.linspace(0.2, 2.0, 10)
-        rs = np.linspace(-2.0, -0.1, 10)
-        worst = 0.0
+    @staticmethod
+    def _worst_against_expanded(gammas, rs, phi_grid):
+        """Worst absolute and relative deviation of kappa from the paper's
+        expanded forms over a (gamma, r, phi1, phi2, phi3) grid."""
+        worst_abs = worst_rel = 0.0
         for g in gammas:
             for r in rs:
-                for p1 in phi_grid:
-                    for p2 in phi_grid:
-                        for p3 in phi_grid:
-                            phi = phi_at(p1, p2, p3, g, r)
-                            raw = raw_limits(g, r, phi)
-                            k1, k2, k3 = kappas(g, r, phi)
-                            b1, b2 = raw.beta1p, raw.beta2p
-                            i1 = raw.t1 - 2 * b1 * raw.t1I + b1**2 * raw.tI
-                            i2 = raw.t2 - 2 * b2 * raw.t2I + b2**2 * raw.tI
-                            i3 = (raw.t12 - b2 * raw.t1I - b1 * raw.t2I
-                                  + b1 * b2 * raw.tI)
-                            worst = max(worst, abs(k1 - i1), abs(k2 - i2),
-                                        abs(k3 - i3))
-        assert worst <= 1e-12
+                for p1, p2, p3 in itertools.product(phi_grid, repeat=3):
+                    got = kappas(g, r, phi_at(p1, p2, p3, g, r))
+                    for k, ref in zip(got, kappas_expanded(g, r, p1, p2, p3)):
+                        worst_abs = max(worst_abs, abs(k - ref))
+                        worst_rel = max(worst_rel, abs(k - ref) / abs(ref))
+        return worst_abs, worst_rel
+
+    def test_identities_on_dense_grid(self):
+        worst_abs, _ = self._worst_against_expanded(
+            np.linspace(0.2, 2.0, 10), np.linspace(-2.0, -0.1, 10),
+            np.linspace(0.0, 1.0, 5))
+        assert worst_abs <= 1e-12
+
+    def test_expanded_forms_on_wide_grid(self):
+        _, worst_rel = self._worst_against_expanded(
+            np.geomspace(0.05, 5.0, 9), -np.geomspace(20.0, 0.01, 9),
+            np.linspace(0.0, 10.0, 5))
+        assert worst_rel <= 1e-12
 
 
 class TestMatrices:

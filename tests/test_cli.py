@@ -470,6 +470,20 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "cov", "--coeffs", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["cov", "--gamma", "0.5", "--r", "-5x", "--coeffs", "1"],
+         "tailproc cov: error: argument --r: invalid float value: '-5x'"),
+        (["cov", "--r", "-0.5", "--coeffs", "1"],
+         "tailproc cov: error: the following arguments are required: --gamma"),
+        (["bogus"], "tailproc: error: argument command: invalid choice: 'bogus'"),
+    ], ids=["malformed_value", "missing_gamma", "unknown_command"])
+    def test_usage_error_says_why(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        usage, error = err.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith("usage: tailproc")
+        assert error.startswith(message)
+
     @pytest.mark.parametrize("argv", [
         ["cov", "--gamma", "0.5", "--coeffs", "1,0.5"],
         ["fit", "--input", "{excesses}", "--excesses"],

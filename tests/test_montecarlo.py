@@ -107,7 +107,8 @@ class TestConfig:
 
     def test_gpd_direct_has_no_centering(self):
         two_sided = InnovationModel(kind="two_sided_pareto", alpha=3.0)
-        assert small_config(model=two_sided, sampling="gpd_direct").centering is None
+        cfg = small_config(model=two_sided, sampling="gpd_direct")
+        assert cfg.centering is None and cfg.scale == 1.0
 
     def test_replace_rebuilds_centering(self):
         cfg = small_config(coeffs=DEP)
@@ -117,13 +118,19 @@ class TestConfig:
             assert replaced.centering == fresh.centering
             assert (mc.sigma_nk(replaced.centering, cfg.gamma, replaced.n, replaced.k)
                     == mc.sigma_nk(fresh.centering, cfg.gamma, fresh.n, fresh.k))
+            assert replaced.scale == fresh.scale == mc.sigma_nk(
+                fresh.centering, cfg.gamma, fresh.n, fresh.k)
+            assert replaced.scale != cfg.scale
         assert dataclasses.replace(cfg, coeffs=IID).centering != cfg.centering
+        assert dataclasses.replace(cfg, sampling="gpd_direct").scale == 1.0
 
     def test_centering_survives_pickling(self):
         cfg = small_config(coeffs=DEP)
         restored = pickle.loads(pickle.dumps(cfg))
         assert restored == cfg
         assert restored.centering == cfg.centering
+        assert restored.scale == cfg.scale == mc.sigma_nk(cfg.centering, cfg.gamma,
+                                                          cfg.n, cfg.k)
         assert mc.run_replication(restored, 3) == mc.run_replication(cfg, 3)
 
 
