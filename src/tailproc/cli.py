@@ -26,10 +26,10 @@ EXIT_NUMERICAL = 2
 
 # Config keys and their value types: float takes any JSON number, int a whole
 # one.  null leaves NULLABLE_KEYS unset.  Keys that are not coefficients or
-# InnovationModel fields pass to ExperimentConfig.create, renamed by KEYWORDS.
+# InnovationModel fields pass to ExperimentConfig, renamed by KEYWORDS.
 CONFIG_KEYS = {
-    "coeffs": list, "ar": list, "ma": list, "alpha": float, "kind": str,
-    "pi1": float, "pi2": float, "r": float, "n": int, "k": int,
+    "coeffs": list, "ar": list, "ma": list, "alpha": float,
+    "pi1": float, "r": float, "n": int, "k": int,
     "theta": float, "reps": int, "seed": int, "workers": int,
     "sampling": str,
 }
@@ -101,10 +101,8 @@ def _model_from_args(args) -> InnovationModel:
     if not args.two_sided:
         if args.pi1 is not None:
             raise UsageError("--pi1 requires --two-sided")
-        return InnovationModel(kind="one_sided_pareto", alpha=args.alpha)
-    pi1 = args.pi1 if args.pi1 is not None else 0.5
-    return InnovationModel(kind="two_sided_pareto", alpha=args.alpha,
-                           pi1=pi1, pi2=1.0 - pi1)
+        return InnovationModel(alpha=args.alpha)
+    return InnovationModel(alpha=args.alpha, pi1=0.5 if args.pi1 is None else args.pi1)
 
 
 def _emit(payload: dict | str, output: str | None) -> None:
@@ -210,7 +208,7 @@ def _cmd_validate(args) -> int:
     model = InnovationModel(**{f.name: cfg.pop(f.name) for f in fields(InnovationModel)
                                if f.name in cfg})
     cfg.setdefault("workers", montecarlo.usable_cpus())
-    config = montecarlo.ExperimentConfig.create(
+    config = montecarlo.ExperimentConfig(
         coeffs=coeffs, model=model,
         **{KEYWORDS.get(key, key): value for key, value in cfg.items()})
 

@@ -101,7 +101,8 @@ class ExcessSample:
         exc = np.array(self.excesses, dtype=float)
         if exc.ndim != 1:
             raise ValueError("excesses must be one-dimensional")
-        exc[::-1].sort()
+        exc.sort()
+        exc = exc[::-1].copy()
         object.__setattr__(self, "excesses", exc)
         exc.setflags(write=False)
         # The sort puts a NaN first and -inf last, so two comparisons check

@@ -48,7 +48,7 @@ _BOUND_MARGIN = 1e-9
 _BLOCK_WORDS = 2**17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Full description of one validation experiment.
 
@@ -67,13 +67,13 @@ class ExperimentConfig:
     coeffs: CoefficientSequence
     model: InnovationModel
     n: int
-    k: int | None
+    k: int | None = None
     r: float
     replications: int
     master_seed: int
     worker_count_hint: int = 1
     sampling: str = "series"
-    theta: float | None = None
+    theta: float = 0.9
     centering: second_order.QuantileExpansion | None = field(
         init=False, repr=False, compare=False, default=None)
     scale: float = field(init=False, repr=False, compare=False, default=1.0)
@@ -83,7 +83,7 @@ class ExperimentConfig:
         if self.sampling == "series":
             # The quantile expansion exists for one-sided Pareto innovations
             # with non-negative coefficients.
-            if self.model.kind != "one_sided_pareto":
+            if self.model.pi1 != 1.0:
                 raise ValueError("scale unavailable: supply a quantile expansion "
                                  "(needs the one-sided Pareto model)")
             texp = second_order.tail_expansion(self.model.alpha, self.coeffs)
@@ -112,13 +112,9 @@ class ExperimentConfig:
                                                        self.n, self.k))
 
     @classmethod
-    def create(cls, coeffs: CoefficientSequence, model: InnovationModel, n: int,
-               r: float, replications: int, master_seed: int,
-               k: int | None = None, theta: float = 0.9,
-               worker_count_hint: int = 1, sampling: str = "series") -> "ExperimentConfig":
-        """Build a config by keyword; theta defaults to 0.9."""
-        return cls(coeffs, model, n, k, r, replications, master_seed,
-                   worker_count_hint, sampling, theta)
+    def create(cls, **kwargs) -> "ExperimentConfig":
+        """Build a config by keyword, as the class itself does."""
+        return cls(**kwargs)
 
     @property
     def gamma(self) -> float:

@@ -45,27 +45,21 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
 class InnovationModel:
     """Innovation law with exact power-law tails of index ``alpha``.
 
-    ``one_sided_pareto`` is supported on [1, inf) with survival function
-    ``z**-alpha``.  ``two_sided_pareto`` puts the same magnitude law on both
-    signs with weights ``(pi1, pi2)``.  The tail index of the process is
-    ``gamma = 1/alpha``.
+    The magnitude ``|Z|`` is Pareto on [1, inf) with survival function
+    ``z**-alpha``, and ``Z`` is positive with probability ``pi1``, so
+    ``P(Z > z) = pi1 * z**-alpha`` and ``P(Z < -z) = (1 - pi1) * z**-alpha``.
+    The default ``pi1 = 1`` is the one-sided Pareto law.  The tail index of
+    the process is ``gamma = 1/alpha``.
     """
 
-    kind: str = "one_sided_pareto"
     alpha: float = 3.0
-    pi1: float = 0.5
-    pi2: float = 0.5
+    pi1: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("one_sided_pareto", "two_sided_pareto"):
-            raise ValueError(f"unknown innovation kind: {self.kind!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if self.kind == "two_sided_pareto":
-            if not (self.pi1 >= 0 and self.pi2 >= 0):
-                raise ValueError("tail weights must be non-negative")
-            if abs(self.pi1 + self.pi2 - 1.0) > 1e-12:
-                raise ValueError("tail weights must sum to one")
+        if not 0 <= self.pi1 <= 1:
+            raise ValueError("pi1 must lie in [0, 1]")
 
     @property
     def gamma(self) -> float:
@@ -82,16 +76,16 @@ class InnovationModel:
     def sample(self, count: int, seed: int, stream: int = 0) -> np.ndarray:
         """Draw ``count`` iid innovations by inverse transform only.
 
-        Uniforms are mapped through ``from_uniform``; the two-sided model uses
-        a second uniform block for the sign, never rejection, so output is
-        reproducible bit for bit across platforms.
+        Uniforms are mapped through ``from_uniform``; a model with ``pi1 < 1``
+        draws a second uniform block for the sign, never rejection, so output
+        is reproducible bit for bit across platforms.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = philox_stream(seed, stream)
         # 1 - U lies in (0, 1], keeping magnitudes finite.
         magnitudes = self.from_uniform(1.0 - rng.random(count))
-        if self.kind == "one_sided_pareto":
+        if self.pi1 == 1.0:
             return magnitudes
         signs = np.where(rng.random(count) < self.pi1, 1.0, -1.0)
         return signs * magnitudes
@@ -102,7 +96,7 @@ class InnovationModel:
         Returns ``(alpha/(alpha-1), alpha/((alpha-1)(alpha-2)))``, requiring
         ``alpha > 2`` so both exist.
         """
-        if self.kind != "one_sided_pareto":
+        if self.pi1 != 1.0:
             raise ValueError("moments require the one-sided Pareto model")
         if self.alpha <= 2:
             raise ValueError("moment does not exist for alpha <= 2")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tailproc import montecarlo
-from tailproc.cli import main
+from tailproc.cli import CONFIG_KEYS, main
 from tailproc.estimator import GpdParams, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, simulate
 from tailproc.second_order import choose_k
@@ -358,6 +358,49 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
         assert code == 1
         assert "unknown config key: 'bogus'" in err
+
+    @pytest.mark.parametrize("key", ["kind", "pi2"])
+    def test_removed_model_keys_rejected(self, capsys, tmp_path, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, key: 0.5}))
+        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert (code, err) == (1, f"error: unknown config key: {key!r}\n")
+
+    @pytest.mark.parametrize("sampling,message", [("series", "scale unavailable"),
+                                                  ("gpd_direct", None)])
+    def test_right_tail_weight_from_file(self, capsys, tmp_path, sampling, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "pi1": 0.3,
+                                        "sampling": sampling, "r": -1, "n": 4000,
+                                        "k": 60, "reps": 4, "seed": 17, "workers": 1}))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        if message:
+            assert (code, out) == (1, "") and err.startswith(f"error: {message}")
+        else:
+            assert code == 0
+            assert json.loads(out)["config"]["innovation"] == {"alpha": 3.0, "pi1": 0.3}
+
+    CONFIG_VALUES = {"coeffs": [1], "ar": [0.5], "ma": [0.4], "alpha": 3.5,
+                     "pi1": 0.3, "r": -0.5, "n": 3000, "k": 50, "theta": 0.8,
+                     "reps": 3, "seed": 5, "workers": 1, "sampling": "gpd_direct"}
+
+    def test_config_values_cover_every_key(self):
+        assert self.CONFIG_VALUES.keys() == CONFIG_KEYS.keys()
+
+    @pytest.mark.parametrize("key", CONFIG_VALUES)
+    def test_every_config_key_runs_or_fails_cleanly(self, capsys, tmp_path, key):
+        # A key that reached ExperimentConfig as an unknown keyword would
+        # raise a TypeError, which main does not catch.
+        cfg = {"coeffs": [1], "alpha": 3, "r": -1, "n": 4000, "k": 60,
+               "reps": 4, "seed": 17, "workers": 1, key: self.CONFIG_VALUES[key]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        if code == 0:
+            assert json.loads(out)["failure_count"] <= cfg["reps"]
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key,value,expected", [
         ("coeffs", 5, "a list of numbers"),

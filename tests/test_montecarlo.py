@@ -91,7 +91,7 @@ class TestConfig:
         assert cfg == mc.ExperimentConfig.create(
             coeffs=DEP, model=MODEL, n=10**6, r=-1.0, replications=40, master_seed=17)
         with pytest.raises(ValueError, match="theta"):
-            small_config(k=None)
+            small_config(k=None, theta=1.5)
 
     @pytest.mark.parametrize("coeffs,c2_zero", [(IID, True), (DEP, False)])
     def test_gpd_direct_growth_rule_below_alpha_two(self, coeffs, c2_zero):
@@ -101,12 +101,12 @@ class TestConfig:
         assert cfg.centering is None
 
     def test_series_mode_requires_one_sided(self):
-        two_sided = InnovationModel(kind="two_sided_pareto", alpha=3.0)
+        two_sided = InnovationModel(alpha=3.0, pi1=0.5)
         with pytest.raises(ValueError, match="scale unavailable"):
             small_config(model=two_sided)
 
     def test_gpd_direct_has_no_centering(self):
-        two_sided = InnovationModel(kind="two_sided_pareto", alpha=3.0)
+        two_sided = InnovationModel(alpha=3.0, pi1=0.5)
         cfg = small_config(model=two_sided, sampling="gpd_direct")
         assert cfg.centering is None and cfg.scale == 1.0
 

@@ -54,13 +54,24 @@ def test_csv_header_is_the_record_fields():
     assert montecarlo.CSV_HEADER == [f.name for f in fields(montecarlo.ReplicationRecord)]
 
 
+BENCHMARK_SETUP = """
+import pickle
+import checks, run, worker, workloads
+for name in workloads.WORKLOADS:
+    inputs = workloads.build(name, 3)
+    config = workloads.batch_config(inputs, 5)
+    assert pickle.loads(pickle.dumps(config)) == config
+"""
+
+
 def test_benchmark_harness_imports():
-    # The benchmark harness imports tailproc's public names; one dropped or
-    # renamed fails here instead of failing every benchmark workload.
+    # The benchmark harness imports tailproc's public names and builds every
+    # workload's configs; a name, keyword or field dropped or renamed fails
+    # here instead of failing every benchmark workload.
     src = Path(tailproc.__file__).resolve().parents[1]
     benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), str(benchmarks), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", "import checks, run, worker"],
+    done = subprocess.run([sys.executable, "-c", BENCHMARK_SETUP],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

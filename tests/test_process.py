@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,15 +49,24 @@ class TestInnovationModel:
         assert np.all(draws >= 1.0)
 
     def test_two_sided_sign_weights(self):
-        model = InnovationModel(kind="two_sided_pareto", alpha=3.0, pi1=0.7, pi2=0.3)
+        model = InnovationModel(alpha=3.0, pi1=0.7)
         draws = model.sample(10**5, seed=5)
         positive = np.mean(draws > 0)
         assert abs(positive - 0.7) <= 3.0 * np.sqrt(0.7 * 0.3 / 10**5)
         assert np.all(np.abs(draws) >= 1.0)
 
-    def test_two_sided_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to one"):
-            InnovationModel(kind="two_sided_pareto", alpha=2.0, pi1=0.7, pi2=0.7)
+    def test_right_tail_weight_must_be_a_probability(self):
+        for pi1 in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError, match="pi1 must lie in"):
+                InnovationModel(alpha=2.0, pi1=pi1)
+
+    @pytest.mark.parametrize("pi1,digest", [(1.0, "838fd9369b3dd905"),
+                                            (0.3, "7f147f54743ffe6b")])
+    def test_sample_streams_are_pinned(self, pi1, digest):
+        # The one-sided stream is the magnitudes alone; pi1 < 1 draws the
+        # sign block after them.
+        draws = InnovationModel(alpha=3.0, pi1=pi1).sample(1000, seed=5, stream=2)
+        assert hashlib.sha256(draws.tobytes()).hexdigest()[:16] == digest
 
     def test_moments_alpha_three(self):
         assert InnovationModel(alpha=3.0).moments() == (1.5, 1.5)
@@ -70,7 +81,7 @@ class TestInnovationModel:
             InnovationModel(alpha=2.0).moments()
 
     def test_moments_reject_two_sided(self):
-        model = InnovationModel(kind="two_sided_pareto", alpha=3.0)
+        model = InnovationModel(alpha=3.0, pi1=0.5)
         with pytest.raises(ValueError, match="one-sided"):
             model.moments()
 
