@@ -3,8 +3,10 @@
 For a linear process with coefficient sequence c and tail index gamma, the
 standardized fitted pair is asymptotically bivariate normal with covariance
 ``L S L^T``.  ``S`` collects the limits kappa_1..kappa_3 of the centered tail
-sum variances and covariance; serial dependence enters only through the three
-coefficient series phi_1..phi_3 below, all zero in the iid case.
+sum variances and covariance, and ``L = -J**-1`` is the negated inverse of the
+Jacobian limit J, taken by the 2x2 adjugate.  Serial dependence enters only
+through the three coefficient series phi_1..phi_3 below, all zero in the iid
+case.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "coefficient_norm",
     "phi_constants",
     "raw_limits",
-    "kappas",
     "sigma_matrix",
     "linearization_matrix",
     "jacobian_limit",
@@ -167,19 +168,12 @@ def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:
 
 
 def _centered(raw: RawLimits) -> tuple[float, float, float]:
+    """kappa_1..kappa_3: the limit variances and covariance of the tail sums,
+    each centered by its ``beta'`` times the exceedance count."""
     b1, b2 = raw.beta1p, raw.beta2p
     return (raw.t1 - 2.0 * b1 * raw.t1I + b1**2 * raw.tI,
             raw.t2 - 2.0 * b2 * raw.t2I + b2**2 * raw.tI,
             raw.t12 - b1 * raw.t2I - b2 * raw.t1I + b1 * b2 * raw.tI)
-
-
-def kappas(gamma: float, r: float, phi: PhiConstants) -> tuple[float, float, float]:
-    """Limit variances and covariance of the tail sums, each centered by its
-    ``beta'`` times the exceedance count, from ``raw_limits``:
-    ``kappa_1 = t1 - 2 beta1' t1I + beta1'**2 tI``, ``kappa_2`` likewise from
-    t2, t2I and beta2', and ``kappa_3 = t12 - beta1' t2I - beta2' t1I +
-    beta1' beta2' tI``."""
-    return _centered(raw_limits(gamma, r, phi))
 
 
 def sigma_matrix(kappa1: float, kappa2: float, kappa3: float) -> np.ndarray:
@@ -200,21 +194,17 @@ def jacobian_limit(gamma: float, r: float) -> np.ndarray:
 
 
 def linearization_matrix(gamma: float, r: float) -> np.ndarray:
-    """Matrix mapping the tail sum limit to the estimator pair limit.
-
-    Equals the negated inverse of ``jacobian_limit``, which is non-singular
-    for every gamma > 0, r < 0.
-    """
-    _check_domain(gamma, r)
-    g = gamma
-    return np.array([
-        [-(1.0 - r) * (1.0 + g) / (g * r), (1.0 - r) ** 2 * (1.0 + g - r) / r**2],
-        [(1.0 + g) / (g * r), -(1.0 - r) ** 2 * (1.0 + g - r) / r**2],
-    ])
+    """Matrix ``L = -J**-1`` mapping the tail sum limit to the estimator pair
+    limit, with J the ``jacobian_limit``, by the 2x2 adjugate.  J is
+    non-singular for every gamma > 0, r < 0."""
+    (j00, j01), (j10, j11) = jacobian_limit(gamma, r)
+    det = j00 * j11 - j01 * j10
+    return -np.array([[j11, -j01], [-j10, j00]]) / det
 
 
 def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> CovarianceReport:
-    """Asymptotic covariance ``L S L^T`` of the standardized estimator pair."""
+    """Asymptotic covariance ``L S L^T`` of the standardized estimator pair,
+    with ``L = -J**-1`` taken from the Jacobian limit by the 2x2 adjugate."""
     phi = phi_constants(coeffs, gamma, r)
     raw = raw_limits(gamma, r, phi)
     kappa1, kappa2, kappa3 = _centered(raw)

@@ -290,6 +290,7 @@ def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
     log(max/min)`` over pairs with both coefficients nonzero, by direct double
     summation over the stored support.  Finite sequences always give a finite
     value; it is reported so the magnitude of serial dependence can be judged.
+    It equals ``norm_c * phi3`` of ``asymptotics.phi_constants`` at any r.
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")

@@ -22,7 +22,6 @@ __all__ = [
     "QuantileExpansion",
     "ConditionCheck",
     "ConditionReport",
-    "coefficient_power_sum",
     "second_tail_vanishes",
     "tail_expansion",
     "quantile_expansion",
@@ -40,11 +39,6 @@ ZERO_REL_TOL = 1e-12  # cancellation threshold for the "nonzero" conditions
 # once alpha > 2.
 HOLDS_BY_CONSTRUCTION = ("cross_lag_sum", "innovation_moment",
                          "innovation_smoothness", "k_growth")
-
-
-def _require_nonneg(coeffs: CoefficientSequence) -> None:
-    if np.any(coeffs.as_array() < 0):
-        raise ValueError("tail expansion requires non-negative coefficients")
 
 
 @dataclass(frozen=True)
@@ -135,17 +129,6 @@ class ConditionReport:
         }
 
 
-def coefficient_power_sum(coeffs: CoefficientSequence, u: float) -> float:
-    """``C_u = sum_j c_j**u`` over the stored support (non-negative c_j).
-
-    Raises ``OverflowError`` on a sum that is not finite, ``ArithmeticError`` on a zero one.
-    """
-    if not 0 < u < math.inf:
-        raise ValueError("u must be positive and finite")
-    _require_nonneg(coeffs)
-    return coeffs.power_sum(u)
-
-
 def _cross_sum_vanishes(c1: float, ca: float, ca1: float) -> bool:
     """Whether ``C_1 C_alpha - C_{alpha+1} = sum_{i != j} |c_i| |c_j|**alpha``
     cancels: it does exactly when one coefficient is nonzero."""
@@ -181,7 +164,8 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     if alpha <= 2:
         raise ValueError("tail expansion requires alpha > 2")
     mu, s2 = InnovationModel(alpha=alpha).moments()
-    _require_nonneg(coeffs)
+    if np.any(coeffs.as_array() < 0):
+        raise ValueError("tail expansion requires non-negative coefficients")
     c = coeffs.power_sum
     c1, ca, ca1, ca2, c2 = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0), c(2.0)
     term_var = (c2 * ca - ca2) * s2

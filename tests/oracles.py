@@ -53,6 +53,19 @@ def kappas_expanded(gamma, r, phi1, phi2, phi3):
     return kappa1, kappa2, kappa3
 
 
+def linearization_expanded(gamma, r):
+    """L = -J**-1 written out entry by entry.
+
+    The library takes the same matrix from its Jacobian limit by the 2x2
+    adjugate; this closed form is the independent reference.
+    """
+    g = gamma
+    return np.array([
+        [-(1.0 - r) * (1.0 + g) / (g * r), (1.0 - r) ** 2 * (1.0 + g - r) / r**2],
+        [(1.0 + g) / (g * r), -(1.0 - r) ** 2 * (1.0 + g - r) / r**2],
+    ])
+
+
 def convolution_tail(t, c0, c1, alpha):
     """P(c0*Z0 + c1*Z1 > t) for independent Pareto(alpha) variables on [1, inf).
 

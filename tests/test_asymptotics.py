@@ -4,19 +4,24 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import kappas_expanded, phi_bruteforce
+from oracles import kappas_expanded, linearization_expanded, phi_bruteforce
+from tailproc import asymptotics
 from tailproc.asymptotics import (
     PhiConstants,
     coefficient_norm,
     estimator_cov,
     jacobian_limit,
-    kappas,
     linearization_matrix,
     phi_constants,
     raw_limits,
     sigma_matrix,
 )
-from tailproc.process import CoefficientSequence, arma_to_ma, philox_stream
+from tailproc.process import (
+    CoefficientSequence,
+    arma_to_ma,
+    pairwise_dependence_sum,
+    philox_stream,
+)
 
 GAMMA_GRID = np.arange(0.2, 2.01, 0.2)
 R_GRID = np.arange(-2.0, -0.049, 0.1)
@@ -104,6 +109,18 @@ class TestPhiConstants:
         with pytest.raises(ValueError, match="r must be negative"):
             phi_constants(CoefficientSequence((1.0,)), gamma=1.0, r=0.5)
 
+    @pytest.mark.parametrize("coeffs", [
+        CoefficientSequence((1.0, 0.5)),
+        CoefficientSequence(tuple(0.99**j for j in range(301))),
+        arma_to_ma([0.5], []),
+    ], ids=["ma1", "geometric_j300", "ar1"])
+    def test_pairwise_dependence_sum_is_norm_times_phi3(self, coeffs):
+        for gamma in (1.0 / 3.0, 1.0):
+            expected = pairwise_dependence_sum(coeffs, gamma)
+            for r in (-0.5, -2.0):
+                phi = phi_constants(coeffs, gamma, r)
+                assert phi.norm_c * phi.phi3 == pytest.approx(expected, rel=1e-14)
+
 
 class TestRawLimits:
     def test_zero_phi_t1_and_tI(self):
@@ -125,11 +142,11 @@ class TestRawLimits:
 
 class TestKappas:
     def test_zero_phi_kappa1(self):
-        k1, _, _ = kappas(0.5, -1.0, phi_at(0.0, 0.0, 0.0))
+        k1, _, _ = asymptotics._centered(raw_limits(0.5, -1.0, phi_at(0.0, 0.0, 0.0)))
         assert k1 == pytest.approx(0.25 * 2.5 / 2.25, abs=1e-15)
 
     def test_zero_phi_kappa2(self):
-        _, k2, _ = kappas(1.0, -1.0, phi_at(0.0, 0.0, 0.0))
+        _, k2, _ = asymptotics._centered(raw_limits(1.0, -1.0, phi_at(0.0, 0.0, 0.0)))
         assert k2 == pytest.approx((4.0 + 2.0) / 54.0, abs=1e-15)
 
     @staticmethod
@@ -140,7 +157,7 @@ class TestKappas:
         for g in gammas:
             for r in rs:
                 for p1, p2, p3 in itertools.product(phi_grid, repeat=3):
-                    got = kappas(g, r, phi_at(p1, p2, p3, g, r))
+                    got = asymptotics._centered(raw_limits(g, r, phi_at(p1, p2, p3, g, r)))
                     for k, ref in zip(got, kappas_expanded(g, r, p1, p2, p3)):
                         worst_abs = max(worst_abs, abs(k - ref))
                         worst_rel = max(worst_rel, abs(k - ref) / abs(ref))
@@ -174,6 +191,13 @@ class TestMatrices:
         np.testing.assert_allclose(linearization_matrix(1.0, -1.0),
                                    [[4.0, 12.0], [-2.0, -12.0]], atol=1e-14)
 
+    def test_linearization_matches_expanded_form(self):
+        for g in GAMMA_GRID:
+            for r in R_GRID:
+                ref = linearization_expanded(g, r)
+                rel = np.abs(linearization_matrix(g, r) - ref) / np.abs(ref)
+                assert rel.max() <= 1e-13
+
     def test_linearization_inverts_negated_jacobian(self):
         for g in GAMMA_GRID:
             for r in R_GRID:
@@ -196,6 +220,15 @@ class TestEstimatorCov:
             report = estimator_cov(g, -1.0, seq)
             expected = g**2 * (2 * g**2 + 2 * g + 1) / (g + 1) ** 2
             assert abs(report.kappa1 - expected) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0 / 3.0, 0.5, 1.0, 2.0])
+    def test_iid_at_r_minus_gamma_is_the_gpd_mle_cov(self, gamma):
+        # At r = -gamma the iid LME covariance is the GPD MLE's (de Haan and
+        # Ferreira 2006, Thm 3.4.2); checks the whole L S L^T chain.
+        report = estimator_cov(gamma, -gamma, CoefficientSequence((1.0,)))
+        a = 1.0 + gamma
+        np.testing.assert_allclose(report.estimator_cov,
+                                   [[a**2, -a], [-a, 1.0 + a**2]], rtol=1e-12, atol=0)
 
     def test_iid_entry_composed_by_hand(self):
         # gamma = 0.5, r = -1: kappa = (5/18, 7/75, 17/120),

@@ -10,7 +10,6 @@ from tailproc.second_order import (
     ZERO_REL_TOL,
     check_conditions,
     choose_k,
-    coefficient_power_sum,
     quantile_expansion,
     second_order_rates,
     second_tail_vanishes,
@@ -37,38 +36,27 @@ def power_sum_exponents(monkeypatch):
 
 class TestPowerSum:
     def test_linear(self):
-        assert coefficient_power_sum(DEP, 1.0) == 1.5
+        assert DEP.power_sum(1.0) == 1.5
 
     def test_cubic(self):
-        assert coefficient_power_sum(DEP, 3.0) == 1.125
+        assert DEP.power_sum(3.0) == 1.125
 
     def test_fractional(self):
-        assert coefficient_power_sum(DEP, 0.45) == pytest.approx(1.0 + 0.5**0.45,
-                                                                 abs=1e-15)
-
-    def test_rejects_negative_coefficients(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            coefficient_power_sum(CoefficientSequence((1.0, -0.5)), 2.0)
-
-    def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValueError, match="u must be positive"):
-            coefficient_power_sum(DEP, 0.0)
-        with pytest.raises(ValueError, match="u must be positive"):
-            coefficient_power_sum(DEP, float("nan"))
+        assert DEP.power_sum(0.45) == pytest.approx(1.0 + 0.5**0.45, abs=1e-15)
 
     def test_overflow_raises_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="overflows"):
-                coefficient_power_sum(CoefficientSequence((1e200, 1.0)), 2.0)
+                CoefficientSequence((1e200, 1.0)).power_sum(2.0)
 
     def test_underflow_to_zero_raises_naming_the_exponent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match=r"\|c_j\|\*\*3\.0 underflows to zero"):
-                coefficient_power_sum(CoefficientSequence((1e-200, 1e-200)), 3.0)
+                CoefficientSequence((1e-200, 1e-200)).power_sum(3.0)
             # One term that underflows does not zero the sum.
-            assert coefficient_power_sum(CoefficientSequence((1.0, 1e-200)), 3.0) == 1.0
+            assert CoefficientSequence((1.0, 1e-200)).power_sum(3.0) == 1.0
 
 
 class TestSecondTailVanishes:
@@ -296,15 +284,20 @@ class TestCheckConditions:
         assert sorted(power_sum_exponents) == pytest.approx([0.45, 1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_checks_the_signs_once(self, monkeypatch):
-        scans = []
-        require_nonneg = second_order._require_nonneg
-        monkeypatch.setattr(second_order, "_require_nonneg",
-                            lambda coeffs: scans.append(coeffs) or require_nonneg(coeffs))
-        check_conditions(3.0, DEP)
-        assert scans == [DEP]
+        # The sign check lives in tail_expansion alone: check_conditions
+        # rejects negative coefficients from inside its one build.
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return tail_expansion(*args)
+
+        monkeypatch.setattr(second_order, "tail_expansion", counting)
+        negative = CoefficientSequence((1.0, -0.5))
         for build in (tail_expansion, check_conditions):
             with pytest.raises(ValueError, match="non-negative"):
-                build(3.0, CoefficientSequence((1.0, -0.5)))
+                build(3.0, negative)
+        assert builds == [(3.0, negative)]
 
     def test_condition_i_holds_by_construction(self):
         report = check_conditions(3.0, DEP)
