@@ -235,7 +235,7 @@ class TestLmeFit:
 
     def test_start_at_pwm_estimate_bounds_evaluations(self):
         # About six evaluations: the start, one step of 1 + 4/sqrt(k) across
-        # the root, and Brent's method.
+        # the root, and the regula falsi steps.
         iterations = [
             lme_fit(ExcessSample.from_excesses(
                 GpdParams(1.0 / 3.0, 1.0).quantile(philox_stream(15, i).random(10**4))),
@@ -319,41 +319,41 @@ class TestMomentGap:
         assert (fit.residual, fit.gamma_hat) == (abs(gap), gamma_b)
 
 
-def scipy_brentq_points(f, a, b):
-    """Root and evaluation points of ``scipy.optimize.brentq`` at the
-    tolerances of ``lme_fit``; SciPy evaluates both ends first."""
+def root_points(f, a, b):
+    """Root and evaluation points of ``estimator._bracketed_root``."""
     points = []
 
     def recording(x):
         points.append(x)
         return f(x)
 
-    root = optimize.brentq(recording, a, b, xtol=estimator.ROOT_XTOL,
-                           rtol=estimator.ROOT_RTOL, maxiter=estimator.ROOT_MAX_ITER)
-    return root, points
+    return estimator._bracketed_root(recording, a, b), points
 
 
-def brentq_points(f, a, b):
-    """Root and evaluation points of ``estimator._brentq``."""
-    points = []
+def scipy_root_evaluations(f, a, b):
+    """Root and number of evaluations of ``scipy.optimize.brentq`` at the
+    tolerances of ``lme_fit``."""
+    root, info = optimize.brentq(f, a, b, xtol=estimator.ROOT_XTOL, rtol=estimator.ROOT_RTOL,
+                                 maxiter=estimator.ROOT_MAX_ITER, full_output=True)
+    return root, info.function_calls
 
-    def recording(x):
-        points.append(x)
-        return f(x)
 
-    return estimator._brentq(recording, a, b), points
+def within_root_tolerance(x, root):
+    return abs(x - root) <= 2.0 * (estimator.ROOT_XTOL + estimator.ROOT_RTOL * abs(root))
 
 
 class TestBrentq:
+    """The bracketed root step against ``scipy.optimize.brentq``."""
+
     def test_matches_scipy_on_moment_gaps(self, monkeypatch):
         brackets = []
-        brentq = estimator._brentq
+        bracketed_root = estimator._bracketed_root
 
         def spy(f, a, b):
             brackets.append((f, a, b))
-            return brentq(f, a, b)
+            return bracketed_root(f, a, b)
 
-        monkeypatch.setattr(estimator, "_brentq", spy)
+        monkeypatch.setattr(estimator, "_bracketed_root", spy)
         rng = np.random.default_rng(20070601)
         for gamma in (0.1, 1.0 / 3.0, 1.0, 3.0):
             for r in (-0.25, -1.0, -3.0):
@@ -362,49 +362,71 @@ class TestBrentq:
                     try:
                         lme_fit(ExcessSample.from_excesses(y), r)
                     except LmeSolverError as exc:
-                        assert exc.reason == "no_sign_change"  # never reaches Brent
+                        assert exc.reason == "no_sign_change"  # never reaches the root step
         monkeypatch.undo()
         assert len(brackets) == 34
+        evaluations = scipy_evaluations = 0
         for f, a, b in brackets:
-            assert brentq_points(f, a, b) == scipy_brentq_points(f, a, b)
+            root, points = root_points(f, a, b)
+            scipy_root, calls = scipy_root_evaluations(f, a, b)
+            assert root in points
+            assert within_root_tolerance(root, scipy_root)
+            evaluations += len(points)
+            scipy_evaluations += calls
+        assert evaluations <= scipy_evaluations
 
     @pytest.mark.parametrize("f,a,b", [
         (lambda x: (x * x - 2.0) * x - 5.0, 2.0, 3.0),  # Wallis's cubic
         (lambda x: math.cos(x) - x, 0.0, 1.0),
         (lambda x: x - 1.0, 1.0, 2.0),                  # root at the lower end
         (lambda x: x * x - 4.0, 0.0, 2.0),              # root at the upper end
-        # A bracket near the top of the search window, where the denominator
-        # of the extrapolation step underflows to zero.
-        (lambda x: math.log(x) - math.log(3e299), 1e299, 8e299),
+        (lambda x: math.log(x) - math.log(3e299), 1e299, 8e299),  # near the window's top
     ])
     def test_matches_scipy_on_textbook_functions(self, f, a, b):
-        root, points = brentq_points(f, a, b)
-        assert (root, points) == scipy_brentq_points(f, a, b)
-        assert points[:2] == [a, b]
+        root, points = root_points(f, a, b)
+        scipy_root, calls = scipy_root_evaluations(f, a, b)
+        assert root in points and points[:2] == [a, b]
+        assert within_root_tolerance(root, scipy_root)
+        # Brent's minimum step: without it, Wallis's cubic takes 34 evaluations.
+        assert len(points) <= calls + 1
         if f(a) == 0.0 or f(b) == 0.0:
-            assert points == [a, b] and root in (a, b)
+            assert points == [a, b] and f(root) == 0.0
+
+    @given(log_lo=st.floats(min_value=math.log(1e-12), max_value=math.log(1e300 / 8.0)),
+           ratio=st.floats(min_value=1.0 + 1e-9, max_value=8.0),
+           at=st.floats(min_value=0.0, max_value=1.0),
+           power=st.floats(min_value=0.1, max_value=10.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_stops_at_a_sign_change_of_any_monotone_function(self, log_lo, ratio, at, power, sign):
+        a = math.exp(log_lo)
+        b = a * ratio
+        t = min(max(a + at * (b - a), a), b)
+        f = lambda x: sign * ((x / t) ** power - 1.0)
+        x, points = root_points(f, a, b)
+        assert x in points
+        assert len(points) <= estimator.ROOT_MAX_ITER + 2
+        width = 2.0 * (estimator.ROOT_XTOL + estimator.ROOT_RTOL * abs(x))
+        assert f(x) == 0.0 or f(max(x - width, a)) * f(min(x + width, b)) <= 0.0
 
     @pytest.mark.parametrize("fa", [-1.0, math.nan])
     def test_non_finite_gap_is_a_residual_failure(self, fa):
         # A NaN at the lower end, or inside a bracket with finite ends.
         f = lambda x: fa if x == 0.0 else 1.0 if x == 1.0 else math.nan
         with pytest.raises(LmeSolverError) as info:
-            estimator._brentq(f, 0.0, 1.0)
+            estimator._bracketed_root(f, 0.0, 1.0)
         assert info.value.reason == "residual"
 
-    def test_no_convergence_is_a_residual_failure(self):
-        # A step function defeats every interpolation, and bisecting
-        # [0, 1e300] down to the step takes about 1000 halvings.
+    def test_no_convergence_is_a_residual_failure(self, monkeypatch):
+        # Wallis's cubic needs more than three steps.
         calls = []
 
-        def step(x):
+        def cubic(x):
             calls.append(x)
-            return 1.0 if x > 1.0 else -1.0
+            return (x * x - 2.0) * x - 5.0
 
-        with pytest.raises(LmeSolverError, match="100 Brent iterations") as info:
-            estimator._brentq(step, 0.0, 1e300)
+        monkeypatch.setattr(estimator, "ROOT_MAX_ITER", 3)
+        with pytest.raises(LmeSolverError, match="3 regula falsi steps") as info:
+            estimator._bracketed_root(cubic, 2.0, 3.0)
         assert info.value.reason == "residual"
         assert len(calls) == estimator.ROOT_MAX_ITER + 2  # the two ends first
-        with pytest.raises(RuntimeError, match="converge"):
-            optimize.brentq(step, 0.0, 1e300, xtol=estimator.ROOT_XTOL,
-                            rtol=estimator.ROOT_RTOL, maxiter=estimator.ROOT_MAX_ITER)
