@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import CoefficientSequence, decay_certificate, lag_pairs
+from .process import CoefficientSequence, decay_certificate
 
 __all__ = [
     "PhiConstants",
@@ -24,6 +24,7 @@ __all__ = [
     "CovarianceReport",
     "coefficient_norm",
     "phi_constants",
+    "pairwise_dependence_sum",
     "raw_limits",
     "sigma_matrix",
     "linearization_matrix",
@@ -130,6 +131,20 @@ def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, 
     return value, float(tail)
 
 
+def _lag_pair_sums(coeffs: CoefficientSequence, gamma: float, r: float) -> tuple:
+    """The sums of phi_1..phi_3 before their division by the norm."""
+    arr = np.abs(coeffs.as_array())
+    s1 = s2 = s3 = 0.0
+    for j in range(1, arr.size):
+        lo, hi = np.minimum(arr[:-j], arr[j:]), np.maximum(arr[:-j], arr[j:])
+        lo, hi = lo[lo > 0], hi[lo > 0]
+        w = lo ** (1.0 / gamma)
+        s1 += float(np.sum(w))
+        s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
+        s3 += float(np.sum(w * np.log(hi / lo)))
+    return s1, s2, s3
+
+
 def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiConstants:
     """Dependence constants phi_1..phi_3 by direct double summation.
 
@@ -142,14 +157,17 @@ def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiCon
     """
     _check_domain(gamma, r)
     norm, trunc = coefficient_norm(coeffs, gamma)
-    s1 = s2 = s3 = 0.0
-    for lo, hi in lag_pairs(coeffs):
-        w = lo ** (1.0 / gamma)
-        s1 += float(np.sum(w))
-        s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
-        s3 += float(np.sum(w * np.log(hi / lo)))
+    s1, s2, s3 = _lag_pair_sums(coeffs, gamma, r)
     return PhiConstants(norm_c=norm, phi1=s1 / norm, phi2=s2 / norm,
                         phi3=s3 / norm, gamma=gamma, r=r, truncation_error=trunc)
+
+
+def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
+    """Cross-lag summability diagnostic: the phi_3 sum of ``phi_constants`` (at any r)
+    before its division by the norm, from the same loop over lag pairs."""
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    return _lag_pair_sums(coeffs, gamma, -1.0)[2]
 
 
 def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:

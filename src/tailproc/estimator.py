@@ -175,7 +175,9 @@ def _moment_gap(b: float, excesses: np.ndarray, r: float) -> tuple[float, float]
 
 def _bracketed_root(f, a: float, b: float) -> float:
     """Root of ``f`` in ``[a, b]``, for ``f(a)`` and ``f(b)`` of opposite signs, by
-    Anderson-Björck regula falsi (BIT 13 (1973) 253) with Brent's minimum step.
+    Anderson-Björck regula falsi (BIT 13 (1973) 253) with Brent's minimum step and
+    step-length rule: a secant step longer than the step two steps earlier (both start
+    at ``|b - a|``) bisects instead, so a stale far end cannot stall the solve.
 
     Calls ``f`` at both ends first and returns a point where it called ``f``, within
     ``ROOT_XTOL + ROOT_RTOL * |t|`` of a sign change.  Raises ``LmeSolverError("residual")``
@@ -184,6 +186,7 @@ def _bracketed_root(f, a: float, b: float) -> float:
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
+    last = before_last = abs(b - a)  # lengths of the last two steps
     for _ in range(ROOT_MAX_ITER):
         if not (math.isfinite(fa) and math.isfinite(fb)):
             raise LmeSolverError("residual", f"moment gap {fa}, {fb} at t = {a}, {b}")
@@ -193,8 +196,9 @@ def _bracketed_root(f, a: float, b: float) -> float:
         c = b - fb * (b - a) / (fb - fa)
         if abs(c - b) < delta:
             c = b + math.copysign(delta, a - b)
-        elif not min(a, b) < c < max(a, b):
+        elif not min(a, b) < c < max(a, b) or abs(c - b) > before_last:
             c = 0.5 * (a + b)
+        last, before_last = abs(c - b), last
         fc = f(c)
         if (fc < 0.0) == (fb < 0.0):
             m = 1.0 - fc / fb

@@ -401,18 +401,25 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     replications, blocks)`` workers, else in a plain loop that starts no
     thread and loads no ``concurrent.futures``.  A series replication has one
     block per ``_BLOCK_WORDS`` outputs; a ``gpd_direct`` one counts as one
-    block (its GIL-bound solver gains nothing from threads).  A replication
-    that raises cancels those not yet started, and every worker has ended
-    before the exception leaves here.  A running replication holds one
-    block of memory.  A replication loads numpy only; SciPy
-    (``scipy.special``) loads for the normality diagnostics, which need
+    block (its GIL-bound solver gains nothing from threads).  The theory is
+    ``asymptotics.estimator_cov`` at ``coeffs``, or at ``(1,)`` for the iid
+    draws of ``gpd_direct``, whose ``coeffs`` must still have a finite norm.
+    A replication that raises cancels those not yet started, and every
+    worker has ended before the exception leaves here.  A running
+    replication holds one block of memory.  A replication loads numpy only;
+    SciPy (``scipy.special``) loads for the normality diagnostics, which need
     ``MIN_RECORDS_FOR_DIAGNOSTICS`` good records.  Optionally writes the
     per-replication records as CSV and the report as JSON.
     """
     started = time.perf_counter()
     # The closed form first: its numerical failures cost no replication or file.
-    theory = asymptotics.estimator_cov(config.gamma, config.r,
-                                       config.coeffs).estimator_cov
+    # gpd_direct draws are iid, so their theory is the one-coefficient limit;
+    # their coefficients' norm must still exist, as a series run's must.
+    coeffs = config.coeffs
+    if config.sampling == "gpd_direct":
+        asymptotics.coefficient_norm(coeffs, config.gamma)
+        coeffs = CoefficientSequence((1.0,))
+    theory = asymptotics.estimator_cov(config.gamma, config.r, coeffs).estimator_cov
     # Open the outputs before the run, so that a bad path fails at once.
     for path in (csv_path, json_path):
         if path is not None:

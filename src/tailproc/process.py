@@ -21,7 +21,6 @@ __all__ = [
     "philox_stream",
     "arma_to_ma",
     "decay_certificate",
-    "pairwise_dependence_sum",
     "apply_filter",
     "simulate",
 ]
@@ -266,38 +265,6 @@ def decay_certificate(coeffs: CoefficientSequence, u: float | None = None) -> tu
     if not math.isfinite(a_cert):
         raise OverflowError(f"decay certificate A of |c_j| * {u!r}**j overflows")
     return a_cert, float(u)
-
-
-def lag_pairs(coeffs: CoefficientSequence):
-    """Yield ``(lo, hi)`` for every lag ``j >= 1`` with a nonzero pair.
-
-    ``lo`` and ``hi`` are the elementwise min and max of ``|c_i|`` and
-    ``|c_{i+j}|`` over the indices i where both are nonzero; lags without
-    such a pair are skipped.
-    """
-    arr = np.abs(coeffs.as_array())
-    for j in range(1, arr.size):
-        lead, lag = arr[:-j], arr[j:]
-        both = (lead > 0) & (lag > 0)
-        if np.any(both):
-            yield np.minimum(lead[both], lag[both]), np.maximum(lead[both], lag[both])
-
-
-def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
-    """Cross-lag summability diagnostic of the coefficient sequence.
-
-    Computes ``sum_{j>=1} sum_{i>=0} (|c_i| ^ |c_{i+j}|)^(1/gamma) *
-    log(max/min)`` over pairs with both coefficients nonzero, by direct double
-    summation over the stored support.  Finite sequences always give a finite
-    value; it is reported so the magnitude of serial dependence can be judged.
-    It equals ``norm_c * phi3`` of ``asymptotics.phi_constants`` at any r.
-    """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    total = 0.0
-    for lo, hi in lag_pairs(coeffs):
-        total += float(np.sum(lo ** (1.0 / gamma) * np.log(hi / lo)))
-    return total
 
 
 def apply_filter(coeffs: CoefficientSequence, innovations) -> np.ndarray:

@@ -12,16 +12,12 @@ from tailproc.asymptotics import (
     estimator_cov,
     jacobian_limit,
     linearization_matrix,
+    pairwise_dependence_sum,
     phi_constants,
     raw_limits,
     sigma_matrix,
 )
-from tailproc.process import (
-    CoefficientSequence,
-    arma_to_ma,
-    pairwise_dependence_sum,
-    philox_stream,
-)
+from tailproc.process import CoefficientSequence, arma_to_ma, philox_stream
 
 GAMMA_GRID = np.arange(0.2, 2.01, 0.2)
 R_GRID = np.arange(-2.0, -0.049, 0.1)
@@ -115,8 +111,12 @@ class TestPhiConstants:
         arma_to_ma([0.5], []),
     ], ids=["ma1", "geometric_j300", "ar1"])
     def test_pairwise_dependence_sum_is_norm_times_phi3(self, coeffs):
+        # Both come from one loop over lag pairs, so the nested-loop oracle
+        # is the independent reference.
         for gamma in (1.0 / 3.0, 1.0):
             expected = pairwise_dependence_sum(coeffs, gamma)
+            norm, _, _, p3 = phi_bruteforce(coeffs.coeffs, gamma, -1.0)
+            assert expected == pytest.approx(norm * p3, rel=1e-12)
             for r in (-0.5, -2.0):
                 phi = phi_constants(coeffs, gamma, r)
                 assert phi.norm_c * phi.phi3 == pytest.approx(expected, rel=1e-14)

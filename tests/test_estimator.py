@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -398,6 +398,9 @@ class TestBrentq:
            power=st.floats(min_value=0.1, max_value=10.0),
            sign=st.sampled_from([1.0, -1.0]))
     @settings(max_examples=300, deadline=None)
+    # Without Brent's step-length rule, (x/2.25)**10 - 1 on [1, 6] stalls:
+    # the far end moves about 1% per cycle and the step runs out of steps.
+    @example(log_lo=0.0, ratio=6.0, at=0.25, power=10.0, sign=1.0)
     def test_stops_at_a_sign_change_of_any_monotone_function(self, log_lo, ratio, at, power, sign):
         a = math.exp(log_lo)
         b = a * ratio

@@ -578,9 +578,12 @@ class TestRunExperiment:
             assert serial.diagnostics == other.diagnostics
 
     def test_theoretical_matches_asymptotics_module(self):
-        report = mc.run_experiment(small_config())
+        # gpd_direct draws are iid whatever the coefficients, so their
+        # theory is the one-coefficient limit.
         expected = estimator_cov(1.0 / 3.0, -1.0, IID).estimator_cov
-        np.testing.assert_array_equal(report.theoretical_cov, expected)
+        for config in (small_config(), small_config(coeffs=DEP, sampling="gpd_direct")):
+            report = mc.run_experiment(config)
+            np.testing.assert_array_equal(report.theoretical_cov, expected)
 
     def test_unreliable_flag_on_excess_failures(self):
         cfg = small_config(n=2000, k=10, r=-0.5, master_seed=1)

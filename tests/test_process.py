@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailproc.asymptotics import pairwise_dependence_sum
 from tailproc.process import (
     CoefficientSequence,
     InnovationModel,
     arma_to_ma,
     apply_filter,
     decay_certificate,
-    pairwise_dependence_sum,
     philox_stream,
     simulate,
 )
