@@ -97,14 +97,6 @@ def _coeff_flags(args) -> dict:
             if getattr(args, key) is not None}
 
 
-def _model_from_args(args) -> InnovationModel:
-    if not args.two_sided:
-        if args.pi1 is not None:
-            raise UsageError("--pi1 requires --two-sided")
-        return InnovationModel(alpha=args.alpha)
-    return InnovationModel(alpha=args.alpha, pi1=0.5 if args.pi1 is None else args.pi1)
-
-
 def _emit(payload: dict | str, output: str | None) -> None:
     """Write JSON, or text already formatted, to ``output`` or stdout."""
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
@@ -139,7 +131,7 @@ def _read_column(path: str) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     coeffs = _coeffs(**_coeff_flags(args))
-    model = _model_from_args(args)
+    model = InnovationModel(alpha=args.alpha, pi1=args.pi1)
     path = simulate(coeffs, model, args.n, args.seed)
     if args.format == "json":
         _emit({"seed": path.seed, "fingerprint": path.fingerprint,
@@ -241,10 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate a path and write it as a single column")
     _add_coeff_flags(p)
     p.add_argument("--alpha", type=float, default=3.0, help="innovation tail index")
-    p.add_argument("--two-sided", action="store_true",
-                   help="use the two-sided innovation model")
-    p.add_argument("--pi1", type=float, default=None,
-                   help="right tail weight of the two-sided model")
+    p.add_argument("--pi1", type=float, default=1.0,
+                   help="right tail weight of the innovations (0.5 is the symmetric law)")
     p.add_argument("--n", type=int, default=1000, help="path length")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--output", default=None, help="output path (stdout if omitted)")

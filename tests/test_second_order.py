@@ -138,8 +138,6 @@ class TestQuantileExpansion:
         qexp = quantile_expansion(tail_expansion(3.0, IID))
         assert qexp.a == (1.0, 0.0, 0.0)
         assert qexp.tail.c2_is_zero
-        assert qexp.rho == pytest.approx(-2.0 / 3.0)
-        assert qexp.rho_prime == -2.0
         assert float(qexp.b(1000.0)) == pytest.approx(10.0, rel=1e-15)
 
     def test_hand_values(self):
@@ -148,7 +146,6 @@ class TestQuantileExpansion:
         assert a1 == pytest.approx(1.125 ** (1.0 / 3.0), rel=1e-14)
         assert a2 == pytest.approx(2.8125 / 3.375, rel=1e-14)
         assert a3 == pytest.approx(1.0683330150425248, rel=1e-12)
-        assert qexp.rho_prime == -1.0
         assert not qexp.tail.c2_is_zero
 
     def test_inversion_oracle(self):
