@@ -46,8 +46,6 @@ class PhiConstants:
     phi1: float
     phi2: float
     phi3: float
-    gamma: float
-    r: float
     truncation_error: float = 0.0
 
 
@@ -57,8 +55,7 @@ class RawLimits:
 
     t1, t2, tI are the variance limits of the two transformed sums and the
     exceedance count; t12, t1I, t2I the covariance limits.  beta1p and beta2p
-    are the centering weights, beta1 and beta2 the mean limits used for
-    centering the Monte Carlo statistics.
+    are the centering weights.
     """
 
     t1: float
@@ -69,8 +66,6 @@ class RawLimits:
     t2I: float
     beta1p: float
     beta2p: float
-    beta1: float
-    beta2: float
 
 
 @dataclass(frozen=True)
@@ -89,8 +84,6 @@ class CovarianceReport:
     estimator_cov: np.ndarray
 
     def to_dict(self) -> dict:
-        # The phi block carries the report's own gamma and r, so merging it
-        # keeps them first: gamma, r, norm_c, phi1..phi3, truncation_error.
         return {
             "gamma": self.gamma,
             "r": self.r,
@@ -137,7 +130,8 @@ def _lag_pair_sums(coeffs: CoefficientSequence, gamma: float, r: float) -> tuple
     s1 = s2 = s3 = 0.0
     for j in range(1, arr.size):
         lo, hi = np.minimum(arr[:-j], arr[j:]), np.maximum(arr[:-j], arr[j:])
-        lo, hi = lo[lo > 0], hi[lo > 0]
+        keep = lo > 0
+        lo, hi = lo[keep], hi[keep]
         w = lo ** (1.0 / gamma)
         s1 += float(np.sum(w))
         s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
@@ -159,7 +153,7 @@ def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiCon
     norm, trunc = coefficient_norm(coeffs, gamma)
     s1, s2, s3 = _lag_pair_sums(coeffs, gamma, r)
     return PhiConstants(norm_c=norm, phi1=s1 / norm, phi2=s2 / norm,
-                        phi3=s3 / norm, gamma=gamma, r=r, truncation_error=trunc)
+                        phi3=s3 / norm, truncation_error=trunc)
 
 
 def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
@@ -181,8 +175,7 @@ def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:
            - g * p2 - r * (1.0 - r) * p3) / (1.0 - r) ** 2
     return RawLimits(t1=2.0 * g * t1I, t2=-2.0 * r / (1.0 - 2.0 * r) * t2I,
                      tI=1.0 + 2.0 * p1, t12=t12, t1I=t1I, t2I=t2I,
-                     beta1p=g / (g + 1.0), beta2p=-r / (1.0 - r + g),
-                     beta1=g, beta2=-r / (1.0 - r))
+                     beta1p=g / (g + 1.0), beta2p=-r / (1.0 - r + g))
 
 
 def _centered(raw: RawLimits) -> tuple[float, float, float]:

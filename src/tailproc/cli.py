@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
 
@@ -115,7 +115,7 @@ def _read_column(path: str) -> np.ndarray:
     with open(path) as handle:
         for number, line in enumerate(handle, start=1):
             token = line.strip().split(",")[0]
-            if not token or token.startswith("#"):
+            if line.isspace() or token.startswith("#"):
                 continue
             try:
                 values.append(float(token))
@@ -209,7 +209,7 @@ def _cmd_validate(args) -> int:
         csv_path = args.output + ".records.csv"
         json_path = args.output + ".report.json"
     report = montecarlo.run_experiment(config, csv_path=csv_path, json_path=json_path)
-    print(json.dumps(report.to_dict(), indent=2))
+    _emit(report.to_dict(), None)
     return EXIT_OK
 
 

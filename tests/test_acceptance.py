@@ -69,8 +69,7 @@ def test_criterion_2_kappa_identities_on_grid():
             for p1 in phi_grid:
                 for p2 in phi_grid:
                     for p3 in phi_grid:
-                        phi = PhiConstants(norm_c=1.0, phi1=p1, phi2=p2,
-                                           phi3=p3, gamma=g, r=r)
+                        phi = PhiConstants(norm_c=1.0, phi1=p1, phi2=p2, phi3=p3)
                         got = asymptotics._centered(raw_limits(g, r, phi))
                         ref = kappas_expanded(g, r, p1, p2, p3)
                         worst = max(worst, *(abs(x - y) for x, y in zip(got, ref)))

@@ -23,9 +23,8 @@ GAMMA_GRID = np.arange(0.2, 2.01, 0.2)
 R_GRID = np.arange(-2.0, -0.049, 0.1)
 
 
-def phi_at(phi1, phi2, phi3, gamma=1.0, r=-1.0):
-    return PhiConstants(norm_c=1.0, phi1=phi1, phi2=phi2, phi3=phi3,
-                        gamma=gamma, r=r)
+def phi_at(phi1, phi2, phi3):
+    return PhiConstants(norm_c=1.0, phi1=phi1, phi2=phi2, phi3=phi3)
 
 
 class TestCoefficientNorm:
@@ -136,8 +135,6 @@ class TestRawLimits:
         raw = raw_limits(1.0, -1.0, phi_at(0.0, 0.0, 0.0))
         assert raw.beta1p == 0.5
         assert raw.beta2p == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert raw.beta1 == 1.0
-        assert raw.beta2 == 0.5
 
 
 class TestKappas:
@@ -157,7 +154,7 @@ class TestKappas:
         for g in gammas:
             for r in rs:
                 for p1, p2, p3 in itertools.product(phi_grid, repeat=3):
-                    got = asymptotics._centered(raw_limits(g, r, phi_at(p1, p2, p3, g, r)))
+                    got = asymptotics._centered(raw_limits(g, r, phi_at(p1, p2, p3)))
                     for k, ref in zip(got, kappas_expanded(g, r, p1, p2, p3)):
                         worst_abs = max(worst_abs, abs(k - ref))
                         worst_rel = max(worst_rel, abs(k - ref) / abs(ref))
@@ -271,7 +268,7 @@ class TestEstimatorCov:
             "raw_limits", "kappa1", "kappa2", "kappa3", "sigma_matrix",
             "l_matrix", "estimator_cov"]
         assert list(payload["raw_limits"]) == [
-            "t1", "t2", "tI", "t12", "t1I", "t2I", "beta1p", "beta2p", "beta1", "beta2"]
+            "t1", "t2", "tI", "t12", "t1I", "t2I", "beta1p", "beta2p"]
 
     def test_report_serializes(self):
         import json

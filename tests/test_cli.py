@@ -297,6 +297,21 @@ class TestSimulateAndFit:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: line {line} of {path} is not a number: ")
 
+    def test_empty_first_field_is_a_header_or_an_error(self, capsys, tmp_path):
+        # A row such as ",7.0" is not blank: its first field is not a number.
+        data = GpdParams(0.5, 1.0).quantile((np.arange(50) + 0.5) / 50)
+        rows = [repr(float(v)) for v in data]
+        plain, headed, broken = (tmp_path / f"{name}.csv" for name in ("plain", "headed", "broken"))
+        plain.write_text("\n".join(rows) + "\n")
+        headed.write_text(",label\n" + "\n".join(rows) + "\n")
+        broken.write_text("value\n1.5\n,7.0\n2.5\n3.5\n0.5\n")
+        outputs = [run_cli(capsys, "fit", "--input", str(path), "--excesses")
+                   for path in (plain, headed)]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+        code, out, err = run_cli(capsys, "fit", "--input", str(broken), "--excesses")
+        assert (code, out, err) == (1, "", f"error: line 3 of {broken} is not a number: ''\n")
+
     def test_missing_input_file(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent.csv",
                              "--k", "5", "--r", "-1")
@@ -524,6 +539,14 @@ class TestUsage:
                 build_parser().parse_args(shlex.split(line, comments=True)[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--coeffs", "1,,0.5"), ("--coeffs", "1,0.5,"), ("--ma", ""),
+    ])
+    def test_empty_coefficient_field_rejected(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "cov", "--gamma", "0.5", flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: expected comma-separated numbers, got {value!r}\n"
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

@@ -624,11 +624,10 @@ class TestRunExperiment:
         assert float(matching[1]) == record.gamma_hat
 
         payload = json.loads(json_path.read_text())
-        for key in ("config", "empirical_mean", "empirical_cov",
-                    "theoretical_cov", "relative_deviation", "diagnostics",
-                    "second_order_rates", "failure_count", "flags",
-                    "elapsed_seconds"):
-            assert key in payload
+        assert list(payload) == [
+            "config", "empirical_mean", "empirical_cov", "theoretical_cov",
+            "relative_deviation", "diagnostics", "second_order_rates",
+            "failure_count", "flags", "elapsed_seconds"]
         assert payload["config"]["master_seed"] == 17
 
     def test_diagnostics_skipped_below_minimum(self):
