@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
     model = InnovationModel(alpha=args.alpha, pi1=args.pi1)
     path = simulate(coeffs, model, args.n, args.seed)
     if args.format == "json":
-        _emit({"seed": path.seed, "fingerprint": path.fingerprint,
+        _emit({"seed": args.seed, "fingerprint": path.fingerprint,
                "values": path.values.tolist()}, args.output)
     else:
         _emit("value\n" + "\n".join(repr(float(v)) for v in path.values), args.output)
@@ -152,21 +152,22 @@ def _cmd_fit(args) -> int:
             raise UsageError("--k is required when fitting a raw series")
         sample = top_k_excesses(data, args.k)
     fit = lme_fit(sample, args.r)
-    _emit({**asdict(fit), "k": sample.k, "threshold": sample.threshold}, args.output)
+    _emit({**asdict(fit), "r": args.r, "k": sample.k, "threshold": sample.threshold}, args.output)
     return EXIT_OK
 
 
 def _cmd_cov(args) -> int:
     coeffs = _coeffs(**_coeff_flags(args))
     report = asymptotics.estimator_cov(args.gamma, args.r, coeffs)
-    _emit(report.to_dict(), args.output)
+    _emit({"gamma": args.gamma, "r": args.r, **report.to_dict()}, args.output)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     coeffs = _coeffs(**_coeff_flags(args))
     report = second_order.check_conditions(args.alpha, coeffs, xi=args.xi)
-    _emit(report.to_dict(), args.output)
+    _emit({"alpha": args.alpha, "coeffs": list(coeffs.coeffs), "xi": args.xi,
+           **report.to_dict()}, args.output)
     return EXIT_OK
 
 

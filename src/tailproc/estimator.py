@@ -72,7 +72,7 @@ class GpdParams:
     def cdf(self, x):
         """``1 - (1 + gamma*x/sigma)**(-1/gamma)`` for x >= 0."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
+        if not np.all(x >= 0):
             raise ValueError("x must be >= 0")
         out = -np.expm1(-np.log1p(self.gamma * x / self.sigma) / self.gamma)
         return float(out) if out.ndim == 0 else out
@@ -80,7 +80,7 @@ class GpdParams:
     def quantile(self, p):
         """Exact inverse of ``cdf`` on 0 <= p < 1."""
         p = np.asarray(p, dtype=float)
-        if np.any((p < 0) | (p >= 1)):
+        if not np.all((p >= 0) & (p < 1)):
             raise ValueError("p must lie in [0, 1)")
         out = self.sigma * np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
         return float(out) if out.ndim == 0 else out
@@ -88,7 +88,7 @@ class GpdParams:
 
 @dataclass(frozen=True)
 class ExcessSample:
-    """Top-k excesses over the (k+1)th largest absolute observation.
+    """Top-k excesses over ``threshold`` (finite, >= 0), the (k+1)th largest absolute value.
 
     ``excesses`` is stored sorted non-increasing, read-only, and ``k`` is its length; with
     continuous data every entry is positive and exactly k absolute values exceed ``threshold``.
@@ -98,6 +98,8 @@ class ExcessSample:
     threshold: float
 
     def __post_init__(self):
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError("threshold must be finite and non-negative")
         exc = np.array(self.excesses, dtype=float)
         if exc.ndim != 1:
             raise ValueError("excesses must be one-dimensional")
@@ -138,7 +140,6 @@ class LmeEstimate:
     b_hat: float
     residual: float
     iterations: int
-    r: float
 
 
 def top_k_excesses(series, k: int) -> ExcessSample:
@@ -305,4 +306,4 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
             "residual", f"residual {abs(residual):.3e} above tolerance")
     return LmeEstimate(gamma_hat=gamma_hat, sigma_hat=gamma_hat / b_hat,
                        b_hat=b_hat, residual=abs(residual),
-                       iterations=len(evaluations), r=r)
+                       iterations=len(evaluations))

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import asymptotics, second_order
 from .estimator import ExcessSample, GpdParams, LmeSolverError, lme_fit, top_k_excesses
-from .process import CoefficientSequence, InnovationModel, apply_filter, philox_stream
+from .process import (CoefficientSequence, InnovationModel, _philox_key, _whole,
+                      apply_filter, philox_stream)
 
 __all__ = [
     "ExperimentConfig",
@@ -62,6 +63,7 @@ class ExperimentConfig:
     ``"series"`` config builds one tail expansion, which gives both the
     centering and the growth rule's case; a ``"gpd_direct"`` config takes
     the case from ``second_tail_vanishes``, so it needs no ``alpha > 2``.
+    The counts and ``master_seed`` must be integers (``ValueError``); they are stored as ints.
     """
 
     coeffs: CoefficientSequence
@@ -97,6 +99,9 @@ class ExperimentConfig:
                 self.model.alpha, self.coeffs)
             object.__setattr__(self, "k", second_order.choose_k(
                 self.n, self.theta, self.model.alpha, c2_zero))
+        for name in ("n", "k", "replications", "worker_count_hint", "master_seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        _philox_key(self.master_seed, 0)
         if self.k + 1 > self.n:
             raise ValueError("k + 1 must not exceed n")
         if self.k < 2:
@@ -107,8 +112,6 @@ class ExperimentConfig:
             raise ValueError("r must be negative and finite")
         if self.worker_count_hint < 1:
             raise ValueError("worker_count_hint must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must lie in [0, 2**64)")
         if self.centering is not None:
             object.__setattr__(self, "scale", sigma_nk(self.centering, self.gamma,
                                                        self.n, self.k))
@@ -290,7 +293,7 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     drawn again, at worst keeping the whole path.  The sample is
     bit-identical to the full path's.
     """
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = _philox_key(seed, stream)
     c_abs = np.abs(coeffs.as_array())
     c_sum = float(np.sum(c_abs))
     z_c = (float(np.max(c_abs)) / c_sum

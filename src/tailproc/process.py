@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -28,18 +29,29 @@ __all__ = [
 TRUNCATION_TOL = 1e-12  # bound on the coefficient mass an ARMA truncation discards
 
 
+def _whole(name: str, value) -> int:
+    """``operator.index(value)``; a bool or a value without ``__index__`` raises ``ValueError``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """Philox key of two integers in ``[0, 2**64)``; other values raise ``ValueError``."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= _whole(name, value) < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64)")
+    return np.array([seed, stream], dtype=np.uint64)
+
+
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream).
 
     Distinct streams are statistically independent and may be consumed in any
-    order, which keeps parallel replications deterministic.  Both must lie in
-    ``[0, 2**64)``.
+    order, which keeps parallel replications deterministic.  Both must be
+    integers in ``[0, 2**64)``.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if not 0 <= value < 2**64:
-            raise ValueError(f"{name} must lie in [0, 2**64)")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
 @dataclass(frozen=True)
@@ -144,11 +156,10 @@ class CoefficientSequence:
 
 @dataclass(frozen=True)
 class SimulatedPath:
-    """Simulated path with the seed and a fingerprint of its configuration."""
+    """Simulated path; ``fingerprint`` is a stable hash of its coefficients,
+    innovation model and length."""
 
     values: np.ndarray
-    seed: int
-    stream: int
     fingerprint: str
 
     def __post_init__(self):
@@ -276,11 +287,5 @@ def simulate(coeffs: CoefficientSequence, model: InnovationModel, n: int,
         raise ValueError("n must be >= 1")
     z = model.sample(n + coeffs.order, seed, stream)
     values = apply_filter(coeffs, z)
-    return SimulatedPath(values=values, seed=seed, stream=stream,
-                         fingerprint=config_fingerprint(coeffs, model, n))
-
-
-def config_fingerprint(coeffs: CoefficientSequence, model: InnovationModel, n: int) -> str:
-    """Stable hash of (coefficients, innovation model, length)."""
-    payload = repr((coeffs.coeffs, *astuple(model), int(n)))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    payload = repr((coeffs.coeffs, *astuple(model), int(n))).encode()
+    return SimulatedPath(values=values, fingerprint=hashlib.sha256(payload).hexdigest()[:16])

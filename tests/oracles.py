@@ -143,3 +143,28 @@ def lme_root_scan(excesses, r, points_per_decade=40):
             lo = mid
         else:
             hi = mid
+
+
+def tail_sum_limits(coeffs, gamma, r):
+    """The six raw limits of ``asymptotics.raw_limits`` from the tail-process formula.
+
+    ``t(f, g) = sum_h sum_j int_0^inf f(|c_j| z) g(|c_{j+h}| z) alpha z**(-alpha-1) dz
+    / sum_j |c_j|**alpha`` with ``f_I = 1{x>1}``, ``f_1 = log x 1{x>1}`` and
+    ``f_2 = (1 - x**(r/gamma)) 1{x>1}``: one big jump drives each cluster.  Every
+    ordered pair of nonzero coefficients (a, b) is integrated by quadrature in
+    ``u = z**-alpha``, over ``(0, min(a, b)**alpha]`` where both arguments exceed 1.
+    """
+    alpha = 1.0 / gamma
+    c = [abs(v) for v in coeffs if v != 0.0]
+    f_i = lambda a, u: 1.0
+    f_1 = lambda a, u: math.log(a) - gamma * math.log(u)
+    f_2 = lambda a, u: 1.0 - a ** (r / gamma) * u**-r
+
+    def t(f, g):
+        terms = [integrate.quad(lambda u: f(a, u) * g(b, u), 0.0, min(a, b) ** alpha,
+                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                 for a in c for b in c]
+        return math.fsum(terms) / math.fsum(v**alpha for v in c)
+
+    return {"t1": t(f_1, f_1), "t2": t(f_2, f_2), "tI": t(f_i, f_i),
+            "t12": t(f_1, f_2), "t1I": t(f_1, f_i), "t2I": t(f_2, f_i)}

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import kappas_expanded, linearization_expanded, phi_bruteforce
+from oracles import kappas_expanded, linearization_expanded, phi_bruteforce, tail_sum_limits
 from tailproc import asymptotics
 from tailproc.asymptotics import (
     PhiConstants,
@@ -136,6 +136,23 @@ class TestRawLimits:
         assert raw.beta1p == 0.5
         assert raw.beta2p == pytest.approx(1.0 / 3.0, abs=1e-15)
 
+    @pytest.mark.parametrize("gamma,r", [(1.0 / 3.0, -0.5), (1.0, -2.0)])
+    @pytest.mark.parametrize("coeffs", [
+        (1.0,), (1.0, 0.5), (1.0, 0.5, 0.25, 0.9), tuple(0.5**j for j in range(12))])
+    def test_match_the_tail_process_formula(self, coeffs, gamma, r):
+        # The oracle integrates each lag pair's tail-process term and never
+        # forms phi_1..phi_3, so it checks the phi algebra of raw_limits.
+        raw = raw_limits(gamma, r, phi_constants(CoefficientSequence(coeffs), gamma, r))
+        for name, want in tail_sum_limits(coeffs, gamma, r).items():
+            assert getattr(raw, name) == pytest.approx(want, rel=1e-12), name
+
+    @pytest.mark.parametrize("gamma,r", [(1.0 / 3.0, -0.5), (1.0, -2.0), (0.5, -1.0)])
+    def test_tail_process_formula_iid_values(self, gamma, r):
+        got = tail_sum_limits((1.0,), gamma, r)
+        want = {"tI": 1.0, "t1": 2.0 * gamma**2, "t1I": gamma, "t2I": -r / (1.0 - r)}
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-12), name
+
 
 class TestKappas:
     def test_zero_phi_kappa1(self):
@@ -264,7 +281,7 @@ class TestEstimatorCov:
         report = estimator_cov(0.5, -1.0, CoefficientSequence((1.0, 0.5)))
         payload = report.to_dict()
         assert list(payload) == [
-            "gamma", "r", "norm_c", "phi1", "phi2", "phi3", "truncation_error",
+            "norm_c", "phi1", "phi2", "phi3", "truncation_error",
             "raw_limits", "kappa1", "kappa2", "kappa3", "sigma_matrix",
             "l_matrix", "estimator_cov"]
         assert list(payload["raw_limits"]) == [

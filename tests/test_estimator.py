@@ -45,6 +45,15 @@ class TestGpd:
         with pytest.raises(ValueError, match="p must lie"):
             GpdParams(1.0, 1.0).quantile(-0.01)
 
+    def test_nan_rejected(self):
+        gpd = GpdParams(1.0 / 3.0, 1.0)
+        for p in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="p must lie"):
+                gpd.quantile(p)
+        for x in (np.nan, [1.0, np.nan]):
+            with pytest.raises(ValueError, match="x must be"):
+                gpd.cdf(x)
+
     def test_round_trip_grid(self):
         params = GpdParams(0.5, 2.0)
         for p in np.arange(0.1, 0.95, 0.1):
@@ -111,6 +120,11 @@ class TestTopKExcesses:
         for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [np.nan, -1.0]):
             with pytest.raises(ValueError, match="finite"):
                 ExcessSample(excesses=np.array(bad), threshold=0.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0, np.inf])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
+            ExcessSample(excesses=[1.0, 2.0], threshold=threshold)
 
     def test_shuffled_sample_is_the_sorted_one(self):
         y = GpdParams(0.5, 1.0).quantile(philox_stream(7).random(1000))

@@ -75,6 +75,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="replications"):
             small_config(replications=0)
 
+    @pytest.mark.parametrize("name,overrides", [
+        ("n", {"coeffs": DEP, "n": 1e5, "k": None, "r": -0.5, "replications": 2,
+               "master_seed": 7}),
+        ("k", {"k": 50.0}),
+        ("replications", {"replications": 2.0}),
+        ("worker_count_hint", {"worker_count_hint": True}),
+    ])
+    def test_counts_must_be_integers(self, name, overrides):
+        # Each once built and then failed inside the run.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_config(**overrides)
+
+    @pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0), -1, 2**64])
+    def test_master_seed_must_be_a_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must"):
+            small_config(master_seed=seed, sampling="gpd_direct")
+
+    def test_numpy_integer_seed_and_counts(self, tmp_path):
+        cfg = small_config(n=np.int64(4000), k=np.int32(60), replications=np.uint8(2),
+                           master_seed=np.uint64(2**64 - 1))
+        want = small_config(replications=2, master_seed=2**64 - 1)
+        assert cfg == want and mc.run_replication(cfg, 1) == mc.run_replication(want, 1)
+        # A numpy integer once failed the report's json.dump after every replication.
+        mc.run_experiment(cfg, json_path=tmp_path / "report.json")
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["n"] == 4000
+
     def test_rule_based_k(self):
         cfg = mc.ExperimentConfig.create(coeffs=DEP, model=MODEL, n=10**6,
                                          r=-0.5, replications=1, master_seed=0,
@@ -216,6 +242,11 @@ class TestSeriesSample:
         seq, model = CoefficientSequence(coeffs), InnovationModel(alpha=alpha)
         assert_same_sample(mc._series_sample(seq, model, n, seed, stream, k),
                            full_path_sample(seq, model, n, seed, stream, k))
+
+    @pytest.mark.parametrize("seed,stream", [(1.5, 0), (True, 0), (0, 2.0), (2**64, 0)])
+    def test_key_takes_the_philox_stream_rule(self, seed, stream):
+        with pytest.raises(ValueError, match="seed must|stream must"):
+            mc._series_sample(DEP, MODEL, 2000, seed, stream, 10)
 
     @pytest.mark.parametrize("coeffs,n,seed,stream,k,sizes", [
         # Too few candidates above the bound: halve once.

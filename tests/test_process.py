@@ -243,6 +243,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             path.values[0] = 0.0
 
+    @pytest.mark.parametrize("seed", [2.0, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate(CoefficientSequence((1.0,)), InnovationModel(alpha=3.0), 10, seed=seed)
+
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError, match="n must be"):
             simulate(CoefficientSequence((1.0,)), InnovationModel(alpha=3.0),
@@ -255,6 +260,26 @@ def test_philox_stream_deterministic_and_keyed():
     c = philox_stream(1, 3).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed,stream", [
+    (1.5, 0), (True, 0), (0, 2.0), (0, np.True_), ("1", 0), (None, 0)])
+def test_philox_stream_refuses_non_integers(seed, stream):
+    # 1.5 and True once drew seed 1's stream.
+    with pytest.raises(ValueError, match="must be an integer"):
+        philox_stream(seed, stream)
+
+
+@pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_philox_stream_refuses_values_outside_64_bits(seed, stream):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+        philox_stream(seed, stream)
+
+
+def test_philox_stream_takes_numpy_integers():
+    want = philox_stream(2**64 - 1, 3).random(4)
+    got = philox_stream(np.uint64(2**64 - 1), np.int64(3)).random(4)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed,stream", [
