@@ -72,6 +72,8 @@ class RawLimits:
 class CovarianceReport:
     """Covariance of the standardized estimator pair with all intermediates."""
 
+    gamma: float
+    r: float
     phi: PhiConstants
     raw: RawLimits
     kappa1: float
@@ -83,6 +85,8 @@ class CovarianceReport:
 
     def to_dict(self) -> dict:
         return {
+            "gamma": self.gamma,
+            "r": self.r,
             **asdict(self.phi),
             "raw_limits": asdict(self.raw),
             "kappa1": self.kappa1,
@@ -219,5 +223,6 @@ def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> Covari
     lmat = linearization_matrix(gamma, r)
     cov = lmat @ sigma @ lmat.T
     cov = 0.5 * (cov + cov.T)
-    return CovarianceReport(phi=phi, raw=raw, kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
+    return CovarianceReport(gamma=gamma, r=r, phi=phi, raw=raw,
+                            kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
                             sigma_matrix=sigma, l_matrix=lmat, estimator_cov=cov)

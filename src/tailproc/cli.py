@@ -159,15 +159,14 @@ def _cmd_fit(args) -> int:
 def _cmd_cov(args) -> int:
     coeffs = _coeffs(**_coeff_flags(args))
     report = asymptotics.estimator_cov(args.gamma, args.r, coeffs)
-    _emit({"gamma": args.gamma, "r": args.r, **report.to_dict()}, args.output)
+    _emit(report.to_dict(), args.output)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     coeffs = _coeffs(**_coeff_flags(args))
     report = second_order.check_conditions(args.alpha, coeffs, xi=args.xi)
-    _emit({"alpha": args.alpha, "coeffs": list(coeffs.coeffs), "xi": args.xi,
-           **report.to_dict()}, args.output)
+    _emit(report.to_dict(), args.output)
     return EXIT_OK
 
 

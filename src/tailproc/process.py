@@ -30,18 +30,22 @@ TRUNCATION_TOL = 1e-12  # bound on the coefficient mass an ARMA truncation disca
 
 
 def _whole(name: str, value) -> int:
-    """``operator.index(value)``; a bool or a value without ``__index__`` raises ``ValueError``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    """``operator.index(value)``; a bool or any other non-integer raises ``ValueError``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
     """Philox key of two integers in ``[0, 2**64)``; other values raise ``ValueError``."""
-    for name, value in (("seed", seed), ("stream", stream)):
-        if not 0 <= _whole(name, value) < 2**64:
+    key = [_whole("seed", seed), _whole("stream", stream)]
+    for name, value in zip(("seed", "stream"), key):
+        if not 0 <= value < 2**64:
             raise ValueError(f"{name} must lie in [0, 2**64)")
-    return np.array([seed, stream], dtype=np.uint64)
+    return np.array(key, dtype=np.uint64)
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:

@@ -98,6 +98,9 @@ class ConditionCheck:
 class ConditionReport:
     """Outcome of every regularity condition with numeric witnesses."""
 
+    alpha: float
+    coeffs: tuple[float, ...]
+    xi: float
     checks: tuple[ConditionCheck, ...]
 
     @property
@@ -110,6 +113,9 @@ class ConditionReport:
 
     def to_dict(self) -> dict:
         return {
+            "alpha": self.alpha,
+            "coeffs": list(self.coeffs),
+            "xi": self.xi,
             "verdict": self.verdict,
             "failing": self.failing,
             "checks": [asdict(c) for c in self.checks],
@@ -270,4 +276,4 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
         "(iii)", lhs - rhs, abs(lhs) + abs(rhs),
         {"lhs": float(lhs), "rhs": float(rhs)}))
 
-    return ConditionReport(checks=tuple(checks))
+    return ConditionReport(alpha=alpha, coeffs=coeffs.coeffs, xi=xi, checks=tuple(checks))

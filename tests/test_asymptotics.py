@@ -281,7 +281,7 @@ class TestEstimatorCov:
         report = estimator_cov(0.5, -1.0, CoefficientSequence((1.0, 0.5)))
         payload = report.to_dict()
         assert list(payload) == [
-            "norm_c", "phi1", "phi2", "phi3", "truncation_error",
+            "gamma", "r", "norm_c", "phi1", "phi2", "phi3", "truncation_error",
             "raw_limits", "kappa1", "kappa2", "kappa3", "sigma_matrix",
             "l_matrix", "estimator_cov"]
         assert list(payload["raw_limits"]) == [

@@ -46,14 +46,6 @@ class TestCov:
         payload = json.loads(out)
         assert payload["norm_c"] == pytest.approx(1.0 / 0.19, abs=1e-10)
 
-    def test_output_echoes_gamma_and_r_first(self, capsys):
-        code, out, _ = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-0.7",
-                               "--coeffs", "1,0.5")
-        payload = json.loads(out)
-        assert code == 0
-        assert list(payload)[:3] == ["gamma", "r", "norm_c"]
-        assert (payload["gamma"], payload["r"]) == (0.5, -0.7)
-
     def test_requires_coefficients(self, capsys):
         code, _, err = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1")
         assert code == 1
@@ -98,15 +90,6 @@ class TestCov:
 
 
 class TestCheck:
-    def test_output_echoes_alpha_coeffs_and_xi_first(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "--alpha", "3", "--coeffs", "1,0.5",
-                               "--xi", "0.8")
-        payload = json.loads(out)
-        assert code == 0
-        assert list(payload) == ["alpha", "coeffs", "xi", "verdict", "failing", "checks",
-                                 "holds_by_construction"]
-        assert (payload["alpha"], payload["coeffs"], payload["xi"]) == (3.0, [1.0, 0.5], 0.8)
-
     def test_iid_fails_two_conditions(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--alpha", "3", "--coeffs", "1")
         assert code == 0

@@ -263,7 +263,7 @@ def test_philox_stream_deterministic_and_keyed():
 
 
 @pytest.mark.parametrize("seed,stream", [
-    (1.5, 0), (True, 0), (0, 2.0), (0, np.True_), ("1", 0), (None, 0)])
+    (1.5, 0), (True, 0), (0, 2.0), (0, np.True_), ("1", 0), (None, 0), (np.array(1.5), 0)])
 def test_philox_stream_refuses_non_integers(seed, stream):
     # 1.5 and True once drew seed 1's stream.
     with pytest.raises(ValueError, match="must be an integer"):

@@ -300,6 +300,7 @@ class TestCheckConditions:
         report = check_conditions(3.0, DEP)
         row = {c.name: c for c in report.checks}["(i)"]
         assert row.passed and "power_sum raises" in row.note
+        assert report.coeffs is DEP.coeffs
 
     def test_report_serializes(self):
         import json
