@@ -207,7 +207,9 @@ def jacobian_limit(gamma: float, r: float) -> np.ndarray:
 def linearization_matrix(gamma: float, r: float) -> np.ndarray:
     """Matrix ``L = -J**-1`` mapping the tail sum limit to the estimator pair
     limit, with J the ``jacobian_limit``, by the 2x2 adjugate.  J is
-    non-singular for every gamma > 0, r < 0."""
+    non-singular for every gamma > 0, r < 0 in exact arithmetic only: as
+    r -> 0 its rows become parallel (det ~ r**2), and in floats L loses
+    digits, then becomes infinite."""
     (j00, j01), (j10, j11) = jacobian_limit(gamma, r)
     det = j00 * j11 - j01 * j10
     return -np.array([[j11, -j01], [-j10, j00]]) / det
@@ -215,14 +217,23 @@ def linearization_matrix(gamma: float, r: float) -> np.ndarray:
 
 def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> CovarianceReport:
     """Asymptotic covariance ``L S L^T`` of the standardized estimator pair,
-    with ``L = -J**-1`` taken from the Jacobian limit by the 2x2 adjugate."""
+    with ``L = -J**-1`` taken from the Jacobian limit by the 2x2 adjugate.
+
+    Raises ``ArithmeticError`` when the covariance is not finite or not
+    positive definite, as the cancellation in ``L S L^T`` makes it at a
+    small ``|r|``.  A wrong result that is still positive definite passes.
+    """
     phi = phi_constants(coeffs, gamma, r)
     raw = raw_limits(gamma, r, phi)
     kappa1, kappa2, kappa3 = _centered(raw)
     sigma = sigma_matrix(kappa1, kappa2, kappa3)
-    lmat = linearization_matrix(gamma, r)
-    cov = lmat @ sigma @ lmat.T
-    cov = 0.5 * (cov + cov.T)
+    with np.errstate(all="ignore"):
+        lmat = linearization_matrix(gamma, r)
+        cov = lmat @ sigma @ lmat.T
+        cov = 0.5 * (cov + cov.T)
+    if not (np.all(np.isfinite(cov)) and np.linalg.eigvalsh(cov)[0] > 0):
+        raise ArithmeticError(f"covariance L S L^T is not finite and positive definite "
+                              f"at gamma={gamma!r}, r={r!r}")
     return CovarianceReport(gamma=gamma, r=r, phi=phi, raw=raw,
                             kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
                             sigma_matrix=sigma, l_matrix=lmat, estimator_cov=cov)

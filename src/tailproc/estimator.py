@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .process import _whole
+
 __all__ = [
     "GpdParams",
     "ExcessSample",
@@ -78,11 +80,16 @@ class GpdParams:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p):
-        """Exact inverse of ``cdf`` on 0 <= p < 1."""
+        """Exact inverse of ``cdf`` on 0 <= p < 1; ``OverflowError`` on a quantile
+        that overflows a float."""
         p = np.asarray(p, dtype=float)
         if not np.all((p >= 0) & (p < 1)):
             raise ValueError("p must lie in [0, 1)")
-        out = self.sigma * np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
+        with np.errstate(over="ignore"):
+            out = self.sigma * np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
+        # No NaN can arise, so one max pass finds an overflow.
+        if out.size and out.max() == math.inf:
+            raise OverflowError(f"GPD quantile overflows at gamma={self.gamma!r}")
         return float(out) if out.ndim == 0 else out
 
 
@@ -150,9 +157,11 @@ def top_k_excesses(series, k: int) -> ExcessSample:
     the one produced by breaking ties in original index order, which always
     contains ``count(|x| > threshold)`` positive values padded with zeros.
     ``ExcessSample`` sorts them; subtracting the threshold first keeps the same bits.
+    ``k`` must be an integer (``ValueError``).
     """
     a = np.abs(np.asarray(series, dtype=float).ravel())
     n = a.size
+    k = _whole("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k + 1 > n:

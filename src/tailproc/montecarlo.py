@@ -206,17 +206,6 @@ def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
     return float(gamma * qexp.b(n / k))
 
 
-def _raw_cut(survival: float) -> int:
-    """Smallest Philox word ``raw`` whose ``1 - U`` lies below ``survival``.
-
-    ``Generator.random`` gives ``U = (raw >> 11) * 2**-53``, so
-    ``1 - U = (2**53 - (raw >> 11)) * 2**-53`` exactly, and
-    ``1 - U < survival`` holds exactly when ``raw >= _raw_cut(survival)``.
-    A cut of ``2**64`` or more flags no word; a survival above 1 flags all.
-    """
-    return max(2**53 + 1 - math.ceil(survival * 2.0**53), 0) << 11
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     has one (``taskset`` and cpusets shrink it), else the CPU count."""
@@ -257,9 +246,7 @@ def _filter_block(coeffs: CoefficientSequence, model: InnovationModel,
     first, last = _runs(flags, order + 1)
     first = np.maximum(first - order, 0)
     stop = np.minimum(last, size - 1) + order + 1
-    # The 1 - U of InnovationModel.sample, bit for bit.
-    w = 1.0 - (raw[_ranges(first, stop)] >> 11) * 2.0**-53
-    x = apply_filter(coeffs, model.from_uniform(w))
+    x = apply_filter(coeffs, model.from_words(raw[_ranges(first, stop)]))
     if order:
         run = np.repeat(np.arange(first.size), stop - first)
         x = x[run[:-order] == run[order:]]
@@ -276,20 +263,22 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     ``_BLOCK_WORDS``, filtered in order in the caller's thread; each block
     draws the words its outputs read from its own generator started at the
     block's counter, so memory is one block's words and flags (9 bytes per
-    word), not 9 bytes per sample.  A block flags its innovations above
-    ``z_c`` by an integer comparison of the words with ``_raw_cut``; flagged
-    innovation i reaches the outputs ``[i - J, i]``, and runs of flags
-    closer than J + 2 share one segment of outputs.  Only the segments'
-    words become the ``1 - U`` doubles of ``InnovationModel.sample``, and
-    ``apply_filter`` over the block's concatenated segments keeps only the
-    outputs whose window lies inside one segment, each the same dot product
-    as on the full path.
+    word), not 9 bytes per sample.  A block flags the innovations that can
+    exceed ``z_c`` by an integer comparison of the words with the model's
+    ``word_cut(z_c)``; flagged innovation i reaches the outputs ``[i - J,
+    i]``, and runs of flags closer than J + 2 share one segment of outputs.
+    Only the segments' words become innovations, through the model's
+    ``from_words`` as in ``InnovationModel.sample``, and ``apply_filter``
+    over the block's concatenated segments keeps only the outputs whose
+    window lies inside one segment, each the same dot product as on the
+    full path.
 
     With ``C = sum_j |c_j|``, an output whose innovations all stay at or
     below ``z_c`` has ``|X_t| <= C * z_c``, so once more than k evaluated
     outputs exceed ``C * z_c`` they hold the top k + 1 of the path.  The
     start ``z_c`` puts about 4(k + 1) innovations above ``C * z_c / max_j
-    |c_j|``; while the test fails, ``z_c`` is halved and the blocks are
+    |c_j|``, the model's ``from_uniform`` at survival ``4(k + 1) / (n +
+    J)``; while the test fails, ``z_c`` is halved and the blocks are
     drawn again, at worst keeping the whole path.  The sample is
     bit-identical to the full path's.
     """
@@ -297,12 +286,9 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     c_abs = np.abs(coeffs.as_array())
     c_sum = float(np.sum(c_abs))
     z_c = (float(np.max(c_abs)) / c_sum
-           * (4.0 * (k + 1) / (n + coeffs.order)) ** -model.gamma)
+           * float(model.from_uniform(4.0 * (k + 1) / (n + coeffs.order))))
     while True:
-        # Z = (1 - U)**-gamma exceeds z_c when 1 - U < z_c**-alpha; every
-        # Z >= 1 can exceed a z_c <= 1.
-        survival = z_c ** -model.alpha * (1.0 + _BOUND_MARGIN) if z_c > 1.0 else 2.0
-        cut = _raw_cut(survival)
+        cut = model.word_cut(z_c)
         x = np.concatenate([_filter_block(coeffs, model, key, lo, n, cut)
                             for lo in range(0, n, _BLOCK_WORDS)])
         bound = c_sum * z_c * (1.0 + _BOUND_MARGIN)

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 TRUNCATION_TOL = 1e-12  # bound on the coefficient mass an ARMA truncation discards
+_CUT_SLACK = 1e-9  # relative slack of word_cut's survival: the inverse transform's rounding
 
 
 def _whole(name: str, value) -> int:
@@ -46,6 +47,17 @@ def _philox_key(seed: int, stream: int) -> np.ndarray:
         if not 0 <= value < 2**64:
             raise ValueError(f"{name} must lie in [0, 2**64)")
     return np.array(key, dtype=np.uint64)
+
+
+def _raw_cut(survival: float) -> int:
+    """Smallest Philox word ``raw`` whose ``1 - U`` lies below ``survival``.
+
+    ``Generator.random`` gives ``U = (raw >> 11) * 2**-53``, so
+    ``1 - U = (2**53 - (raw >> 11)) * 2**-53`` exactly, and
+    ``1 - U < survival`` holds exactly when ``raw >= _raw_cut(survival)``.
+    A cut of ``2**64`` or more flags no word; a survival above 1 flags all.
+    """
+    return max(2**53 + 1 - math.ceil(survival * 2.0**53), 0) << 11
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -90,18 +102,27 @@ class InnovationModel:
         """
         return np.asarray(u, dtype=float) ** (-1.0 / self.alpha)
 
+    def from_words(self, words):
+        """``from_uniform(1 - U)`` of raw generator words, with ``U = (raw >> 11) * 2**-53``
+        as ``Generator.random`` makes it; ``1 - U`` in (0, 1] keeps magnitudes finite."""
+        return self.from_uniform(1.0 - (words >> 11) * 2.0**-53)
+
+    def word_cut(self, z: float) -> int:
+        """Smallest raw word whose ``from_words`` magnitude can exceed ``z``: 0, every
+        word, for ``z <= 1``, and ``2**64`` or more when no magnitude can."""
+        return _raw_cut(z ** -self.alpha * (1.0 + _CUT_SLACK)) if z > 1.0 else 0
+
     def sample(self, count: int, seed: int, stream: int = 0) -> np.ndarray:
         """Draw ``count`` iid innovations by inverse transform only.
 
-        Uniforms are mapped through ``from_uniform``; a model with ``pi1 < 1``
-        draws a second uniform block for the sign, never rejection, so output
-        is reproducible bit for bit across platforms.
+        The stream's words are mapped through ``from_words``; a model with
+        ``pi1 < 1`` draws a uniform block for the sign after them, never
+        rejection, so output is reproducible bit for bit across platforms.
         """
-        if count < 1:
+        if _whole("count", count) < 1:
             raise ValueError("count must be >= 1")
         rng = philox_stream(seed, stream)
-        # 1 - U lies in (0, 1], keeping magnitudes finite.
-        magnitudes = self.from_uniform(1.0 - rng.random(count))
+        magnitudes = self.from_words(rng.bit_generator.random_raw(count))
         if self.pi1 == 1.0:
             return magnitudes
         signs = np.where(rng.random(count) < self.pi1, 1.0, -1.0)
@@ -285,11 +306,15 @@ def simulate(coeffs: CoefficientSequence, model: InnovationModel, n: int,
 
     Draws ``n + J`` innovations from the keyed stream and applies the exact
     finite filter, so the path is stationary by construction and bit-identical
-    for identical ``(seed, stream)`` and configuration.
+    for identical ``(seed, stream)`` and configuration.  A path that is not
+    finite, as heavy tails overflow at a small ``alpha``, raises ``OverflowError``.
     """
+    n = _whole("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = model.sample(n + coeffs.order, seed, stream)
-    values = apply_filter(coeffs, z)
-    payload = repr((coeffs.coeffs, *astuple(model), int(n))).encode()
+    with np.errstate(over="ignore"):
+        values = apply_filter(coeffs, model.sample(n + coeffs.order, seed, stream))
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"simulated path is not finite at alpha={model.alpha!r}")
+    payload = repr((coeffs.coeffs, *astuple(model), n)).encode()
     return SimulatedPath(values=values, fingerprint=hashlib.sha256(payload).hexdigest()[:16])

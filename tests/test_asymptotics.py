@@ -277,6 +277,15 @@ class TestEstimatorCov:
         np.testing.assert_allclose(b.estimator_cov, a.estimator_cov, rtol=1e-12)
         assert b.phi.phi1 == pytest.approx(a.phi.phi1, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [-1e-6, -1e-20, -1e-200])
+    def test_cancellation_at_tiny_r_raises(self, r):
+        # J's rows become parallel as r -> 0: at -1e-6 L S L^T came out with
+        # negative variances, at -1e-20 infinite, at -1e-200 nan after warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="not finite and positive definite"):
+                estimator_cov(0.3333, r, CoefficientSequence((1.0, 0.5)))
+
     def test_report_key_order(self):
         report = estimator_cov(0.5, -1.0, CoefficientSequence((1.0, 0.5)))
         payload = report.to_dict()

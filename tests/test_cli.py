@@ -83,6 +83,18 @@ class TestCov:
         assert out == ""
         assert err == "numerical failure: power sum of |c_j|**4.0 overflows\n"
 
+    @pytest.mark.parametrize("command", [
+        ("cov", "--gamma", "0.3333"),
+        ("validate", "--alpha", "3", "--n", "2000", "--reps", "2", "--seed", "1",
+         "--workers", "1")])
+    @pytest.mark.parametrize("r", ["-1e-6", "-1e-20"])
+    def test_tiny_r_is_numerical_failure(self, capsys, command, r):
+        # cov printed negative variances at -1e-6 and Infinity at -1e-20, exit 0.
+        code, out, err = run_cli(capsys, *command, "--r", r, "--coeffs", "1,0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: covariance L S L^T is not finite")
+        assert len(err.splitlines()) == 1
+
     def test_domain_error_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "cov", "--gamma", "-0.5", "--r", "-1",
                              "--coeffs", "1")
@@ -199,6 +211,23 @@ class TestSimulateAndFit:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["values"]) == 5 and payload["seed"] == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        # simulate printed inf values after a RuntimeWarning, exit 0.
+        (("simulate", "--coeffs", "1,0.5", "--n", "4", "--alpha", "1e-3"),
+         "simulated path is not finite"),
+        (("simulate", "--coeffs", "1,0.5", "--n", "4", "--alpha", "1e-300"),
+         "simulated path is not finite"),
+        # validate warned twice from expm1 and exited 1 on the inf excesses.
+        (("validate", "--coeffs", "1", "--alpha", "0.001", "--r", "-0.5", "--n", "2000",
+          "--reps", "2", "--seed", "1", "--sampling", "gpd_direct", "--k", "50",
+          "--workers", "1"), "GPD quantile overflows"),
+    ])
+    def test_overflowing_draws_are_numerical_failures(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"numerical failure: {message}")
+        assert len(err.splitlines()) == 1
 
     def test_pi1_sets_the_right_tail_weight(self, capsys):
         flags = ("simulate", "--coeffs", "1,0.5", "--n", "50", "--seed", "1")

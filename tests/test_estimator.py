@@ -54,6 +54,14 @@ class TestGpd:
             with pytest.raises(ValueError, match="x must be"):
                 gpd.cdf(x)
 
+    def test_overflowing_quantile_raises(self):
+        # At gamma 1000, p 0.9 overflows expm1; it warned and returned inf.
+        gpd = GpdParams(1000.0, 1.0)
+        assert math.isfinite(gpd.quantile(0.1))
+        for p in (0.9, [0.1, 0.9]):
+            with pytest.raises(OverflowError, match="GPD quantile overflows"):
+                gpd.quantile(p)
+
     def test_round_trip_grid(self):
         params = GpdParams(0.5, 2.0)
         for p in np.arange(0.1, 0.95, 0.1):
@@ -99,6 +107,14 @@ class TestTopKExcesses:
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k too large"):
             top_k_excesses([1.0, 2.0], 2)
+
+    @pytest.mark.parametrize("k", [5.0, True, np.float64(2.0)])
+    def test_k_must_be_an_integer(self, k):
+        # 5.0 raised np.partition's TypeError and True gave a k = 1 sample.
+        series = np.arange(10.0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            top_k_excesses(series, k)
+        assert top_k_excesses(series, np.int64(5)).k == 5
 
     def test_exceedance_count(self):
         rng = philox_stream(0)

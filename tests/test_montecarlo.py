@@ -268,6 +268,26 @@ class TestSeriesSample:
         assert seen == sizes
         assert_same_sample(sample, full_path_sample(coeffs, MODEL, n, seed, stream, k))
 
+    def test_cut_comes_from_the_model(self, monkeypatch):
+        # A law whose cut flags every word: each block then filters all of
+        # its words, n + J over the run, in one pass.
+        class EveryWord(InnovationModel):
+            def word_cut(self, z):
+                return 0
+
+        seen = []
+
+        def counting(seq, innovations):
+            seen.append(len(innovations))
+            return apply_filter(seq, innovations)
+
+        monkeypatch.setattr(mc, "apply_filter", counting)
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", 64)
+        model, n = EveryWord(alpha=3.0), 1000
+        sample = mc._series_sample(DEP, model, n, 11, 0, 20)
+        assert seen == [min(lo + 64, n) - lo + DEP.order for lo in range(0, n, 64)]
+        assert_same_sample(sample, full_path_sample(DEP, model, n, 11, 0, 20))
+
     def test_long_filter_seeds(self):
         ar = arma_to_ma([0.5], [])
         assert ar.order == 83
@@ -466,48 +486,6 @@ def test_usable_cpus_follows_affinity(monkeypatch):
     assert mc.usable_cpus() == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert mc.usable_cpus() == 1
-
-
-@st.composite
-def words_and_survival(draw):
-    """Raw words around one ``1 - U`` value and a survival at or near it."""
-    top = draw(st.integers(min_value=0, max_value=2**53 - 1))
-    w = (2**53 - top) * 2.0**-53
-    survival = draw(st.one_of(
-        st.sampled_from([w, float(np.nextafter(w, 0.0)), float(np.nextafter(w, 2.0))]),
-        st.floats(min_value=0.0, max_value=2.0**-53),
-        st.floats(min_value=1.0, max_value=2.0),
-        st.floats(min_value=0.0, max_value=2.0)))
-    low = draw(st.integers(min_value=0, max_value=2**11 - 1))
-    words = [(t << 11) | low for t in (top - 1, top, top + 1) if 0 <= t < 2**53]
-    return words, survival
-
-
-class TestRawCut:
-    """``raw >= _raw_cut(s)`` against the float test ``1 - U < s``."""
-
-    @given(words_and_survival())
-    @settings(max_examples=500, deadline=None)
-    @example(([2**64 - 1], 2.0**-53))
-    @example(([2**64 - 1], 0.0))
-    @example(([0, 2**11 - 1], 1.0))
-    @example(([0, 2**64 - 1], 2.0))
-    @example(([2**63], 0.5))
-    @example(([2**63 - 1], 0.5))
-    def test_matches_float_test(self, case):
-        words, survival = case
-        uniform_complement = [1.0 - (raw >> 11) * 2.0**-53 for raw in words]
-        flags = np.array(words, dtype=np.uint64) >= mc._raw_cut(survival)
-        assert flags.tolist() == [w < survival for w in uniform_complement]
-
-    def test_edge_cuts(self):
-        # No 1 - U lies below 2**-53, and every one lies below a survival above 1.
-        assert mc._raw_cut(0.0) >= 2**64
-        assert mc._raw_cut(2.0**-53) >= 2**64
-        assert mc._raw_cut(float(np.nextafter(2.0**-53, 1.0))) == (2**53 - 1) << 11
-        assert mc._raw_cut(1.0) == 1 << 11
-        assert mc._raw_cut(float(np.nextafter(1.0, 2.0))) == 0
-        assert mc._raw_cut(2.0) == 0
 
 
 class TestEmpiricalCov:

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailproc.asymptotics import pairwise_dependence_sum
@@ -13,6 +13,7 @@ from tailproc.process import (
     arma_to_ma,
     apply_filter,
     decay_certificate,
+    _raw_cut,
     philox_stream,
     simulate,
 )
@@ -68,6 +69,58 @@ class TestInnovationModel:
         # sign block after them.
         draws = InnovationModel(alpha=3.0, pi1=pi1).sample(1000, seed=5, stream=2)
         assert hashlib.sha256(draws.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("pi1", [1.0, 0.3])
+    def test_sample_is_from_words_of_the_stream(self, pi1):
+        model = InnovationModel(alpha=3.0, pi1=pi1)
+        words = philox_stream(5, 2).bit_generator.random_raw(1000)
+        magnitudes = np.abs(model.sample(1000, seed=5, stream=2))
+        assert magnitudes.tobytes() == model.from_words(words).tobytes()
+
+    @pytest.mark.parametrize("count", [10.0, True, np.float64(3.0)])
+    def test_count_must_be_an_integer(self, count):
+        # 10.0 and True raised numpy's TypeError.
+        with pytest.raises(ValueError, match="count must be an integer"):
+            InnovationModel(alpha=3.0).sample(count, seed=1)
+        assert InnovationModel(alpha=3.0).sample(np.int64(3), seed=1).size == 3
+
+
+@st.composite
+def law_and_words(draw):
+    """An alpha in (2, 20], raw words around one magnitude, and a z at or next to it."""
+    model = InnovationModel(alpha=draw(st.floats(min_value=2.0, max_value=20.0,
+                                                 exclude_min=True)))
+    top = draw(st.integers(min_value=0, max_value=2**53 - 1))
+    m = float(model.from_words(np.uint64(top << 11)))
+    z = draw(st.sampled_from([m, float(np.nextafter(m, 0.0)), float(np.nextafter(m, np.inf))]))
+    low = draw(st.integers(min_value=0, max_value=2**11 - 1))
+    words = [(t << 11) | low for t in (top - 1, top, top + 1) if 0 <= t < 2**53]
+    return model, z, np.array(words, dtype=np.uint64)
+
+
+class TestWordCut:
+    """``InnovationModel.word_cut`` flags every word whose magnitude exceeds z."""
+
+    @given(law_and_words())
+    @settings(max_examples=500, deadline=None)
+    @example((InnovationModel(alpha=3.0), 2.0**(53 / 3), np.array([2**64 - 1], dtype=np.uint64)))
+    @example((InnovationModel(alpha=20.0), 1.0, np.array([0, 2**11 - 1], dtype=np.uint64)))
+    def test_no_word_above_z_is_missed(self, case):
+        model, z, words = case
+        above = model.from_words(words) > z
+        assert np.all(words[above] >= model.word_cut(z))
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 20.0])
+    def test_edges(self, alpha):
+        model = InnovationModel(alpha=alpha)
+        # Every magnitude is at least 1, so z <= 1 flags every word.
+        for z in (1.0, 0.5, float(np.nextafter(1.0, 0.0))):
+            assert model.word_cut(z) == 0
+        # A survival below 2**-53 lies below every 1 - U: no word is flagged.
+        z = 2.0 ** (54 / alpha)
+        assert z ** -alpha * (1.0 + 1e-9) < 2.0**-53
+        assert model.word_cut(z) >= 2**64
+        assert float(model.from_words(np.uint64(2**64 - 1))) < z
 
 
 class TestCoefficientSequence:
@@ -248,6 +301,22 @@ class TestSimulate:
         with pytest.raises(ValueError, match="seed must be an integer"):
             simulate(CoefficientSequence((1.0,)), InnovationModel(alpha=3.0), 10, seed=seed)
 
+    @pytest.mark.parametrize("n", [100.0, True, np.float64(4.0)])
+    def test_n_must_be_an_integer(self, n):
+        # 100.0 raised numpy's TypeError and True gave a one-value path.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            simulate(CoefficientSequence((1.0, 0.5)), InnovationModel(alpha=3.0), n, seed=1)
+        assert simulate(CoefficientSequence((1.0, 0.5)), InnovationModel(alpha=3.0),
+                        np.int64(4), seed=1).values.size == 4
+
+    @pytest.mark.parametrize("pi1", [1.0, 0.5])
+    def test_overflowing_path_raises(self, pi1):
+        # At alpha 1e-3 most innovations overflow to inf, and two-sided ones
+        # make nan; neither may pass as a path or warn.
+        with pytest.raises(OverflowError, match="not finite"):
+            simulate(CoefficientSequence((1.0, 0.5)),
+                     InnovationModel(alpha=1e-3, pi1=pi1), 40, seed=0)
+
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError, match="n must be"):
             simulate(CoefficientSequence((1.0,)), InnovationModel(alpha=3.0),
@@ -286,8 +355,8 @@ def test_philox_stream_takes_numpy_integers():
     (0, 0), (1, 2), (2016, 7), (20260808, 0), (2**32, 1000), (2**64 - 1, 2**64 - 1),
 ])
 def test_philox_doubles_are_shifted_raw_words(seed, stream):
-    # The series kernel flags innovations on raw words and relies on these
-    # two identities to reproduce InnovationModel.sample bit for bit.
+    # InnovationModel.from_words relies on these two identities to give the
+    # magnitudes of 1 - Generator.random, bit for bit.
     m = 4099
     uniforms = philox_stream(seed, stream).random(m)
     top = philox_stream(seed, stream).bit_generator.random_raw(m) >> 11
@@ -295,3 +364,45 @@ def test_philox_doubles_are_shifted_raw_words(seed, stream):
         "Generator.random is no longer (raw >> 11) * 2**-53 for Philox")
     assert (1.0 - uniforms).tobytes() == ((2**53 - top) * 2.0**-53).tobytes(), (
         "1 - Generator.random is no longer (2**53 - (raw >> 11)) * 2**-53")
+
+
+@st.composite
+def words_and_survival(draw):
+    """Raw words around one ``1 - U`` value and a survival at or near it."""
+    top = draw(st.integers(min_value=0, max_value=2**53 - 1))
+    w = (2**53 - top) * 2.0**-53
+    survival = draw(st.one_of(
+        st.sampled_from([w, float(np.nextafter(w, 0.0)), float(np.nextafter(w, 2.0))]),
+        st.floats(min_value=0.0, max_value=2.0**-53),
+        st.floats(min_value=1.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=2.0)))
+    low = draw(st.integers(min_value=0, max_value=2**11 - 1))
+    words = [(t << 11) | low for t in (top - 1, top, top + 1) if 0 <= t < 2**53]
+    return words, survival
+
+
+class TestRawCut:
+    """``raw >= _raw_cut(s)`` against the float test ``1 - U < s``."""
+
+    @given(words_and_survival())
+    @settings(max_examples=500, deadline=None)
+    @example(([2**64 - 1], 2.0**-53))
+    @example(([2**64 - 1], 0.0))
+    @example(([0, 2**11 - 1], 1.0))
+    @example(([0, 2**64 - 1], 2.0))
+    @example(([2**63], 0.5))
+    @example(([2**63 - 1], 0.5))
+    def test_matches_float_test(self, case):
+        words, survival = case
+        uniform_complement = [1.0 - (raw >> 11) * 2.0**-53 for raw in words]
+        flags = np.array(words, dtype=np.uint64) >= _raw_cut(survival)
+        assert flags.tolist() == [w < survival for w in uniform_complement]
+
+    def test_edge_cuts(self):
+        # No 1 - U lies below 2**-53, and every one lies below a survival above 1.
+        assert _raw_cut(0.0) >= 2**64
+        assert _raw_cut(2.0**-53) >= 2**64
+        assert _raw_cut(float(np.nextafter(2.0**-53, 1.0))) == (2**53 - 1) << 11
+        assert _raw_cut(1.0) == 1 << 11
+        assert _raw_cut(float(np.nextafter(1.0, 2.0))) == 0
+        assert _raw_cut(2.0) == 0
