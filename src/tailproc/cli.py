@@ -49,12 +49,6 @@ class _Parser(argparse.ArgumentParser):
         # argparse reads -5e-1 as an option; no flag here starts with a digit.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
-    # argparse exits 2 on bad usage by default; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
 
 def _parse_floats(text: str) -> list[float]:
     try:
@@ -134,8 +128,7 @@ def _cmd_simulate(args) -> int:
     model = InnovationModel(alpha=args.alpha, pi1=args.pi1)
     path = simulate(coeffs, model, args.n, args.seed)
     if args.format == "json":
-        _emit({"seed": args.seed, "fingerprint": path.fingerprint,
-               "values": path.values.tolist()}, args.output)
+        _emit({"seed": args.seed, "values": path.values.tolist()}, args.output)
     else:
         _emit("value\n" + "\n".join(repr(float(v)) for v in path.values), args.output)
     return EXIT_OK
@@ -298,8 +291,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on bad usage and 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -172,7 +172,9 @@ class ValidationReport:
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
+        """The report as JSON data; a statistic that is not finite is None (null)."""
         cfg = self.config
+        finite = lambda values: np.where(np.isfinite(values), values, None).tolist()
         return {
             "config": {
                 "coeffs": list(cfg.coeffs.coeffs),
@@ -183,10 +185,10 @@ class ValidationReport:
                 "sampling": cfg.sampling,
                 "theta": cfg.theta,
             },
-            "empirical_mean": self.empirical_mean.tolist(),
-            "empirical_cov": self.empirical_cov.tolist(),
+            "empirical_mean": finite(self.empirical_mean),
+            "empirical_cov": finite(self.empirical_cov),
             "theoretical_cov": self.theoretical_cov.tolist(),
-            "relative_deviation": self.relative_deviation.tolist(),
+            "relative_deviation": finite(self.relative_deviation),
             "diagnostics": asdict(self.diagnostics) if self.diagnostics else None,
             "second_order_rates": {"rate_2erv": self.rate_2erv,
                                    "rate_2rv": self.rate_2rv},
@@ -412,10 +414,10 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
         asymptotics.coefficient_norm(coeffs, config.gamma)
         coeffs = CoefficientSequence((1.0,))
     theory = asymptotics.estimator_cov(config.gamma, config.r, coeffs).estimator_cov
-    # Open the outputs before the run, so that a bad path fails at once.
+    # Truncate the outputs first: a bad path fails at once, a failed run leaves no stale output.
     for path in (csv_path, json_path):
         if path is not None:
-            open(path, "a").close()
+            open(path, "w").close()
     indices = range(config.replications)
     replicate = functools.partial(run_replication, config)
     cpus = usable_cpus()

@@ -8,10 +8,9 @@ geometric-decay truncation, so every simulation is an exact finite filter.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,12 +98,17 @@ class InnovationModel:
 
         ``Z = u**(-1/alpha)``, so ``u`` plays the role of the survival
         probability and the exact tail ``P(Z > z) = z**-alpha`` holds.
+        A magnitude past the largest float raises ``OverflowError``.
         """
-        return np.asarray(u, dtype=float) ** (-1.0 / self.alpha)
+        with np.errstate(over="ignore"):
+            z = np.asarray(u, dtype=float) ** (-1.0 / self.alpha)
+        if np.isinf(z).any():
+            raise OverflowError(f"innovation magnitude overflows at alpha={self.alpha!r}")
+        return z
 
     def from_words(self, words):
         """``from_uniform(1 - U)`` of raw generator words, with ``U = (raw >> 11) * 2**-53``
-        as ``Generator.random`` makes it; ``1 - U`` in (0, 1] keeps magnitudes finite."""
+        as ``Generator.random`` makes it; ``1 - U`` lies in (0, 1]."""
         return self.from_uniform(1.0 - (words >> 11) * 2.0**-53)
 
     def word_cut(self, z: float) -> int:
@@ -181,11 +185,9 @@ class CoefficientSequence:
 
 @dataclass(frozen=True)
 class SimulatedPath:
-    """Simulated path; ``fingerprint`` is a stable hash of its coefficients,
-    innovation model and length."""
+    """Simulated path; ``values`` is read-only."""
 
     values: np.ndarray
-    fingerprint: str
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -306,15 +308,14 @@ def simulate(coeffs: CoefficientSequence, model: InnovationModel, n: int,
 
     Draws ``n + J`` innovations from the keyed stream and applies the exact
     finite filter, so the path is stationary by construction and bit-identical
-    for identical ``(seed, stream)`` and configuration.  A path that is not
-    finite, as heavy tails overflow at a small ``alpha``, raises ``OverflowError``.
+    for identical ``(seed, stream)`` and configuration.  A draw that overflows,
+    as heavy tails do at a small ``alpha``, or a path that is not finite raises
+    ``OverflowError``.
     """
     n = _whole("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    with np.errstate(over="ignore"):
-        values = apply_filter(coeffs, model.sample(n + coeffs.order, seed, stream))
+    values = apply_filter(coeffs, model.sample(n + coeffs.order, seed, stream))
     if not np.all(np.isfinite(values)):
         raise OverflowError(f"simulated path is not finite at alpha={model.alpha!r}")
-    payload = repr((coeffs.coeffs, *astuple(model), n)).encode()
-    return SimulatedPath(values=values, fingerprint=hashlib.sha256(payload).hexdigest()[:16])
+    return SimulatedPath(values=values)

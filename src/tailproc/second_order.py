@@ -74,15 +74,11 @@ class QuantileExpansion:
     a: tuple[float, float, float]
     tail: TailExpansion
 
-    @property
-    def alpha(self) -> float:
-        return self.tail.alpha
-
     def b(self, x):
         """Approximate 1 - 1/x quantile of the process."""
         x = np.asarray(x, dtype=float)
         a1, a2, a3 = self.a
-        p = 1.0 / self.alpha
+        p = 1.0 / self.tail.alpha
         return a1 * x**p + a2 + a3 * x**-p
 
 
@@ -155,7 +151,7 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
         ct3 = alpha (alpha+1) / 2 * [ (C_2 C_alpha - C_{alpha+2}) s2
               + (C_1^2 C_alpha - 2 C_1 C_{alpha+1} + C_{alpha+2}) mu^2 ]
 
-    Each power sum is evaluated once.
+    Each power sum is evaluated once.  A square past the largest float raises ``OverflowError``.
     """
     if alpha <= 2:
         raise ValueError("tail expansion requires alpha > 2")
@@ -165,11 +161,15 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     c = coeffs.power_sum
     c1, ca, ca1, ca2, c2 = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0), c(2.0)
     term_var = (c2 * ca - ca2) * s2
-    term_mean = (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2
     ct2 = alpha * mu * (c1 * ca - ca1)
+    try:  # a float's ** raises on overflow, with only an errno for a message
+        term_mean = (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2
+        lhs = (1.0 + alpha) * ct2**2 / (2.0 * alpha)
+    except OverflowError:
+        raise OverflowError(f"tail expansion's squares overflow at alpha={alpha!r}") from None
     ct3 = 0.5 * alpha * (alpha + 1.0) * (term_var + term_mean)
     return TailExpansion(alpha=alpha, c_tilde=(ca, ct2, ct3), ct3_terms=(term_var, term_mean),
-                         inversion_terms=((1.0 + alpha) * ct2**2 / (2.0 * alpha), ca * ct3),
+                         inversion_terms=(lhs, ca * ct3),
                          c2_is_zero=_cross_sum_vanishes(c1, ca, ca1))
 
 
@@ -201,7 +201,7 @@ def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, 
     """
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    alpha = qexp.alpha
+    alpha = qexp.tail.alpha
     a1, _, a3 = qexp.a
     ct1, ct2, ct3 = qexp.tail.c_tilde
     x = n / k

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +22,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which JSON does not have."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestCov:
@@ -131,17 +142,13 @@ class TestCheck:
         # With u = 2 the certificate of 0.99**j at J = 3000 overflows to inf,
         # which json.dumps writes as the non-JSON token Infinity.
         coeffs = 0.99 ** np.arange(3001)
-
-        def reject(token):
-            raise ValueError(f"non-finite JSON constant {token}")
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, _ = run_cli(capsys, "check", "--alpha", "3", "--coeffs",
                                    ",".join(repr(float(c)) for c in coeffs))
         assert code == 0
         witness = {c["name"]: c["witness"]
-                   for c in json.loads(out, parse_constant=reject)["checks"]}
+                   for c in strict_json(out)["checks"]}
         a_cert, u_cert = witness["geometric_decay"]["A"], witness["geometric_decay"]["u"]
         assert np.isfinite(a_cert) and u_cert > 1.0
         assert np.all(coeffs < a_cert * u_cert ** -np.arange(3001))
@@ -157,6 +164,17 @@ class TestCheck:
         assert out == ""
         assert err.startswith("numerical failure: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--alpha", "3"],
+        ["validate", "--alpha", "3", "--r", "-1", "--n", "1000", "--reps", "2",
+         "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_tail_expansion_overflow_is_named(self, capsys, command):
+        # ct2**2 overflowed as a bare "(34, 'Numerical result out of range')".
+        code, out, err = run_cli(capsys, *command, "--coeffs", "1e60,1e59")
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: tail expansion's squares overflow at alpha=3.0\n"
 
 
 UNDERFLOW_RUN = ["--coeffs", "1e-200", "--alpha", "3", "--r", "-0.5", "--n", "200",
@@ -210,18 +228,21 @@ class TestSimulateAndFit:
                                "--seed", "1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["seed", "values"]
         assert len(payload["values"]) == 5 and payload["seed"] == 1
 
     @pytest.mark.parametrize("argv,message", [
         # simulate printed inf values after a RuntimeWarning, exit 0.
         (("simulate", "--coeffs", "1,0.5", "--n", "4", "--alpha", "1e-3"),
-         "simulated path is not finite"),
+         "innovation magnitude overflows at alpha=0.001"),
         (("simulate", "--coeffs", "1,0.5", "--n", "4", "--alpha", "1e-300"),
-         "simulated path is not finite"),
+         "innovation magnitude overflows at alpha=1e-300"),
         # validate warned twice from expm1 and exited 1 on the inf excesses.
         (("validate", "--coeffs", "1", "--alpha", "0.001", "--r", "-0.5", "--n", "2000",
           "--reps", "2", "--seed", "1", "--sampling", "gpd_direct", "--k", "50",
           "--workers", "1"), "GPD quantile overflows"),
+        # Finite draws, but the filter overflows.
+        (("simulate", "--coeffs", "1e308,1e308", "--n", "4"), "simulated path is not finite"),
     ])
     def test_overflowing_draws_are_numerical_failures(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -340,6 +361,19 @@ class TestSimulateAndFit:
         assert outputs[0] == outputs[1]
         code, out, err = run_cli(capsys, "fit", "--input", str(broken), "--excesses")
         assert (code, out, err) == (1, "", f"error: line 3 of {broken} is not a number: ''\n")
+
+    def test_file_without_numbers_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# no data\n\nvalue\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--excesses")
+        assert (code, out, err) == (1, "", f"error: no numeric data found in {path}\n")
+
+    def test_raw_series_needs_k(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("3.0\n2.0\n1.0\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: --k is required when fitting a raw series\n"
 
     def test_missing_input_file(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent.csv",
@@ -535,6 +569,38 @@ class TestValidate:
         assert (code, out, calls) == (1, "", [])
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("reps,fails", [(1, False), (3, True)],
+                             ids=["one_replication", "every_replication_fails"])
+    def test_too_few_records_give_null_statistics(self, capsys, tmp_path, monkeypatch,
+                                                  reps, fails):
+        # The statistics of fewer than two records were printed as NaN.
+        if fails:
+            failed = montecarlo.ReplicationRecord(0, np.nan, np.nan, np.nan, np.nan,
+                                                  "no_solution")
+            monkeypatch.setattr(montecarlo, "run_replication", lambda *args: failed)
+        prefix = tmp_path / "run"
+        code, out, _ = run_cli(capsys, "validate", "--coeffs", "1,0.5", "--alpha", "3",
+                               "--r", "-0.5", "--n", "2000", "--k", "40", "--reps",
+                               str(reps), "--seed", "1", "--workers", "1",
+                               "--output", str(prefix))
+        assert code == 0
+        for payload in (strict_json(out), strict_json(Path(f"{prefix}.report.json").read_text())):
+            assert payload["empirical_mean"] == [None, None]
+            assert payload["empirical_cov"] == payload["relative_deviation"] == [[None, None]] * 2
+            assert "insufficient replications" in payload["flags"]
+            assert all(map(np.isfinite, payload["second_order_rates"].values()))
+
+    @pytest.mark.parametrize("text,message", [
+        ("{\"alpha\": 3,", "config file is not valid JSON: "),
+        ("[1, 2]", "config file must hold a JSON object"),
+    ], ids=["invalid_json", "not_an_object"])
+    def test_config_file_must_be_a_json_object(self, capsys, tmp_path, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
     def test_missing_required_key_named(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1,
@@ -576,6 +642,15 @@ class TestUsage:
         code, out, err = run_cli(capsys, "cov", "--gamma", "0.5", flag, value)
         assert (code, out) == (1, "")
         assert err == f"error: expected comma-separated numbers, got {value!r}\n"
+
+    def test_module_help_exits_zero(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "tailproc.cli", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: tailproc")
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

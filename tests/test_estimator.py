@@ -116,6 +116,10 @@ class TestTopKExcesses:
             top_k_excesses(series, k)
         assert top_k_excesses(series, np.int64(5)).k == 5
 
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_k_excesses([1.0, 2.0, 3.0], 0)
+
     def test_exceedance_count(self):
         rng = philox_stream(0)
         series = rng.standard_normal(500)

@@ -61,11 +61,22 @@ class TestSigmaNk:
         with pytest.raises(ValueError, match="scale unavailable"):
             mc.sigma_nk(None, 0.5, 1000, 10)
 
+    def test_k_below_n(self):
+        qexp = quantile_expansion(tail_expansion(3.0, IID))
+        with pytest.raises(ValueError, match="need 1 <= k < n"):
+            mc.sigma_nk(qexp, 1.0 / 3.0, 100, 100)
+
 
 class TestConfig:
     def test_k_at_least_two_below_n(self):
         with pytest.raises(ValueError, match="k"):
             small_config(n=50, k=50)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            small_config(k=1)
+
+    def test_unknown_sampling_mode(self):
+        with pytest.raises(ValueError, match="unknown sampling mode: 'x'"):
+            small_config(sampling="x")
 
     def test_r_negative(self):
         with pytest.raises(ValueError, match="r must be negative"):
@@ -424,6 +435,24 @@ class TestReplicationThreads:
         assert starts
         assert_threads_bounded(starts, 3)
 
+    def test_failed_run_truncates_earlier_outputs(self, monkeypatch, tmp_path):
+        # The outputs were opened for appending, so a failed run left an
+        # earlier run's records and report in place.
+        paths = (tmp_path / "run.records.csv", tmp_path / "run.report.json")
+        for path in paths:
+            path.write_text("an earlier run's output\n")
+        replicate = mc.run_replication
+
+        def failing(config, index):
+            if index == 3:
+                raise ReplicationFailure(index)
+            return replicate(config, index)
+
+        monkeypatch.setattr(mc, "run_replication", failing)
+        with pytest.raises(ReplicationFailure):
+            mc.run_experiment(small_config(replications=6), *paths)
+        assert [path.read_text() for path in paths] == ["", ""]
+
     def test_replications_in_flight_are_bounded(self, monkeypatch):
         # 12 replications of 4 blocks on 3 CPUs: at most 3 run at once.  Each
         # sleeps a little, so that a wider pool would show.
@@ -506,6 +535,10 @@ class TestEmpiricalCov:
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="at least two"):
             mc.empirical_cov([(1.0, 1.0)])
+
+    def test_needs_pairs(self):
+        with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+            mc.empirical_cov(np.zeros((4, 3)))
 
 
 class TestNormalityDiagnostics:

@@ -28,6 +28,19 @@ class TestInnovationModel:
         model = InnovationModel(alpha=3.0)
         assert model.from_uniform(1.0) == 1.0
 
+    @pytest.mark.parametrize("pi1", [1.0, 0.5])
+    def test_overflowing_draw_raises(self, pi1):
+        # Returned [1.1e5, 1.2e120, 2.0e51, inf] after a RuntimeWarning.
+        model = InnovationModel(alpha=1e-3, pi1=pi1)
+        with pytest.raises(OverflowError, match="innovation magnitude overflows at alpha=0.001"):
+            model.sample(4, seed=0)
+        with pytest.raises(OverflowError, match="innovation magnitude overflows"):
+            model.from_uniform([0.5, 1e-300])
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            InnovationModel(alpha=3.0).sample(0, seed=1)
+
     def test_sample_exact_tail_fraction(self):
         # P(Z > 10) = 1e-3 exactly; binomial three-sigma band around it.
         model = InnovationModel(alpha=3.0)
@@ -131,6 +144,14 @@ class TestCoefficientSequence:
     def test_order(self):
         assert CoefficientSequence((1.0, 0.5)).order == 1
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            CoefficientSequence((1.0, float("nan")))
+
+    def test_negative_truncation_bound_rejected(self):
+        with pytest.raises(ValueError, match="truncation_error_bound must be >= 0"):
+            CoefficientSequence((1.0,), truncation_error_bound=-1e-15)
+
 
 class TestArmaToMa:
     def test_ar1_closed_form(self):
@@ -148,6 +169,11 @@ class TestArmaToMa:
     def test_unit_root_not_causal(self):
         with pytest.raises(ValueError, match="not causal"):
             arma_to_ma([1.0], [])
+
+    def test_truncation_term_limit(self):
+        # Causal, but the certificate needs far more than 200,000 terms.
+        with pytest.raises(ValueError, match="truncation did not converge"):
+            arma_to_ma([1.0 - 1e-9], [])
 
     def test_explosive_root_not_causal(self):
         with pytest.raises(ValueError, match="not causal"):
@@ -256,13 +282,16 @@ class TestSimulate:
         np.testing.assert_array_equal(apply_filter(coeffs, [1.0, 2.0, 4.0]),
                                       [2.5, 5.0])
 
+    def test_filter_needs_more_innovations_than_its_order(self):
+        with pytest.raises(ValueError, match="need more innovations than the filter order"):
+            apply_filter(CoefficientSequence((1.0, 0.5, 0.25)), [1.0, 2.0])
+
     def test_same_seed_bit_identical(self):
         coeffs = CoefficientSequence((1.0, 0.5))
         model = InnovationModel(alpha=3.0)
         first = simulate(coeffs, model, 500, seed=42)
         second = simulate(coeffs, model, 500, seed=42)
         np.testing.assert_array_equal(first.values, second.values)
-        assert first.fingerprint == second.fingerprint
 
     def test_streams_differ(self):
         coeffs = CoefficientSequence((1.0,))
@@ -312,8 +341,8 @@ class TestSimulate:
     @pytest.mark.parametrize("pi1", [1.0, 0.5])
     def test_overflowing_path_raises(self, pi1):
         # At alpha 1e-3 most innovations overflow to inf, and two-sided ones
-        # make nan; neither may pass as a path or warn.
-        with pytest.raises(OverflowError, match="not finite"):
+        # made nan; the draw refuses them before they reach a path, unwarned.
+        with pytest.raises(OverflowError, match="innovation magnitude overflows"):
             simulate(CoefficientSequence((1.0, 0.5)),
                      InnovationModel(alpha=1e-3, pi1=pi1), 40, seed=0)
 

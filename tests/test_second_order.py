@@ -112,6 +112,11 @@ class TestTailExpansion:
         with pytest.raises(ValueError, match="alpha > 2"):
             tail_expansion(2.0, DEP)
 
+    def test_overflow_is_named(self):
+        # Python's float ct2**2 raised OverflowError(34, 'Numerical result out of range').
+        with pytest.raises(OverflowError, match="tail expansion's squares overflow at alpha=3.0"):
+            tail_expansion(3.0, CoefficientSequence((1e60, 1e59)))
+
     def test_quadrature_oracle_at_t_100(self):
         texp = tail_expansion(3.0, DEP)
         truth = convolution_tail(100.0, 1.0, 0.5, 3.0)
@@ -221,6 +226,10 @@ class TestChooseK:
     def test_alpha_domain(self):
         with pytest.raises(ValueError, match="alpha"):
             choose_k(100, 0.9, float("nan"), False)
+
+    def test_n_domain(self):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            choose_k(1, 0.9, 3.0, False)
 
 
 class TestCheckConditions:
