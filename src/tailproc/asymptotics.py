@@ -189,8 +189,8 @@ def _centered(raw: RawLimits) -> tuple[float, float, float]:
 
 def sigma_matrix(kappa1: float, kappa2: float, kappa3: float) -> np.ndarray:
     """Limit covariance of the two centered tail sum statistics."""
-    if kappa1 < 0 or kappa2 < 0:
-        raise ValueError("kappa1 and kappa2 must be non-negative")
+    if not (0 <= kappa1 < math.inf and 0 <= kappa2 < math.inf and math.isfinite(kappa3)):
+        raise ValueError("kappas must be finite, and kappa1 and kappa2 non-negative")
     return np.array([[kappa1, -kappa3], [-kappa3, kappa2]])
 
 

@@ -10,7 +10,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,12 +24,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-# Config keys and their value types: float takes any JSON number, int a whole
-# one.  null leaves NULLABLE_KEYS unset.  Keys that are not coefficients or
-# InnovationModel fields pass to ExperimentConfig, renamed by KEYWORDS.
+# Config keys, one per validate flag, and their value types: float takes any
+# JSON number, int a whole one.  null leaves NULLABLE_KEYS unset.  Keys other
+# than the coefficients and alpha pass to ExperimentConfig, renamed by KEYWORDS.
 CONFIG_KEYS = {
     "coeffs": list, "ar": list, "ma": list, "alpha": float,
-    "pi1": float, "r": float, "n": int, "k": int,
+    "r": float, "n": int, "k": int,
     "theta": float, "reps": int, "seed": int, "workers": int,
     "sampling": str,
 }
@@ -37,10 +37,6 @@ COEFF_KEYS = ("coeffs", "ar", "ma")
 NULLABLE_KEYS = COEFF_KEYS + ("k", "workers")
 KEYWORDS = {"reps": "replications", "seed": "master_seed", "workers": "worker_count_hint"}
 TYPE_NAMES = {float: "a number", int: "a number", str: "a string", list: "a list of numbers"}
-
-
-class UsageError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,13 +50,13 @@ def _parse_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def _convert(key: str, value):
     """A config file value as its key's type."""
     if key not in CONFIG_KEYS:
-        raise UsageError(f"unknown config key: {key!r}")
+        raise ValueError(f"unknown config key: {key!r}")
     kind = CONFIG_KEYS[key]
     number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     if kind is list:
@@ -68,21 +64,21 @@ def _convert(key: str, value):
     else:
         valid = isinstance(value, str) if kind is str else number(value)
     if not valid:
-        raise UsageError(f"config key {key!r} must be {TYPE_NAMES[kind]}")
+        raise ValueError(f"config key {key!r} must be {TYPE_NAMES[kind]}")
     if kind is int and isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"config key {key!r} must be a whole number")
+        raise ValueError(f"config key {key!r} must be a whole number")
     return kind(value)
 
 
 def _coeffs(coeffs=None, ar=None, ma=None) -> CoefficientSequence:
     """Explicit coefficients, or the truncated expansion of an ARMA model."""
     if coeffs is not None and (ar is not None or ma is not None):
-        raise UsageError("give either coeffs or ar/ma, not both")
+        raise ValueError("give either coeffs or ar/ma, not both")
     if coeffs is not None:
         return CoefficientSequence(tuple(float(v) for v in coeffs))
     if ar is not None or ma is not None:
         return arma_to_ma(ar or [], ma or [])
-    raise UsageError("coefficients required: give coeffs or ar/ma")
+    raise ValueError("coefficients required: give coeffs or ar/ma")
 
 
 def _coeff_flags(args) -> dict:
@@ -115,11 +111,11 @@ def _read_column(path: str) -> np.ndarray:
                 values.append(float(token))
             except ValueError:
                 if not header_allowed:
-                    raise UsageError(f"line {number} of {path} is not a number: "
+                    raise ValueError(f"line {number} of {path} is not a number: "
                                      f"{token!r}") from None
             header_allowed = False
     if not values:
-        raise UsageError(f"no numeric data found in {path}")
+        raise ValueError(f"no numeric data found in {path}")
     return np.asarray(values)
 
 
@@ -127,10 +123,7 @@ def _cmd_simulate(args) -> int:
     coeffs = _coeffs(**_coeff_flags(args))
     model = InnovationModel(alpha=args.alpha, pi1=args.pi1)
     path = simulate(coeffs, model, args.n, args.seed)
-    if args.format == "json":
-        _emit({"seed": args.seed, "values": path.values.tolist()}, args.output)
-    else:
-        _emit("value\n" + "\n".join(repr(float(v)) for v in path.values), args.output)
+    _emit("value\n" + "\n".join(repr(float(v)) for v in path.values), args.output)
     return EXIT_OK
 
 
@@ -138,11 +131,11 @@ def _cmd_fit(args) -> int:
     data = _read_column(args.input)
     if args.excesses:
         if args.k is not None and args.k != data.size:
-            raise UsageError(f"--k {args.k} does not match the {data.size} excesses read")
+            raise ValueError(f"--k {args.k} does not match the {data.size} excesses read")
         sample = ExcessSample.from_excesses(data)
     else:
         if args.k is None:
-            raise UsageError("--k is required when fitting a raw series")
+            raise ValueError("--k is required when fitting a raw series")
         sample = top_k_excesses(data, args.k)
     fit = lme_fit(sample, args.r)
     _emit({**asdict(fit), "r": args.r, "k": sample.k, "threshold": sample.threshold}, args.output)
@@ -168,9 +161,9 @@ def _load_config_file(path: str) -> dict:
         with open(path) as handle:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return {key: _convert(key, value) for key, value in raw.items()
             if value is not None or key not in NULLABLE_KEYS}
 
@@ -184,14 +177,13 @@ def _cmd_validate(args) -> int:
         cfg = {key: value for key, value in cfg.items() if key not in COEFF_KEYS}
     cfg.update(flags)
     cfg.update({key: getattr(args, key) for key in CONFIG_KEYS.keys() - COEFF_KEYS
-                if getattr(args, key, None) is not None})
+                if getattr(args, key) is not None})
 
     coeffs = _coeffs(*(cfg.pop(key, None) for key in COEFF_KEYS))
     for key in ("alpha", "r", "n", "reps", "seed"):
         if key not in cfg:
-            raise UsageError(f"missing config key: {key!r}")
-    model = InnovationModel(**{f.name: cfg.pop(f.name) for f in fields(InnovationModel)
-                               if f.name in cfg})
+            raise ValueError(f"missing config key: {key!r}")
+    model = InnovationModel(alpha=cfg.pop("alpha"))
     cfg.setdefault("workers", montecarlo.usable_cpus())
     config = montecarlo.ExperimentConfig(
         coeffs=coeffs, model=model,
@@ -231,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000, help="path length")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--output", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", formatter_class=fmt,
@@ -277,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None, help="number of replications")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (usable CPU count if omitted)")
+                   help="process count (usable CPU count if omitted); with one process a "
+                        "series run uses min(usable CPUs, reps, ceil(n / 2**17)) threads")
     p.add_argument("--sampling", choices=("series", "gpd_direct"), default=None,
                    help="replication sampling mode")
     p.add_argument("--output", default=None,

@@ -57,7 +57,9 @@ class ExperimentConfig:
     ``"gpd_direct"`` for iid draws from the exact limit distribution (a
     control mode that bypasses the series and its threshold step).
 
-    ``k=None`` takes k from the growth rule at ``theta``.  ``centering``, the
+    ``k=None`` takes k from the growth rule at ``theta``, and the config
+    stores that k: ``dataclasses.replace`` keeps it whatever it changes, so
+    pass ``k=None`` there to derive k again.  ``centering``, the
     quantile expansion behind ``scale`` (``sigma_nk``, which divides sigma_hat)
     and the second-order rates, is None for ``"gpd_direct"`` (scale 1).  A
     ``"series"`` config builds one tail expansion, which gives both the
@@ -201,6 +203,8 @@ class ValidationReport:
 def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
              n: int, k: int) -> float:
     """Centering scale ``gamma * b(n/k)`` from the quantile expansion."""
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if qexp is None:
         raise ValueError("scale unavailable: supply a quantile expansion")
     if not 1 <= k < n:
@@ -279,8 +283,8 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     below ``z_c`` has ``|X_t| <= C * z_c``, so once more than k evaluated
     outputs exceed ``C * z_c`` they hold the top k + 1 of the path.  The
     start ``z_c`` puts about 4(k + 1) innovations above ``C * z_c / max_j
-    |c_j|``, the model's ``from_uniform`` at survival ``4(k + 1) / (n +
-    J)``; while the test fails, ``z_c`` is halved and the blocks are
+    |c_j|``, the model's ``from_uniform`` at survival ``min(1, 4(k + 1) /
+    (n + J))``; while the test fails, ``z_c`` is halved and the blocks are
     drawn again, at worst keeping the whole path.  The sample is
     bit-identical to the full path's.
     """
@@ -288,7 +292,7 @@ def _series_sample(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     c_abs = np.abs(coeffs.as_array())
     c_sum = float(np.sum(c_abs))
     z_c = (float(np.max(c_abs)) / c_sum
-           * float(model.from_uniform(4.0 * (k + 1) / (n + coeffs.order))))
+           * float(model.from_uniform(min(1.0, 4.0 * (k + 1) / (n + coeffs.order)))))
     while True:
         cut = model.word_cut(z_c)
         x = np.concatenate([_filter_block(coeffs, model, key, lo, n, cut)

@@ -98,10 +98,13 @@ class InnovationModel:
 
         ``Z = u**(-1/alpha)``, so ``u`` plays the role of the survival
         probability and the exact tail ``P(Z > z) = z**-alpha`` holds.
-        A magnitude past the largest float raises ``OverflowError``.
+        A ``u`` outside (0, 1] raises ``ValueError``, an overflow ``OverflowError``.
         """
+        u = np.asarray(u, dtype=float)
+        if u.size and not (u.min() > 0.0 and u.max() <= 1.0):
+            raise ValueError("u must lie in (0, 1]")
         with np.errstate(over="ignore"):
-            z = np.asarray(u, dtype=float) ** (-1.0 / self.alpha)
+            z = u ** (-1.0 / self.alpha)
         if np.isinf(z).any():
             raise OverflowError(f"innovation magnitude overflows at alpha={self.alpha!r}")
         return z
@@ -157,8 +160,8 @@ class CoefficientSequence:
             raise ValueError("degenerate coefficients: all zero")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        if self.truncation_error_bound < 0:
-            raise ValueError("truncation_error_bound must be >= 0")
+        if not 0 <= self.truncation_error_bound < math.inf:
+            raise ValueError("truncation_error_bound must be >= 0 and finite")
 
     @property
     def order(self) -> int:
@@ -309,13 +312,14 @@ def simulate(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     Draws ``n + J`` innovations from the keyed stream and applies the exact
     finite filter, so the path is stationary by construction and bit-identical
     for identical ``(seed, stream)`` and configuration.  A draw that overflows,
-    as heavy tails do at a small ``alpha``, or a path that is not finite raises
-    ``OverflowError``.
+    as heavy tails do at a small ``alpha``, or a filter of the finite draws
+    that overflows raises ``OverflowError``.
     """
     n = _whole("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     values = apply_filter(coeffs, model.sample(n + coeffs.order, seed, stream))
     if not np.all(np.isfinite(values)):
-        raise OverflowError(f"simulated path is not finite at alpha={model.alpha!r}")
+        raise OverflowError("simulated path overflows: the filter of these coefficients "
+                            "is not finite on the finite draws")
     return SimulatedPath(values=values)

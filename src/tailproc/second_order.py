@@ -153,8 +153,8 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
 
     Each power sum is evaluated once.  A square past the largest float raises ``OverflowError``.
     """
-    if alpha <= 2:
-        raise ValueError("tail expansion requires alpha > 2")
+    if not 2 < alpha < math.inf:
+        raise ValueError("tail expansion requires a finite alpha > 2")
     mu, s2 = alpha / (alpha - 1.0), alpha / ((alpha - 1.0) * (alpha - 2.0))
     if np.any(coeffs.as_array() < 0):
         raise ValueError("tail expansion requires non-negative coefficients")

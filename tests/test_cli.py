@@ -223,13 +223,11 @@ class TestSimulateAndFit:
         assert payload["gamma_hat"] == direct.gamma_hat
         assert payload["sigma_hat"] == direct.sigma_hat
 
-    def test_simulate_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--coeffs", "1", "--n", "5",
-                               "--seed", "1", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert list(payload) == ["seed", "values"]
-        assert len(payload["values"]) == 5 and payload["seed"] == 1
+    def test_simulate_has_no_format_flag(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--coeffs", "1", "--n", "5",
+                                 "--seed", "1", "--format", "json")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --format json" in err
 
     @pytest.mark.parametrize("argv,message", [
         # simulate printed inf values after a RuntimeWarning, exit 0.
@@ -242,7 +240,8 @@ class TestSimulateAndFit:
           "--reps", "2", "--seed", "1", "--sampling", "gpd_direct", "--k", "50",
           "--workers", "1"), "GPD quantile overflows"),
         # Finite draws, but the filter overflows.
-        (("simulate", "--coeffs", "1e308,1e308", "--n", "4"), "simulated path is not finite"),
+        (("simulate", "--coeffs", "1e308,1e308", "--n", "4"),
+         "simulated path overflows: the filter of these coefficients"),
     ])
     def test_overflowing_draws_are_numerical_failures(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -445,33 +444,26 @@ class TestValidate:
         assert code == 1
         assert "unknown config key: 'bogus'" in err
 
-    @pytest.mark.parametrize("key", ["kind", "pi2"])
+    # pi1: a series run refuses any value but 1, and a gpd_direct run never reads it.
+    @pytest.mark.parametrize("key", ["kind", "pi2", "pi1"])
     def test_removed_model_keys_rejected(self, capsys, tmp_path, key):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, key: 0.5}))
-        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert (code, err) == (1, f"error: unknown config key: {key!r}\n")
-
-    @pytest.mark.parametrize("sampling,message", [("series", "scale unavailable"),
-                                                  ("gpd_direct", None)])
-    def test_right_tail_weight_from_file(self, capsys, tmp_path, sampling, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "pi1": 0.3,
-                                        "sampling": sampling, "r": -1, "n": 4000,
-                                        "k": 60, "reps": 4, "seed": 17, "workers": 1}))
+        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1, "n": 4000,
+                                        "reps": 4, "seed": 17, key: 0.5}))
         code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
-        if message:
-            assert (code, out) == (1, "") and err.startswith(f"error: {message}")
-        else:
-            assert code == 0
-            assert json.loads(out)["config"]["innovation"] == {"alpha": 3.0, "pi1": 0.3}
+        assert (code, out, err) == (1, "", f"error: unknown config key: {key!r}\n")
 
     CONFIG_VALUES = {"coeffs": [1], "ar": [0.5], "ma": [0.4], "alpha": 3.5,
-                     "pi1": 0.3, "r": -0.5, "n": 3000, "k": 50, "theta": 0.8,
+                     "r": -0.5, "n": 3000, "k": 50, "theta": 0.8,
                      "reps": 3, "seed": 5, "workers": 1, "sampling": "gpd_direct"}
 
     def test_config_values_cover_every_key(self):
         assert self.CONFIG_VALUES.keys() == CONFIG_KEYS.keys()
+
+    def test_every_flag_is_a_config_key(self):
+        # A flag without a key, or a key without a flag, says one thing twice.
+        flags = vars(build_parser().parse_args(["validate"]))
+        assert flags.keys() - {"command", "func", "config", "output"} == CONFIG_KEYS.keys()
 
     @pytest.mark.parametrize("key", CONFIG_VALUES)
     def test_every_config_key_runs_or_fails_cleanly(self, capsys, tmp_path, key):
@@ -697,8 +689,7 @@ class TestUsage:
         assert outputs[0][0] == 0
 
     @pytest.mark.parametrize("command,flags", [
-        ("simulate", ["--coeffs", "--alpha", "--n", "--seed", "--output",
-                      "--format"]),
+        ("simulate", ["--coeffs", "--alpha", "--n", "--seed", "--output"]),
         ("fit", ["--input", "--k", "--r", "--excesses", "--output"]),
         ("cov", ["--gamma", "--r", "--coeffs", "--ar", "--ma"]),
         ("check", ["--alpha", "--coeffs", "--xi"]),

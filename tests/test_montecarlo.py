@@ -162,6 +162,13 @@ class TestConfig:
         assert dataclasses.replace(cfg, coeffs=IID).centering != cfg.centering
         assert dataclasses.replace(cfg, sampling="gpd_direct").scale == 1.0
 
+    def test_replace_keeps_a_derived_k(self):
+        # replace passes the stored k on, so the growth rule runs only for k=None.
+        cfg = small_config(coeffs=DEP, n=10**6, k=None)
+        assert cfg.k == 144
+        assert dataclasses.replace(cfg, n=10**8).k == 144
+        assert dataclasses.replace(cfg, n=10**8, k=None).k == 758
+
     def test_centering_survives_pickling(self):
         cfg = small_config(coeffs=DEP)
         restored = pickle.loads(pickle.dumps(cfg))
@@ -204,6 +211,21 @@ class TestRunReplication:
         with pytest.raises(LmeSolverError, match="no LME solution found") as info:
             lme_fit(sample, cfg.r)
         assert info.value.reason == "no_sign_change"
+
+    def test_start_survival_past_one_is_clamped(self):
+        # 4(k + 1)/(n + J) is 2.42 here; at 1 the kernel flags every word, as
+        # from_uniform(2.42) < 1 did before from_uniform refused it.
+        cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=100, k=60, r=-0.5,
+                                  replications=4, master_seed=7)
+        records = [mc.run_replication(cfg, i) for i in range(4)]
+        assert [(rec.gamma_hat.hex(), rec.sigma_hat.hex(), rec.status)
+                for rec in records] == [
+            ("0x1.c8c3b9c64202ap-6", "0x1.c783623818403p-2", "ok"),
+            ("0x1.9c5d6af0e32a7p-3", "0x1.689084c441559p-1", "ok"),
+            ("0x1.21e8c94ade8dbp-2", "0x1.1fcfa1016db1bp-1", "ok"),
+            ("0x1.a84009eec52f6p-3", "0x1.eec1c26d94fa3p-2", "ok")]
+        assert_same_sample(mc._series_sample(DEP, MODEL, 100, 7, 3, 60),
+                           full_path_sample(DEP, MODEL, 100, 7, 3, 60))
 
     def test_gpd_direct_mean_near_zero(self):
         # iid control straight from the limit law: the standardized shape
@@ -411,6 +433,32 @@ def assert_threads_bounded(starts, bound):
     assert not any(thread.is_alive() for thread in starts)
 
 
+class InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: appends each pool's size to
+    ``sizes`` and runs the tasks in this process, as a worker process would."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def use_inline_pool(monkeypatch) -> list[int]:
+    """Replace the process pool by ``InlinePool``; returns its list of sizes."""
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return InlinePool.sizes
+
+
 class ReplicationFailure(Exception):
     pass
 
@@ -482,26 +530,12 @@ class TestReplicationThreads:
         assert_threads_bounded(starts, 3)
 
     def test_pooled_run_starts_no_helper_threads(self, monkeypatch):
-        # The pool's tasks run here, as they would in a worker process.
         monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
         monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                assert max_workers == 2
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        sizes = use_inline_pool(monkeypatch)
         starts = count_starts(monkeypatch)
         mc.run_experiment(small_config(coeffs=DEP, replications=4, worker_count_hint=2))
+        assert sizes == [2]
         assert starts == []
 
 
@@ -686,24 +720,7 @@ class TestRunExperiment:
     (1, 2, 4, ([], 2)), (1, 6, 8, ([], 4)), (1, 6, 2, ([], 2)),
 ])
 def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
-    sizes = []
-
-    class SerialPool:
-        """Records the pool size and runs the tasks in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    sizes = use_inline_pool(monkeypatch)
     if cpus is None:
         # No affinity set and no CPU count: one CPU.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

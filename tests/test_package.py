@@ -1,9 +1,13 @@
 import ast
+import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import tailproc
 from tailproc import asymptotics, estimator, montecarlo, process, second_order
@@ -61,6 +65,59 @@ def test_oracles_do_not_import_tailproc():
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "numpy" in modules
     assert not {name for name in modules if name and name.split(".")[0] == "tailproc"}
+
+
+C = process.CoefficientSequence((1.0, 0.5))
+MODEL = process.InnovationModel(alpha=3.0)
+EXCESSES = estimator.ExcessSample.from_excesses(np.linspace(0.1, 3.0, 50))
+PHI = asymptotics.phi_constants(C, 0.5, -1.0)
+# One call per float parameter of the public constructors and functions.
+FLOAT_PARAMETERS = {
+    "InnovationModel.alpha": lambda x: process.InnovationModel(alpha=x),
+    "InnovationModel.pi1": lambda x: process.InnovationModel(pi1=x),
+    "CoefficientSequence.truncation_error_bound":
+        lambda x: process.CoefficientSequence(C.coeffs, truncation_error_bound=x),
+    "GpdParams.gamma": lambda x: estimator.GpdParams(gamma=x, sigma=1.0),
+    "GpdParams.sigma": lambda x: estimator.GpdParams(gamma=0.5, sigma=x),
+    "ExcessSample.threshold": lambda x: estimator.ExcessSample(np.ones(3), threshold=x),
+    "lme_fit.r": lambda x: estimator.lme_fit(EXCESSES, x),
+    "coefficient_norm.gamma": lambda x: asymptotics.coefficient_norm(C, x),
+    "phi_constants.gamma": lambda x: asymptotics.phi_constants(C, x, -1.0),
+    "phi_constants.r": lambda x: asymptotics.phi_constants(C, 0.5, x),
+    "pairwise_dependence_sum.gamma": lambda x: asymptotics.pairwise_dependence_sum(C, x),
+    "raw_limits.gamma": lambda x: asymptotics.raw_limits(x, -1.0, PHI),
+    "raw_limits.r": lambda x: asymptotics.raw_limits(0.5, x, PHI),
+    "sigma_matrix.kappa1": lambda x: asymptotics.sigma_matrix(x, 1.0, 0.0),
+    "sigma_matrix.kappa2": lambda x: asymptotics.sigma_matrix(1.0, x, 0.0),
+    "sigma_matrix.kappa3": lambda x: asymptotics.sigma_matrix(1.0, 1.0, x),
+    "jacobian_limit.gamma": lambda x: asymptotics.jacobian_limit(x, -1.0),
+    "jacobian_limit.r": lambda x: asymptotics.jacobian_limit(0.5, x),
+    "linearization_matrix.gamma": lambda x: asymptotics.linearization_matrix(x, -1.0),
+    "linearization_matrix.r": lambda x: asymptotics.linearization_matrix(0.5, x),
+    "estimator_cov.gamma": lambda x: asymptotics.estimator_cov(x, -1.0, C),
+    "estimator_cov.r": lambda x: asymptotics.estimator_cov(0.5, x, C),
+    "second_tail_vanishes.alpha": lambda x: second_order.second_tail_vanishes(x, C),
+    "tail_expansion.alpha": lambda x: second_order.tail_expansion(x, C),
+    "choose_k.theta": lambda x: second_order.choose_k(1000, x, 3.0, False),
+    "choose_k.alpha": lambda x: second_order.choose_k(1000, 0.9, x, False),
+    "check_conditions.alpha": lambda x: second_order.check_conditions(x, C),
+    "check_conditions.xi": lambda x: second_order.check_conditions(3.0, C, xi=x),
+    "ExperimentConfig.r": lambda x: montecarlo.ExperimentConfig(
+        coeffs=C, model=MODEL, n=1000, k=20, r=x, replications=2, master_seed=1),
+    "ExperimentConfig.theta": lambda x: montecarlo.ExperimentConfig(
+        coeffs=C, model=MODEL, n=1000, r=-1.0, theta=x, replications=2, master_seed=1),
+    "sigma_nk.gamma": lambda x: montecarlo.sigma_nk(
+        second_order.quantile_expansion(second_order.tail_expansion(3.0, C)), x, 1000, 20),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_PARAMETERS)
+def test_float_parameters_refuse_nan_and_infinity(name, value):
+    # tail_expansion(inf) gave c_tilde (1, nan, nan), sigma_matrix(nan, ...) a
+    # nan matrix, and a nan truncation bound a truncation_error of 0.0833.
+    with pytest.raises(ValueError):
+        FLOAT_PARAMETERS[name](value)
 
 
 def test_csv_header_is_the_record_fields():

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ class TestInnovationModel:
     def test_from_uniform_support_endpoint(self):
         model = InnovationModel(alpha=3.0)
         assert model.from_uniform(1.0) == 1.0
+
+    @pytest.mark.parametrize("u", [-0.5, 0.0, 1.5, np.nan, [0.5, np.nan]])
+    def test_uniform_outside_the_unit_interval_rejected(self, u):
+        # -0.5 and nan gave nan, 1.5 a magnitude below 1, and 0.0 warned
+        # before its OverflowError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"u must lie in \(0, 1\]"):
+                InnovationModel(alpha=3.0).from_uniform(u)
 
     @pytest.mark.parametrize("pi1", [1.0, 0.5])
     def test_overflowing_draw_raises(self, pi1):
