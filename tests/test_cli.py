@@ -444,14 +444,37 @@ class TestValidate:
         assert code == 1
         assert "unknown config key: 'bogus'" in err
 
-    # pi1: a series run refuses any value but 1, and a gpd_direct run never reads it.
-    @pytest.mark.parametrize("key", ["kind", "pi2", "pi1"])
+    @pytest.mark.parametrize("key", ["kind", "pi2"])
     def test_removed_model_keys_rejected(self, capsys, tmp_path, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1, "n": 4000,
                                         "reps": 4, "seed": 17, key: 0.5}))
         code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
         assert (code, out, err) == (1, "", f"error: unknown config key: {key!r}\n")
+
+    # pi1 is no config key, since no accepted run reads it: a series config
+    # refuses any value but 1, and a gpd_direct run draws GPD(gamma) without it.
+    @pytest.mark.parametrize("sampling,message", [("series", "scale unavailable"),
+                                                  ("gpd_direct", None)])
+    def test_right_tail_weight_from_file(self, capsys, tmp_path, sampling, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "pi1": 0.3,
+                                        "sampling": sampling, "r": -1, "n": 4000,
+                                        "k": 60, "reps": 4, "seed": 17, "workers": 1}))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        assert (code, out, err) == (1, "", "error: unknown config key: 'pi1'\n")
+
+        def config(pi1):
+            return montecarlo.ExperimentConfig(
+                coeffs=CoefficientSequence((1.0,)), model=InnovationModel(alpha=3.0, pi1=pi1),
+                sampling=sampling, r=-1.0, n=4000, k=60, replications=4, master_seed=17)
+
+        if message:
+            with pytest.raises(ValueError, match=message):
+                config(0.3)
+        else:
+            assert ([montecarlo.run_replication(config(0.3), i) for i in range(4)]
+                    == [montecarlo.run_replication(config(1.0), i) for i in range(4)])
 
     CONFIG_VALUES = {"coeffs": [1], "ar": [0.5], "ma": [0.4], "alpha": 3.5,
                      "r": -0.5, "n": 3000, "k": 50, "theta": 0.8,
