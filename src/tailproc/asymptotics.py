@@ -127,6 +127,7 @@ def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, 
 def _lag_pair_sums(coeffs: CoefficientSequence, gamma: float, r: float) -> tuple:
     """The sums of phi_1..phi_3 before their division by the norm."""
     arr = np.abs(coeffs.as_array())
+    logs = np.log(np.where(arr > 0, arr, 1.0))
     s1 = s2 = s3 = 0.0
     for j in range(1, arr.size):
         lo, hi = np.minimum(arr[:-j], arr[j:]), np.maximum(arr[:-j], arr[j:])
@@ -135,7 +136,7 @@ def _lag_pair_sums(coeffs: CoefficientSequence, gamma: float, r: float) -> tuple
         w = lo ** (1.0 / gamma)
         s1 += float(np.sum(w))
         s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
-        s3 += float(np.sum(w * np.log(hi / lo)))
+        s3 += float(np.sum(w * np.abs(logs[:-j] - logs[j:])[keep]))
     return s1, s2, s3
 
 
@@ -146,8 +147,8 @@ def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiCon
     ``max**(r/gamma) / min**((r-1)/gamma)`` and phi_3 sums
     ``min**(1/gamma) * log(max/min)``, each over pairs with both coefficients
     nonzero and divided by the coefficient norm.  The phi_2 term is evaluated
-    as ``min**(1/gamma) * (min/max)**(-r/gamma)``, whose factors cannot
-    overflow once the norm is finite.
+    as ``min**(1/gamma) * (min/max)**(-r/gamma)`` and ``log(max/min)`` as
+    ``|log c_i - log c_j|``, so no factor can overflow once the norm is finite.
     """
     _check_domain(gamma, r)
     norm, trunc = coefficient_norm(coeffs, gamma)
@@ -171,8 +172,11 @@ def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:
     g, p1, p2, p3 = gamma, phi.phi1, phi.phi2, phi.phi3
     t1I = g + 2.0 * g * p1 + p3
     t2I = (-r + (1.0 - 2.0 * r) * p1 - p2) / (1.0 - r)
-    t12 = (-g * r * (2.0 - r) + (2.0 * r**2 - 4.0 * r + 1.0) * g * p1
-           - g * p2 - r * (1.0 - r) * p3) / (1.0 - r) ** 2
+    try:  # a float's ** raises on overflow, with only an errno for a message
+        t12 = (-g * r * (2.0 - r) + (2.0 * r**2 - 4.0 * r + 1.0) * g * p1
+               - g * p2 - r * (1.0 - r) * p3) / (1.0 - r) ** 2
+    except OverflowError:
+        raise OverflowError(f"raw limits overflow at gamma={gamma!r}, r={r!r}") from None
     return RawLimits(t1=2.0 * g * t1I, t2=-2.0 * r / (1.0 - 2.0 * r) * t2I,
                      tI=1.0 + 2.0 * p1, t12=t12, t1I=t1I, t2I=t2I,
                      beta1p=g / (g + 1.0), beta2p=-r / (1.0 - r + g))
@@ -219,13 +223,16 @@ def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> Covari
     """Asymptotic covariance ``L S L^T`` of the standardized estimator pair,
     with ``L = -J**-1`` taken from the Jacobian limit by the 2x2 adjugate.
 
-    Raises ``ArithmeticError`` when the covariance is not finite or not
-    positive definite, as the cancellation in ``L S L^T`` makes it at a
-    small ``|r|``.  A wrong result that is still positive definite passes.
+    Raises ``ArithmeticError`` when the kappas are not finite (a huge gamma),
+    or the covariance is not finite and positive definite, as the
+    cancellation in ``L S L^T`` makes it at a small ``|r|``.  A wrong result
+    that is still positive definite passes.
     """
     phi = phi_constants(coeffs, gamma, r)
     raw = raw_limits(gamma, r, phi)
-    kappa1, kappa2, kappa3 = _centered(raw)
+    kappa1, kappa2, kappa3 = kappas = _centered(raw)
+    if not all(map(math.isfinite, kappas)):
+        raise ArithmeticError(f"kappas {kappas} are not finite at gamma={gamma!r}, r={r!r}")
     sigma = sigma_matrix(kappa1, kappa2, kappa3)
     with np.errstate(all="ignore"):
         lmat = linearization_matrix(gamma, r)

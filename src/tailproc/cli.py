@@ -39,6 +39,11 @@ KEYWORDS = {"reps": "replications", "seed": "master_seed", "workers": "worker_co
 TYPE_NAMES = {float: "a number", int: "a number", str: "a string", list: "a list of numbers"}
 
 
+class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # a default of None goes unsaid
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -212,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Heavy-tailed linear processes, likelihood "
                                  "moment fitting, and limit validation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _Formatter
 
     p = sub.add_parser("simulate", formatter_class=fmt,
                        help="simulate a path and write it as a single column")
@@ -261,16 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None, help="tuning exponent, negative")
     p.add_argument("--n", type=int, default=None, help="path length per replication")
     p.add_argument("--k", type=int, default=None,
-                   help="number of upper order statistics (growth rule if omitted)")
+                   help="number of upper order statistics (default: the growth rule)")
     p.add_argument("--theta", type=float, default=None,
-                   help="growth rule exponent fraction in (0, 1)")
+                   help="growth rule exponent fraction in (0, 1) "
+                        f"(default: {montecarlo.ExperimentConfig.theta})")
     p.add_argument("--reps", type=int, default=None, help="number of replications")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (usable CPU count if omitted); with one process a "
-                        "series run uses min(usable CPUs, reps, ceil(n / 2**17)) threads")
+                   help="process count of a gpd_direct run; series replications run on "
+                        "threads (default: the usable CPUs)")
     p.add_argument("--sampling", choices=("series", "gpd_direct"), default=None,
-                   help="replication sampling mode")
+                   help="replication sampling mode "
+                        f"(default: {montecarlo.ExperimentConfig.sampling})")
     p.add_argument("--output", default=None,
                    help="prefix for <prefix>.records.csv and <prefix>.report.json")
     p.set_defaults(func=_cmd_validate)

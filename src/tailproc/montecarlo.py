@@ -308,12 +308,8 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationRecord:
 
     The random stream is keyed by ``(master_seed, index)``, so the record is a
     pure function of ``(config, index)`` and independent of scheduling.
-    Solver failures are recorded in ``status`` rather than raised.
-
-    A series replication's sample is bit-identical to ``top_k_excesses`` of
-    the full ``simulate`` path, and it holds one block of memory, not the
-    path (see ``_series_sample``).  It runs in the caller's thread and starts
-    none.
+    Solver failures are recorded in ``status`` rather than raised.  A
+    series replication's sample is ``_series_sample``'s.
     """
     if config.sampling == "gpd_direct":
         rng = philox_stream(config.master_seed, index)
@@ -346,13 +342,6 @@ def empirical_cov(pairs) -> np.ndarray:
     return np.cov(z, rowvar=False)
 
 
-def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    if np.any(eigvals <= 0):
-        raise ValueError("theoretical covariance must be positive definite")
-    return eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
-
-
 def _ks_uniform(cdf_values: np.ndarray) -> tuple[float, float]:
     """Kolmogorov-Smirnov distance of cdf values from uniform, asymptotic p-value."""
     from scipy import special
@@ -378,8 +367,10 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
     z = np.asarray(pairs, dtype=float)
     if z.shape[0] < MIN_RECORDS_FOR_DIAGNOSTICS:
         raise ValueError(f"need at least {MIN_RECORDS_FOR_DIAGNOSTICS} records")
-    whitener = _inverse_sqrt(np.asarray(theoretical, dtype=float))
-    white = z @ whitener.T
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(theoretical, dtype=float))
+    if np.any(eigvals <= 0):
+        raise ValueError("theoretical covariance must be positive definite")
+    white = z @ (eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T).T
     ks = [_ks_uniform(special.ndtr(white[:, j])) for j in range(2)]
     mahal = np.einsum("ij,ij->i", white, white)
     mahal_d, mahal_p = _ks_uniform(special.chdtr(2, mahal))
@@ -393,13 +384,14 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
 
     Replications execute independently, each on one thread, and are
     aggregated in index order, so the report is bit-identical for a fixed
-    config regardless of worker count.  They run on a process pool of
-    ``min(worker_count_hint, replications, usable_cpus())`` workers when that
-    is more than one, else on a thread pool of ``min(usable_cpus(),
-    replications, blocks)`` workers, else in a plain loop that starts no
-    thread and loads no ``concurrent.futures``.  A series replication has one
-    block per ``_BLOCK_WORDS`` outputs; a ``gpd_direct`` one counts as one
-    block (its GIL-bound solver gains nothing from threads).  The theory is
+    config regardless of worker count.  The sampling mode chooses the
+    executor.  Series replications, whose draws and filter run in numpy
+    with the GIL released, run on ``min(usable_cpus(), replications)``
+    threads when ``n`` spans more than one ``_BLOCK_WORDS`` block, whatever
+    ``worker_count_hint``.  ``gpd_direct`` replications, whose solver holds
+    the GIL, run on ``min(worker_count_hint, replications, usable_cpus())``
+    processes.  A run of one worker is a plain loop that starts no thread
+    and loads no ``concurrent.futures``.  The theory is
     ``asymptotics.estimator_cov`` at ``coeffs``, or at ``(1,)`` for the iid
     draws of ``gpd_direct``, whose ``coeffs`` must still have a finite norm.
     A replication that raises cancels those not yet started, and every
@@ -411,8 +403,6 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     """
     started = time.perf_counter()
     # The closed form first: its numerical failures cost no replication or file.
-    # gpd_direct draws are iid, so their theory is the one-coefficient limit;
-    # their coefficients' norm must still exist, as a series run's must.
     coeffs = config.coeffs
     if config.sampling == "gpd_direct":
         asymptotics.coefficient_norm(coeffs, config.gamma)
@@ -424,16 +414,15 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
             open(path, "w").close()
     indices = range(config.replications)
     replicate = functools.partial(run_replication, config)
-    cpus = usable_cpus()
-    blocks = 1 if config.sampling == "gpd_direct" else len(
-        range(0, config.n, _BLOCK_WORDS))
-    processes = min(config.worker_count_hint, config.replications, cpus)
-    threads = min(cpus, config.replications, blocks)
-    if processes > 1 or threads > 1:
+    series = config.sampling == "series"
+    if series:
+        workers = min(usable_cpus(), config.replications) if config.n > _BLOCK_WORDS else 1
+    else:
+        workers = min(config.worker_count_hint, config.replications, usable_cpus())
+    if workers > 1:
         from concurrent import futures
 
-        executor, workers = ((futures.ProcessPoolExecutor, processes) if processes > 1
-                             else (futures.ThreadPoolExecutor, threads))
+        executor = futures.ThreadPoolExecutor if series else futures.ProcessPoolExecutor
         # ThreadPoolExecutor.map ignores chunksize.
         chunk = max(1, config.replications // (workers * 8))
         with executor(max_workers=workers) as pool:

@@ -196,11 +196,6 @@ class SimulatedPath:
         self.values.setflags(write=False)
 
 
-def _ar_roots(ar: np.ndarray) -> np.ndarray:
-    """Roots of 1 - ar_1 z - ... - ar_p z^p."""
-    return np.roots(np.concatenate((-ar[::-1], [1.0])))
-
-
 def arma_to_ma(ar, ma) -> CoefficientSequence:
     """Certified moving-average expansion of a causal ARMA recursion.
 
@@ -233,7 +228,8 @@ def arma_to_ma(ar, ma) -> CoefficientSequence:
         coeffs = np.concatenate(([1.0], ma))
         return CoefficientSequence(tuple(coeffs), ar=tuple(ar), ma=tuple(ma))
 
-    modulus = float(np.min(np.abs(_ar_roots(ar))))
+    # The smallest root modulus of 1 - ar_1 z - ... - ar_p z^p.
+    modulus = float(np.min(np.abs(np.roots(np.concatenate((-ar[::-1], [1.0]))))))
     if modulus <= 1.0 + 1e-12:
         raise ValueError("not causal: autoregressive root on or inside the unit circle")
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -104,6 +105,18 @@ class TestPhiConstants:
         with pytest.raises(ValueError, match="r must be negative"):
             phi_constants(CoefficientSequence((1.0,)), gamma=1.0, r=0.5)
 
+    def test_phi3_of_a_ratio_past_the_float_range(self):
+        # log(hi / lo) overflowed at 1 / 1e-320, and 0 * inf made phi3 nan.
+        coeffs = CoefficientSequence((1.0, 1e-320))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = phi_constants(coeffs, gamma=0.5, r=-1.0)
+            flat = phi_constants(coeffs, gamma=100.0, r=-1.0)
+        assert tiny.phi3 == 0.0
+        w = 1e-320 ** 0.01
+        assert flat.phi3 == pytest.approx(-w * math.log(1e-320) / (1.0 + w), rel=1e-12)
+        assert flat.phi3 == pytest.approx(0.465, abs=1e-3)
+
     @pytest.mark.parametrize("coeffs", [
         CoefficientSequence((1.0, 0.5)),
         CoefficientSequence(tuple(0.99**j for j in range(301))),
@@ -201,6 +214,10 @@ class TestMatrices:
         with pytest.raises(ValueError):
             sigma_matrix(-1.0, 1.0, 0.0)
 
+    def test_sigma_matrix_rejects_infinite_kappa(self):
+        with pytest.raises(ValueError, match="kappas must be finite"):
+            sigma_matrix(math.inf, 1.0, 0.0)
+
     def test_linearization_hand_values(self):
         np.testing.assert_allclose(linearization_matrix(1.0, -1.0),
                                    [[4.0, 12.0], [-2.0, -12.0]], atol=1e-14)
@@ -285,6 +302,17 @@ class TestEstimatorCov:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="not finite and positive definite"):
                 estimator_cov(0.3333, r, CoefficientSequence((1.0, 0.5)))
+
+    def test_huge_gamma_names_the_kappas(self):
+        # sigma_matrix's ValueError made a valid gamma a usage error.
+        with pytest.raises(ArithmeticError,
+                           match=r"kappas \(inf, .*\) are not finite at gamma=1e\+300, r=-1.0"):
+            estimator_cov(1e300, -1.0, CoefficientSequence((1.0, 0.5)))
+
+    def test_huge_r_overflow_is_named(self):
+        # Python's float r**2 raised OverflowError(34, 'Numerical result out of range').
+        with pytest.raises(OverflowError, match=r"raw limits overflow at gamma=0.5, r=-1e\+300"):
+            estimator_cov(0.5, -1e300, CoefficientSequence((1.0, 0.5)))
 
     def test_report_key_order(self):
         report = estimator_cov(0.5, -1.0, CoefficientSequence((1.0, 0.5)))

@@ -111,6 +111,31 @@ class TestCov:
                              "--coeffs", "1")
         assert code == 1
 
+    def test_coefficient_ratio_past_the_float_range(self, capsys):
+        # phi3's 1 / 1e-320 overflowed, and cov exited 1 on "kappas must be finite".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1",
+                                     "--coeffs", "1,1e-320")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["phi3"] == 0.0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cov", "--gamma", "1e300", "--r", "-1"], "kappas (inf, "),
+        (["cov", "--gamma", "0.5", "--r", "-1e300"],
+         "raw limits overflow at gamma=0.5, r=-1e+300\n"),
+        (["validate", "--alpha", "3", "--r", "-1e300", "--n", "2000", "--reps", "2",
+          "--seed", "1", "--workers", "1"],
+         "raw limits overflow at gamma=0.3333333333333333, r=-1e+300\n"),
+    ], ids=["huge_gamma", "huge_r_cov", "huge_r_validate"])
+    def test_huge_parameter_is_named_numerical_failure(self, capsys, argv, message):
+        # A huge gamma exited 1 as a usage error; a huge |r| printed a bare
+        # "(34, 'Numerical result out of range')".
+        code, out, err = run_cli(capsys, *argv, "--coeffs", "1,0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"numerical failure: {message}")
+        assert len(err.splitlines()) == 1
+
 
 class TestCheck:
     def test_iid_fails_two_conditions(self, capsys):
@@ -726,6 +751,16 @@ class TestUsage:
         for flag in flags:
             assert flag in out
         assert "default" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "cov", "check", "validate"])
+    def test_help_shows_no_none_default(self, capsys, command):
+        # validate's help read "(default: None)" after every flag.
+        assert main([command, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "default: None" not in out
+        if command == "validate":
+            for fallback in ("the growth rule", "0.9", "the usable CPUs", "series"):
+                assert f"(default: {fallback})" in out
 
     @pytest.mark.parametrize("argv", [
         ["cov", "--gamma", "0.5", "--r", "nan", "--coeffs", "1,0.5"],

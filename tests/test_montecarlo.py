@@ -530,13 +530,25 @@ class TestReplicationThreads:
         assert_threads_bounded(starts, 3)
 
     def test_pooled_run_starts_no_helper_threads(self, monkeypatch):
-        monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
         monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         sizes = use_inline_pool(monkeypatch)
         starts = count_starts(monkeypatch)
-        mc.run_experiment(small_config(coeffs=DEP, replications=4, worker_count_hint=2))
+        mc.run_experiment(small_config(coeffs=DEP, replications=4, worker_count_hint=2,
+                                       sampling="gpd_direct"))
         assert sizes == [2]
         assert starts == []
+
+    def test_series_run_ignores_the_worker_hint(self, monkeypatch, tmp_path):
+        # At worker_count_hint 2 a series run went to a process pool.
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", 1024)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+        sizes = use_inline_pool(monkeypatch)
+        paths = [tmp_path / f"hint{hint}.records.csv" for hint in (1, 2)]
+        for hint, path in zip((1, 2), paths):
+            mc.run_experiment(small_config(coeffs=DEP, replications=6,
+                                           worker_count_hint=hint), csv_path=path)
+        assert sizes == []
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_usable_cpus_follows_affinity(monkeypatch):
@@ -711,15 +723,10 @@ class TestRunExperiment:
         assert report.diagnostics is None
 
 
-# expected: (pool sizes, thread bound).  A serial run of n 500 in blocks of
-# 128 outputs starts at most min(cpus, replications, 4) threads, and none
-# when that is 1; a pool's tasks start none.
-@pytest.mark.parametrize("hint,replications,cpus,expected", [
-    (8, 3, 4, ([3], 0)), (8, 6, 4, ([4], 0)), (2, 6, 4, ([2], 0)),
-    (8, 6, 1, ([], 0)), (8, 6, None, ([], 0)), (1, 6, 4, ([], 4)),
-    (1, 2, 4, ([], 2)), (1, 6, 8, ([], 4)), (1, 6, 2, ([], 2)),
-])
-def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
+def assert_executor(monkeypatch, hint, replications, cpus, expected, n=500,
+                    sampling="series"):
+    """Run n outputs in blocks of 128; ``expected`` is (process pool sizes,
+    bound on the threads started), and a pool's tasks start no thread."""
     sizes = use_inline_pool(monkeypatch)
     if cpus is None:
         # No affinity set and no CPU count: one CPU.
@@ -729,16 +736,39 @@ def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
         monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(mc, "_BLOCK_WORDS", 128)
     starts = count_starts(monkeypatch)
-    mc.run_experiment(small_config(n=500, k=20, replications=replications,
-                                   worker_count_hint=hint))
+    mc.run_experiment(small_config(n=n, k=20, replications=replications,
+                                   worker_count_hint=hint, sampling=sampling))
     pool_sizes, bound = expected
     assert sizes == pool_sizes
     assert bool(starts) == (bound > 0)
     assert_threads_bounded(starts, bound)
 
 
+@pytest.mark.parametrize("hint,replications,cpus,expected", [
+    (8, 3, 4, ([], 3)), (8, 6, 4, ([], 4)), (2, 6, 4, ([], 4)),
+    (8, 6, 1, ([], 0)), (8, 6, None, ([], 0)), (1, 6, 4, ([], 4)),
+    (1, 2, 4, ([], 2)), (1, 6, 8, ([], 6)), (1, 6, 2, ([], 2)),
+])
+def test_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
+    # A series run: min(CPUs, replications) threads whatever the hint, no process.
+    assert_executor(monkeypatch, hint, replications, cpus, expected)
+
+
+@pytest.mark.parametrize("hint,replications,cpus,expected", [
+    (8, 3, 4, ([3], 0)), (8, 6, 4, ([4], 0)), (2, 6, 4, ([2], 0)),
+    (8, 6, 1, ([], 0)), (8, 6, None, ([], 0)), (1, 6, 8, ([], 0)),
+])
+def test_gpd_direct_pool_size_is_bounded(monkeypatch, hint, replications, cpus, expected):
+    # min(hint, replications, CPUs) processes, and no thread.
+    assert_executor(monkeypatch, hint, replications, cpus, expected, sampling="gpd_direct")
+
+
+def test_one_block_series_run_starts_no_threads(monkeypatch):
+    assert_executor(monkeypatch, 8, 6, 4, ([], 0), n=128)
+
+
 def test_gpd_direct_serial_run_starts_no_threads(monkeypatch):
-    # One block per replication, whatever n: the solver holds the GIL.
+    # A plain loop at hint 1, whatever n: the solver holds the GIL.
     monkeypatch.setattr(mc, "usable_cpus", lambda: 4)
     monkeypatch.setattr(mc, "_BLOCK_WORDS", 128)
     starts = count_starts(monkeypatch)
