@@ -202,10 +202,13 @@ def jacobian_limit(gamma: float, r: float) -> np.ndarray:
     """Probability limit of the Jacobian of the estimating-equation system."""
     _check_domain(gamma, r)
     g = gamma
-    return np.array([
-        [-g / (1.0 + g), -g / (1.0 + g)],
-        [-r / ((1.0 - r) ** 2 * (1.0 + g - r)), -r / ((1.0 - r) * (1.0 + g - r))],
-    ])
+    try:  # a float's ** raises on overflow, with only an errno for a message
+        return np.array([
+            [-g / (1.0 + g), -g / (1.0 + g)],
+            [-r / ((1.0 - r) ** 2 * (1.0 + g - r)), -r / ((1.0 - r) * (1.0 + g - r))],
+        ])
+    except OverflowError:
+        raise OverflowError(f"Jacobian limit overflows at gamma={gamma!r}, r={r!r}") from None
 
 
 def linearization_matrix(gamma: float, r: float) -> np.ndarray:
@@ -213,10 +216,16 @@ def linearization_matrix(gamma: float, r: float) -> np.ndarray:
     limit, with J the ``jacobian_limit``, by the 2x2 adjugate.  J is
     non-singular for every gamma > 0, r < 0 in exact arithmetic only: as
     r -> 0 its rows become parallel (det ~ r**2), and in floats L loses
-    digits, then becomes infinite."""
+    digits, then becomes infinite when det rounds to zero.  An L past the
+    float range for a nonzero det, as at a tiny gamma, raises ``OverflowError``."""
     (j00, j01), (j10, j11) = jacobian_limit(gamma, r)
     det = j00 * j11 - j01 * j10
-    return -np.array([[j11, -j01], [-j10, j00]]) / det
+    with np.errstate(over="raise"):
+        try:
+            return -np.array([[j11, -j01], [-j10, j00]]) / det
+        except FloatingPointError:
+            raise OverflowError(f"linearization matrix overflows at gamma={gamma!r}, "
+                                f"r={r!r}") from None
 
 
 def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> CovarianceReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shlex
 import sys
 from dataclasses import asdict
 
@@ -24,20 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-# Config keys, one per validate flag, and their value types: float takes any
-# JSON number, int a whole one.  null leaves NULLABLE_KEYS unset.  Keys other
-# than the coefficients and alpha pass to ExperimentConfig, renamed by KEYWORDS.
-CONFIG_KEYS = {
-    "coeffs": list, "ar": list, "ma": list, "alpha": float,
-    "r": float, "n": int, "k": int,
-    "theta": float, "reps": int, "seed": int, "workers": int,
-    "sampling": str,
-}
-COEFF_KEYS = ("coeffs", "ar", "ma")
-NULLABLE_KEYS = COEFF_KEYS + ("k", "workers")
-KEYWORDS = {"reps": "replications", "seed": "master_seed", "workers": "worker_count_hint"}
-TYPE_NAMES = {float: "a number", int: "a number", str: "a string", list: "a list of numbers"}
-
 
 class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
     def _get_help_string(self, action):  # a default of None goes unsaid
@@ -50,6 +37,10 @@ class _Parser(argparse.ArgumentParser):
         # argparse reads -5e-1 as an option; no flag here starts with a digit.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
+    def convert_arg_line_to_args(self, arg_line):
+        """An argument file's line, split as a shell would, ``#`` comments dropped."""
+        return shlex.split(arg_line, comments=True)
+
 
 def _parse_floats(text: str) -> list[float]:
     try:
@@ -58,38 +49,17 @@ def _parse_floats(text: str) -> list[float]:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _convert(key: str, value):
-    """A config file value as its key's type."""
-    if key not in CONFIG_KEYS:
-        raise ValueError(f"unknown config key: {key!r}")
-    kind = CONFIG_KEYS[key]
-    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-    if kind is list:
-        valid = isinstance(value, list) and all(map(number, value))
-    else:
-        valid = isinstance(value, str) if kind is str else number(value)
-    if not valid:
-        raise ValueError(f"config key {key!r} must be {TYPE_NAMES[kind]}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"config key {key!r} must be a whole number")
-    return kind(value)
-
-
-def _coeffs(coeffs=None, ar=None, ma=None) -> CoefficientSequence:
+def _coeffs(args) -> CoefficientSequence:
     """Explicit coefficients, or the truncated expansion of an ARMA model."""
+    coeffs, ar, ma = (None if text is None else _parse_floats(text)
+                      for text in (args.coeffs, args.ar, args.ma))
     if coeffs is not None and (ar is not None or ma is not None):
         raise ValueError("give either coeffs or ar/ma, not both")
     if coeffs is not None:
-        return CoefficientSequence(tuple(float(v) for v in coeffs))
+        return CoefficientSequence(tuple(coeffs))
     if ar is not None or ma is not None:
         return arma_to_ma(ar or [], ma or [])
     raise ValueError("coefficients required: give coeffs or ar/ma")
-
-
-def _coeff_flags(args) -> dict:
-    """The coefficient flags given on the command line, parsed."""
-    return {key: _parse_floats(getattr(args, key)) for key in COEFF_KEYS
-            if getattr(args, key) is not None}
 
 
 def _emit(payload: dict | str, output: str | None) -> None:
@@ -107,7 +77,7 @@ def _read_column(path: str) -> np.ndarray:
     header, which only the first other row may be."""
     values = []
     header_allowed = True
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, line in enumerate(handle, start=1):
             token = line.strip().split(",")[0]
             if line.isspace() or token.startswith("#"):
@@ -125,9 +95,8 @@ def _read_column(path: str) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    coeffs = _coeffs(**_coeff_flags(args))
-    model = InnovationModel(alpha=args.alpha, pi1=args.pi1)
-    path = simulate(coeffs, model, args.n, args.seed)
+    path = simulate(_coeffs(args), InnovationModel(alpha=args.alpha, pi1=args.pi1),
+                    args.n, args.seed)
     _emit("value\n" + "\n".join(repr(float(v)) for v in path.values), args.output)
     return EXIT_OK
 
@@ -148,52 +117,23 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cov(args) -> int:
-    coeffs = _coeffs(**_coeff_flags(args))
-    report = asymptotics.estimator_cov(args.gamma, args.r, coeffs)
+    report = asymptotics.estimator_cov(args.gamma, args.r, _coeffs(args))
     _emit(report.to_dict(), args.output)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    coeffs = _coeffs(**_coeff_flags(args))
-    report = second_order.check_conditions(args.alpha, coeffs, xi=args.xi)
+    report = second_order.check_conditions(args.alpha, _coeffs(args), xi=args.xi)
     _emit(report.to_dict(), args.output)
     return EXIT_OK
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    return {key: _convert(key, value) for key, value in raw.items()
-            if value is not None or key not in NULLABLE_KEYS}
-
-
 def _cmd_validate(args) -> int:
-    cfg = _load_config_file(args.config) if args.config else {}
-    # Command-line flags override file values; coefficient flags replace the
-    # file's coeffs/ar/ma keys as a group.
-    flags = _coeff_flags(args)
-    if flags:
-        cfg = {key: value for key, value in cfg.items() if key not in COEFF_KEYS}
-    cfg.update(flags)
-    cfg.update({key: getattr(args, key) for key in CONFIG_KEYS.keys() - COEFF_KEYS
-                if getattr(args, key) is not None})
-
-    coeffs = _coeffs(*(cfg.pop(key, None) for key in COEFF_KEYS))
-    for key in ("alpha", "r", "n", "reps", "seed"):
-        if key not in cfg:
-            raise ValueError(f"missing config key: {key!r}")
-    model = InnovationModel(alpha=cfg.pop("alpha"))
-    cfg.setdefault("workers", montecarlo.usable_cpus())
     config = montecarlo.ExperimentConfig(
-        coeffs=coeffs, model=model,
-        **{KEYWORDS.get(key, key): value for key, value in cfg.items()})
-
+        coeffs=_coeffs(args), model=InnovationModel(alpha=args.alpha), n=args.n, k=args.k,
+        r=args.r, replications=args.reps, master_seed=args.seed,
+        worker_count_hint=montecarlo.usable_cpus() if args.workers is None else args.workers,
+        sampling=args.sampling, theta=args.theta)
     csv_path = json_path = None
     if args.output:
         csv_path = args.output + ".records.csv"
@@ -258,26 +198,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("validate", formatter_class=fmt,
-                       help="Monte Carlo validation of the normal limit")
-    p.add_argument("--config", default=None, help="JSON config file")
+    defaults = montecarlo.ExperimentConfig
+    p = sub.add_parser("validate", formatter_class=fmt, fromfile_prefix_chars="@",
+                       help="Monte Carlo validation of the normal limit",
+                       description="Monte Carlo validation of the normal limit. @FILE "
+                                   "stands for the flags in FILE, any number a line, "
+                                   "# for comments; later arguments win.")
     _add_coeff_flags(p)
-    p.add_argument("--alpha", type=float, default=None, help="innovation tail index")
-    p.add_argument("--r", type=float, default=None, help="tuning exponent, negative")
-    p.add_argument("--n", type=int, default=None, help="path length per replication")
+    p.add_argument("--alpha", type=float, required=True, help="innovation tail index")
+    p.add_argument("--r", type=float, required=True, help="tuning exponent, negative")
+    p.add_argument("--n", type=int, required=True, help="path length per replication")
     p.add_argument("--k", type=int, default=None,
                    help="number of upper order statistics (default: the growth rule)")
-    p.add_argument("--theta", type=float, default=None,
-                   help="growth rule exponent fraction in (0, 1) "
-                        f"(default: {montecarlo.ExperimentConfig.theta})")
-    p.add_argument("--reps", type=int, default=None, help="number of replications")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--theta", type=float, default=defaults.theta,
+                   help="growth rule exponent fraction in (0, 1)")
+    p.add_argument("--reps", type=int, required=True, help="number of replications")
+    p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--workers", type=int, default=None,
                    help="process count of a gpd_direct run; series replications run on "
                         "threads (default: the usable CPUs)")
-    p.add_argument("--sampling", choices=("series", "gpd_direct"), default=None,
-                   help="replication sampling mode "
-                        f"(default: {montecarlo.ExperimentConfig.sampling})")
+    p.add_argument("--sampling", choices=("series", "gpd_direct"), default=defaults.sampling,
+                   help="replication sampling mode")
     p.add_argument("--output", default=None,
                    help="prefix for <prefix>.records.csv and <prefix>.report.json")
     p.set_defaults(func=_cmd_validate)

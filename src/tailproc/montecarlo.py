@@ -209,7 +209,11 @@ def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
         raise ValueError("scale unavailable: supply a quantile expansion")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    return float(gamma * qexp.b(n / k))
+    try:  # n / k of an int n past the float range raises
+        x = n / k
+    except OverflowError:
+        raise OverflowError(f"centering scale overflows at n={n!r}, k={k!r}") from None
+    return float(gamma * qexp.b(x))
 
 
 def usable_cpus() -> int:

@@ -204,14 +204,17 @@ def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, 
     alpha = qexp.tail.alpha
     a1, _, a3 = qexp.a
     ct1, ct2, ct3 = qexp.tail.c_tilde
-    x = n / k
     sk = np.sqrt(k)
-    rate_2erv = sk * abs(2.0 * a3 / (a1 * alpha)) * x ** (-2.0 / alpha)
-    b_val = float(qexp.b(x))
-    if qexp.tail.c2_is_zero:
-        rate_2rv = sk * abs(2.0 * ct3 / ct1) / b_val**2
-    else:
-        rate_2rv = sk * abs(ct2 / ct1) / b_val
+    try:  # n / k of an int n past the float range, or b**2, raises
+        x = n / k
+        rate_2erv = sk * abs(2.0 * a3 / (a1 * alpha)) * x ** (-2.0 / alpha)
+        b_val = float(qexp.b(x))
+        if qexp.tail.c2_is_zero:
+            rate_2rv = sk * abs(2.0 * ct3 / ct1) / b_val**2
+        else:
+            rate_2rv = sk * abs(ct2 / ct1) / b_val
+    except OverflowError:
+        raise OverflowError(f"second-order rates overflow at n={n!r}, k={k!r}") from None
     return float(rate_2erv), float(rate_2rv)
 
 
@@ -229,7 +232,10 @@ def choose_k(n: int, theta: float, alpha: float, case_c2_zero: bool) -> int:
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     exponent = 4.0 * theta / (4.0 + alpha) if case_c2_zero else 2.0 * theta / (2.0 + alpha)
-    k = int(np.floor(n**exponent))
+    try:  # an int n past the float range raises
+        k = int(np.floor(n**exponent))
+    except OverflowError:
+        raise OverflowError(f"growth rule overflows at n={n!r}") from None
     return max(2, min(k, n - 1))
 
 

@@ -237,6 +237,20 @@ class TestMatrices:
                 assert np.abs(prod - np.eye(2)).max() <= 1e-12
                 assert abs(np.linalg.det(lmat)) > 1e-12
 
+    @pytest.mark.parametrize("function,gamma,r,message", [
+        (jacobian_limit, 0.5, -1e300, "Jacobian limit overflows at gamma=0.5, r=-1e+300"),
+        (linearization_matrix, 0.5, -1e300,
+         "Jacobian limit overflows at gamma=0.5, r=-1e+300"),
+        (linearization_matrix, 1e-320, -1.0,
+         "linearization matrix overflows at gamma=1e-320, r=-1.0"),
+    ])
+    def test_overflow_is_named(self, function, gamma, r, message):
+        # (1 - r)**2 raised a bare errno, and L at a subnormal det was inf
+        # with a RuntimeWarning.
+        with pytest.raises(OverflowError) as info:
+            function(gamma, r)
+        assert str(info.value) == message
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             linearization_matrix(0.0, -1.0)

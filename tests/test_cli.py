@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tailproc import montecarlo
-from tailproc.cli import CONFIG_KEYS, build_parser, main
+from tailproc.cli import build_parser, main
 from tailproc.estimator import GpdParams, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, simulate
 from tailproc.second_order import choose_k
@@ -127,10 +127,16 @@ class TestCov:
         (["validate", "--alpha", "3", "--r", "-1e300", "--n", "2000", "--reps", "2",
           "--seed", "1", "--workers", "1"],
          "raw limits overflow at gamma=0.3333333333333333, r=-1e+300\n"),
-    ], ids=["huge_gamma", "huge_r_cov", "huge_r_validate"])
+        (["validate", "--alpha", "3", "--r", "-0.5", "--n", str(10**400), "--reps", "2",
+          "--seed", "1"], f"growth rule overflows at n={10**400}\n"),
+        (["validate", "--alpha", "3", "--r", "-0.5", "--n", str(10**400), "--k", "50",
+          "--reps", "2", "--seed", "1"], f"centering scale overflows at n={10**400}, k=50\n"),
+    ], ids=["huge_gamma", "huge_r_cov", "huge_r_validate", "huge_n", "huge_n_explicit_k"])
     def test_huge_parameter_is_named_numerical_failure(self, capsys, argv, message):
         # A huge gamma exited 1 as a usage error; a huge |r| printed a bare
-        # "(34, 'Numerical result out of range')".
+        # "(34, 'Numerical result out of range')", and an n with no float
+        # "int too large to convert to float" or "integer division result
+        # too large for a float".
         code, out, err = run_cli(capsys, *argv, "--coeffs", "1,0.5")
         assert (code, out) == (2, "")
         assert err.startswith(f"numerical failure: {message}")
@@ -371,6 +377,21 @@ class TestSimulateAndFit:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: line {line} of {path} is not a number: ")
 
+    def test_byte_order_mark_is_not_a_header(self, capsys, tmp_path):
+        # A first value after a UTF-8 byte-order mark was taken for a header:
+        # k 199 and gamma_hat 0.2726 in place of k 200 and 0.3267.
+        rows = "\n".join(repr(float(v)) for v in
+                         GpdParams(1.0 / 3.0, 1.0).quantile((np.arange(200) + 0.5) / 200))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows + "\n")
+        marked.write_text("\ufeff" + rows + "\n", encoding="utf-8")
+        outputs = [run_cli(capsys, "fit", "--input", str(path), "--excesses", "--r", "-0.5")
+                   for path in (plain, marked)]
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[1][1])
+        assert payload["k"] == 200
+        assert payload["gamma_hat"] == pytest.approx(0.3267, abs=5e-5)
+
     def test_empty_first_field_is_a_header_or_an_error(self, capsys, tmp_path):
         # A row such as ",7.0" is not blank: its first field is not a number.
         data = GpdParams(0.5, 1.0).quantile((np.arange(50) + 0.5) / 50)
@@ -405,15 +426,21 @@ class TestSimulateAndFit:
         assert code == 1
 
 
+VALIDATE_FLAGS = "--coeffs 1 --alpha 3 --r -1 --n 4000 --k 60 --reps 4 --seed 17 --workers 1"
+
+
+def args_file(tmp_path, text, name="run.args"):
+    """An argument file holding ``text``, as the ``@FILE`` argument naming it."""
+    path = tmp_path / name
+    path.write_text(text)
+    return f"@{path}"
+
+
 class TestValidate:
     def test_config_file_run_with_outputs(self, capsys, tmp_path):
-        cfg = {"coeffs": [1], "alpha": 3, "r": -1, "n": 4000, "k": 60,
-               "reps": 30, "seed": 17, "workers": 1}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        run = args_file(tmp_path, VALIDATE_FLAGS.replace("--reps 4", "--reps 30"))
         prefix = str(tmp_path / "out")
-        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path),
-                               "--output", prefix)
+        code, out, _ = run_cli(capsys, "validate", run, "--output", prefix)
         assert code == 0
         payload = json.loads(out)
         assert payload["config"]["k"] == 60
@@ -422,72 +449,92 @@ class TestValidate:
         report = json.loads((tmp_path / "out.report.json").read_text())
         assert report["empirical_mean"] == payload["empirical_mean"]
 
+    @pytest.mark.parametrize("flags", [
+        "--coeffs 1,0.5 --alpha 3 --r -0.5 --n 4000 --reps 6 --seed 3 --workers 1",
+        "--ar 0.5 --alpha 3 --r -0.5 --n 4000 --k 60 --reps 6 --seed 3 --workers 2 "
+        "--sampling gpd_direct",
+    ], ids=["series", "gpd_direct"])
+    def test_argument_file_matches_command_line(self, capsys, tmp_path, flags):
+        outputs = []
+        for name, argv in (("line", flags.split()),
+                           ("file", [args_file(tmp_path, flags.replace(" --", "\n--"))])):
+            prefix = tmp_path / name
+            code, out, err = run_cli(capsys, "validate", *argv, "--output", str(prefix))
+            reports = [json.loads(text) for text in
+                       (out, Path(f"{prefix}.report.json").read_text())]
+            for report in reports:
+                report.pop("elapsed_seconds")
+            outputs.append((code, err, reports,
+                            Path(f"{prefix}.records.csv").read_bytes()))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     def test_gpd_direct_below_alpha_two_takes_k_from_the_rule(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 1.5, "sampling": "gpd_direct",
-                                        "r": -1, "n": 4000, "reps": 4, "seed": 17,
-                                        "workers": 1}))
-        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
+        run = args_file(tmp_path, "--coeffs 1 --alpha 1.5 --sampling gpd_direct\n"
+                                  "--r -1 --n 4000 --reps 4 --seed 17 --workers 1\n")
+        code, out, _ = run_cli(capsys, "validate", run)
         assert code == 0
         payload = json.loads(out)
         assert payload["config"]["k"] == choose_k(4000, 0.9, 1.5, True)
         assert payload["failure_count"] == 0
 
     def test_cli_flags_override_config(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1,
-                                        "n": 4000, "k": 60, "reps": 30,
-                                        "seed": 17, "workers": 1}))
-        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path),
-                               "--reps", "12")
-        assert code == 0
-        assert json.loads(out)["config"]["replications"] == 12
+        # Later arguments win: a flag after the file overrides it, and one
+        # before the file is overridden by it.
+        run = args_file(tmp_path, VALIDATE_FLAGS)
+        for argv, reps in (([run, "--reps", "12"], 12), (["--reps", "12", run], 4)):
+            code, out, _ = run_cli(capsys, "validate", *argv)
+            assert (code, json.loads(out)["config"]["replications"]) == (0, reps)
+
+    def test_comments_and_exponent_form_in_file(self, capsys, tmp_path):
+        # Any number of flags a line, # comments, and -5e-1 as on the command line.
+        run = args_file(tmp_path, "# MA(1) control\n\n--coeffs 1,0.5 --alpha 3  # one-sided\n"
+                                  "--r -5e-1\n  --n 2000 --k 40 --reps 3 --seed 1 --workers 1\n")
+        outputs = []
+        for argv in ([run], "--coeffs 1,0.5 --alpha 3 --r -0.5 --n 2000 --k 40 --reps 3 "
+                            "--seed 1 --workers 1".split()):
+            code, out, err = run_cli(capsys, "validate", *argv)
+            payload = json.loads(out)
+            payload.pop("elapsed_seconds")
+            outputs.append((code, payload, err))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
 
     def test_both_coefficient_kinds_in_file_rejected(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "ar": [0.5], "alpha": 3,
-                                        "r": -1, "n": 4000, "k": 60, "reps": 4,
-                                        "seed": 17, "workers": 1}))
-        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        run = args_file(tmp_path, VALIDATE_FLAGS + " --ar 0.5")
+        code, _, err = run_cli(capsys, "validate", run)
         assert code == 1
         assert "not both" in err
 
-    def test_coeffs_flag_replaces_arma_keys_of_file(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"ar": [0.5], "alpha": 3, "r": -1,
-                                        "n": 4000, "k": 60, "reps": 4,
-                                        "seed": 17, "workers": 1}))
-        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path),
-                               "--coeffs", "1,0.5")
-        assert code == 0
-        assert json.loads(out)["config"]["coeffs"] == [1.0, 0.5]
+    def test_file_arma_with_command_line_coeffs_rejected(self, capsys, tmp_path):
+        # Both kinds are refused, whether each comes from the file or the command line.
+        run = args_file(tmp_path, VALIDATE_FLAGS.replace("--coeffs 1", "--ar 0.5"))
+        for argv in ([run, "--coeffs", "1,0.5"], ["--coeffs", "1,0.5", run]):
+            code, out, err = run_cli(capsys, "validate", *argv)
+            assert (code, out, err) == (1, "", "error: give either coeffs or ar/ma, not both\n")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "bogus": True}))
-        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        run = args_file(tmp_path, VALIDATE_FLAGS + "\n--bogus 1\n")
+        code, _, err = run_cli(capsys, "validate", run)
         assert code == 1
-        assert "unknown config key: 'bogus'" in err
+        assert err.endswith("error: unrecognized arguments: --bogus 1\n")
 
     @pytest.mark.parametrize("key", ["kind", "pi2"])
     def test_removed_model_keys_rejected(self, capsys, tmp_path, key):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1, "n": 4000,
-                                        "reps": 4, "seed": 17, key: 0.5}))
-        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert (code, out, err) == (1, "", f"error: unknown config key: {key!r}\n")
+        run = args_file(tmp_path, f"{VALIDATE_FLAGS} --{key} 0.5")
+        code, out, err = run_cli(capsys, "validate", run)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: --{key} 0.5\n")
 
-    # pi1 is no config key, since no accepted run reads it: a series config
+    # pi1 is no validate flag, since no accepted run reads it: a series config
     # refuses any value but 1, and a gpd_direct run draws GPD(gamma) without it.
     @pytest.mark.parametrize("sampling,message", [("series", "scale unavailable"),
                                                   ("gpd_direct", None)])
     def test_right_tail_weight_from_file(self, capsys, tmp_path, sampling, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "pi1": 0.3,
-                                        "sampling": sampling, "r": -1, "n": 4000,
-                                        "k": 60, "reps": 4, "seed": 17, "workers": 1}))
-        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert (code, out, err) == (1, "", "error: unknown config key: 'pi1'\n")
+        run = args_file(tmp_path, f"{VALIDATE_FLAGS} --pi1 0.3 --sampling {sampling}")
+        code, out, err = run_cli(capsys, "validate", run)
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --pi1 0.3\n")
 
         def config(pi1):
             return montecarlo.ExperimentConfig(
@@ -501,84 +548,56 @@ class TestValidate:
             assert ([montecarlo.run_replication(config(0.3), i) for i in range(4)]
                     == [montecarlo.run_replication(config(1.0), i) for i in range(4)])
 
-    CONFIG_VALUES = {"coeffs": [1], "ar": [0.5], "ma": [0.4], "alpha": 3.5,
-                     "r": -0.5, "n": 3000, "k": 50, "theta": 0.8,
-                     "reps": 3, "seed": 5, "workers": 1, "sampling": "gpd_direct"}
+    CONFIG_VALUES = {"coeffs": "1", "ar": "0.5", "ma": "0.4", "alpha": "3.5",
+                     "r": "-0.5", "n": "3000", "k": "50", "theta": "0.8",
+                     "reps": "3", "seed": "5", "workers": "1", "sampling": "gpd_direct"}
+    # ExperimentConfig's field for each flag named otherwise.
+    CONFIG_FIELDS = {"coeffs": "coeffs", "ar": "coeffs", "ma": "coeffs", "alpha": "model",
+                     "reps": "replications", "seed": "master_seed",
+                     "workers": "worker_count_hint"}
+
+    @staticmethod
+    def validate_flags():
+        argv = ["validate", *"--alpha 3 --r -1 --n 10 --reps 1 --seed 1".split()]
+        return vars(build_parser().parse_args(argv)).keys() - {"command", "func", "output"}
 
     def test_config_values_cover_every_key(self):
-        assert self.CONFIG_VALUES.keys() == CONFIG_KEYS.keys()
+        assert self.CONFIG_VALUES.keys() == self.validate_flags()
 
     def test_every_flag_is_a_config_key(self):
-        # A flag without a key, or a key without a flag, says one thing twice.
-        flags = vars(build_parser().parse_args(["validate"]))
-        assert flags.keys() - {"command", "func", "config", "output"} == CONFIG_KEYS.keys()
+        # Each flag is one ExperimentConfig field (the coefficient kinds
+        # together one), and every field the caller sets has a flag.
+        fields = {f.name for f in dataclasses.fields(montecarlo.ExperimentConfig) if f.init}
+        assert {self.CONFIG_FIELDS.get(flag, flag) for flag in self.validate_flags()} == fields
+        assert set(self.CONFIG_FIELDS) <= self.validate_flags()
 
     @pytest.mark.parametrize("key", CONFIG_VALUES)
     def test_every_config_key_runs_or_fails_cleanly(self, capsys, tmp_path, key):
-        # A key that reached ExperimentConfig as an unknown keyword would
+        # A flag that reached ExperimentConfig as an unknown keyword would
         # raise a TypeError, which main does not catch.
-        cfg = {"coeffs": [1], "alpha": 3, "r": -1, "n": 4000, "k": 60,
-               "reps": 4, "seed": 17, "workers": 1, key: self.CONFIG_VALUES[key]}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+        run = args_file(tmp_path, f"{VALIDATE_FLAGS}\n--{key} {self.CONFIG_VALUES[key]}\n")
+        code, out, err = run_cli(capsys, "validate", run)
         if code == 0:
-            assert json.loads(out)["failure_count"] <= cfg["reps"]
+            assert json.loads(out)["failure_count"] <= 4
         else:
             assert (code, out) == (1, "")
             assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key,value,expected", [
-        ("coeffs", 5, "a list of numbers"),
-        ("alpha", {}, "a number"),
-        ("n", [1000], "a number"),
-        ("n", 2000.7, "a whole number"),
-        ("k", 20.9, "a whole number"),
-        ("reps", 3.9, "a whole number"),
-        ("seed", 1.5, "a whole number"),
-        ("workers", 1.2, "a whole number"),
-        ("n", float("inf"), "a whole number"),
-    ])
-    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, key,
-                                                 value, expected):
-        cfg = {"coeffs": [1], "alpha": 3, "r": -1, "n": 4000, "k": 60,
-               "reps": 4, "seed": 17, "workers": 1, key: value}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert code == 1
-        assert out == ""
-        assert err == f"error: config key {key!r} must be {expected}\n"
-
-    def test_integral_numbers_accepted_for_counts(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"coeffs": [1], "alpha": 3, "r": -1, "n": 4e3, '
-                            '"k": 60.0, "reps": 4.0, "seed": 1.7e1, "workers": 1e0}')
-        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert code == 0
-        config = json.loads(out)["config"]
-        assert [config[key] for key in ("n", "k", "replications", "master_seed")] \
-            == [4000, 60, 4, 17]
-
-    def test_null_leaves_optional_keys_unset(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "ar": None, "alpha": 3,
-                                        "r": -1, "n": 4000, "k": None, "reps": 4,
-                                        "seed": 17, "workers": None}))
-        code, _, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert code == 0
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "4e3"), ("--k", "60.0"), ("--reps", "4.0"), ("--seed", "1.7e1"),
+        ("--workers", "1e0")])
+    def test_counts_must_be_integer_literals(self, capsys, tmp_path, flag, value):
+        run = args_file(tmp_path, f"{VALIDATE_FLAGS} {flag} {value}")
+        code, out, err = run_cli(capsys, "validate", run)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {flag}: invalid int value: '{value}'\n")
 
     def test_zero_workers_rejected(self, capsys, tmp_path):
-        cfg = {"coeffs": [1], "alpha": 3, "r": -1, "n": 4000, "k": 60,
-               "reps": 4, "seed": 17}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**cfg, "workers": 0}))
-        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert (code, err) == (1, "error: worker_count_hint must be >= 1\n")
-        cfg_path.write_text(json.dumps(cfg))
-        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path),
-                               "--workers", "0")
-        assert (code, err) == (1, "error: worker_count_hint must be >= 1\n")
+        flags = VALIDATE_FLAGS.replace(" --workers 1", "")
+        for argv in ([args_file(tmp_path, f"{flags} --workers 0", "zero.args")],
+                     [args_file(tmp_path, flags), "--workers", "0"]):
+            code, _, err = run_cli(capsys, "validate", *argv)
+            assert (code, err) == (1, "error: worker_count_hint must be >= 1\n")
 
     def test_workers_default_to_usable_cpus(self, capsys, tmp_path, monkeypatch):
         hints = []
@@ -590,11 +609,17 @@ class TestValidate:
         real = montecarlo.run_experiment
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
         monkeypatch.setattr(montecarlo, "run_experiment", recording)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1, "n": 4000,
-                                        "k": 60, "reps": 4, "seed": 17}))
-        code, _, _ = run_cli(capsys, "validate", "--config", str(cfg_path))
+        code, _, _ = run_cli(capsys, "validate", *VALIDATE_FLAGS.split()[:-2])
         assert (code, hints) == (0, [3])
+
+    def test_huge_n_runs_gpd_direct_with_explicit_k(self, capsys):
+        # The n with no float that a series run refuses (TestCov) leaves a
+        # gpd_direct run, which reads no n / k, running.
+        code, out, err = run_cli(capsys, "validate", "--coeffs", "1,0.5", "--alpha", "3",
+                                 "--r", "-0.5", "--n", str(10**400), "--k", "50", "--reps", "2",
+                                 "--seed", "1", "--workers", "1", "--sampling", "gpd_direct")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["n"] == 10**400
 
     def test_output_into_missing_directory_fails_before_the_run(self, capsys, tmp_path,
                                                                  monkeypatch):
@@ -630,24 +655,16 @@ class TestValidate:
             assert "insufficient replications" in payload["flags"]
             assert all(map(np.isfinite, payload["second_order_rates"].values()))
 
-    @pytest.mark.parametrize("text,message", [
-        ("{\"alpha\": 3,", "config file is not valid JSON: "),
-        ("[1, 2]", "config file must hold a JSON object"),
-    ], ids=["invalid_json", "not_an_object"])
-    def test_config_file_must_be_a_json_object(self, capsys, tmp_path, text, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(text)
-        code, out, err = run_cli(capsys, "validate", "--config", str(cfg_path))
+    def test_missing_argument_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate", f"@{tmp_path / 'missing.args'}")
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {message}")
+        assert "No such file or directory" in err
 
     def test_missing_required_key_named(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"coeffs": [1], "alpha": 3, "r": -1,
-                                        "n": 4000}))
-        code, _, err = run_cli(capsys, "validate", "--config", str(cfg_path))
-        assert code == 1
-        assert "missing config key" in err
+        run = args_file(tmp_path, "--coeffs 1 --alpha 3 --r -1 --n 4000")
+        code, out, err = run_cli(capsys, "validate", run)
+        assert (code, out) == (1, "")
+        assert err.endswith("error: the following arguments are required: --reps, --seed\n")
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -741,8 +758,8 @@ class TestUsage:
         ("fit", ["--input", "--k", "--r", "--excesses", "--output"]),
         ("cov", ["--gamma", "--r", "--coeffs", "--ar", "--ma"]),
         ("check", ["--alpha", "--coeffs", "--xi"]),
-        ("validate", ["--config", "--n", "--k", "--theta", "--reps", "--seed",
-                      "--workers", "--output"]),
+        ("validate", ["--n", "--k", "--theta", "--reps", "--seed", "--workers",
+                      "--sampling", "--output"]),
     ])
     def test_help_lists_flags_with_defaults(self, capsys, command, flags):
         code = main([command, "--help"])

@@ -66,6 +66,11 @@ class TestSigmaNk:
         with pytest.raises(ValueError, match="need 1 <= k < n"):
             mc.sigma_nk(qexp, 1.0 / 3.0, 100, 100)
 
+    def test_n_past_the_float_range_is_named(self):
+        qexp = quantile_expansion(tail_expansion(3.0, IID))
+        with pytest.raises(OverflowError, match=r"^centering scale overflows at n=10{400}, k=50$"):
+            mc.sigma_nk(qexp, 1.0 / 3.0, 10**400, 50)
+
 
 class TestConfig:
     def test_k_at_least_two_below_n(self):

@@ -199,6 +199,11 @@ class TestSecondOrderRates:
         with pytest.raises(ValueError):
             second_order_rates(100, 100, qexp)
 
+    def test_n_past_the_float_range_is_named(self):
+        qexp = quantile_expansion(tail_expansion(3.0, DEP))
+        with pytest.raises(OverflowError, match=r"^second-order rates overflow at n=10{400}, k=50$"):
+            second_order_rates(10**400, 50, qexp)
+
 
 class TestChooseK:
     def test_printed_examples(self):
@@ -230,6 +235,11 @@ class TestChooseK:
     def test_n_domain(self):
         with pytest.raises(ValueError, match="n must be >= 2"):
             choose_k(1, 0.9, 3.0, False)
+
+    def test_n_past_the_float_range_is_named(self):
+        # n**exponent raised Python's bare "int too large to convert to float".
+        with pytest.raises(OverflowError, match=r"^growth rule overflows at n=10{400}$"):
+            choose_k(10**400, 0.9, 3.0, False)
 
 
 class TestCheckConditions:
