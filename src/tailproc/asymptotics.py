@@ -216,11 +216,12 @@ def linearization_matrix(gamma: float, r: float) -> np.ndarray:
     limit, with J the ``jacobian_limit``, by the 2x2 adjugate.  J is
     non-singular for every gamma > 0, r < 0 in exact arithmetic only: as
     r -> 0 its rows become parallel (det ~ r**2), and in floats L loses
-    digits, then becomes infinite when det rounds to zero.  An L past the
-    float range for a nonzero det, as at a tiny gamma, raises ``OverflowError``."""
+    digits.  An L past the float range raises ``OverflowError``: for a
+    nonzero det, as at a tiny gamma, and where det rounds to zero, as at
+    r = -1e-20."""
     (j00, j01), (j10, j11) = jacobian_limit(gamma, r)
     det = j00 * j11 - j01 * j10
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise", divide="raise"):
         try:
             return -np.array([[j11, -j01], [-j10, j00]]) / det
         except FloatingPointError:
@@ -233,9 +234,10 @@ def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> Covari
     with ``L = -J**-1`` taken from the Jacobian limit by the 2x2 adjugate.
 
     Raises ``ArithmeticError`` when the kappas are not finite (a huge gamma),
-    or the covariance is not finite and positive definite, as the
-    cancellation in ``L S L^T`` makes it at a small ``|r|``.  A wrong result
-    that is still positive definite passes.
+    when L overflows (``linearization_matrix``'s ``OverflowError``, as at
+    r = -1e-20), or when the covariance is not finite and positive definite,
+    as the cancellation in ``L S L^T`` makes it at a small ``|r|`` such as
+    -1e-6.  A wrong result that is still positive definite passes.
     """
     phi = phi_constants(coeffs, gamma, r)
     raw = raw_limits(gamma, r, phi)

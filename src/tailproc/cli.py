@@ -1,7 +1,9 @@
 """Command-line interface: simulate, fit, cov, check, validate.
 
-Exit codes: 0 on success, 1 on usage or configuration errors, 2 on numerical
-failure (for example when the moment equation has no root).
+Exit codes: 0 on success, 1 on usage or configuration errors and on
+resource failures (memory that cannot be allocated, a file that cannot be
+opened, a replication worker process that dies), 2 on numerical failure
+(for example when the moment equation has no root).
 """
 
 from __future__ import annotations
@@ -132,8 +134,7 @@ def _cmd_validate(args) -> int:
     config = montecarlo.ExperimentConfig(
         coeffs=_coeffs(args), model=InnovationModel(alpha=args.alpha), n=args.n, k=args.k,
         r=args.r, replications=args.reps, master_seed=args.seed,
-        worker_count_hint=montecarlo.usable_cpus() if args.workers is None else args.workers,
-        sampling=args.sampling, theta=args.theta)
+        worker_count_hint=montecarlo.usable_cpus(), sampling=args.sampling, theta=args.theta)
     csv_path = json_path = None
     if args.output:
         csv_path = args.output + ".records.csv"
@@ -214,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="growth rule exponent fraction in (0, 1)")
     p.add_argument("--reps", type=int, required=True, help="number of replications")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count of a gpd_direct run; series replications run on "
-                        "threads (default: the usable CPUs)")
     p.add_argument("--sampling", choices=("series", "gpd_direct"), default=defaults.sampling,
                    help="replication sampling mode")
     p.add_argument("--output", default=None,
@@ -234,7 +232,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (LmeSolverError, ArithmeticError) as exc:

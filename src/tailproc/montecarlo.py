@@ -399,7 +399,8 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     ``asymptotics.estimator_cov`` at ``coeffs``, or at ``(1,)`` for the iid
     draws of ``gpd_direct``, whose ``coeffs`` must still have a finite norm.
     A replication that raises cancels those not yet started, and every
-    worker has ended before the exception leaves here.  A running
+    worker has ended before the exception leaves here; a pool whose worker
+    dies raises ``ChildProcessError``.  A running
     replication holds one block of memory.  A replication loads numpy only;
     SciPy (``scipy.special``) loads for the normality diagnostics, which need
     ``MIN_RECORDS_FOR_DIAGNOSTICS`` good records.  Optionally writes the
@@ -429,8 +430,11 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
         executor = futures.ThreadPoolExecutor if series else futures.ProcessPoolExecutor
         # ThreadPoolExecutor.map ignores chunksize.
         chunk = max(1, config.replications // (workers * 8))
-        with executor(max_workers=workers) as pool:
-            records = list(pool.map(replicate, indices, chunksize=chunk))
+        try:
+            with executor(max_workers=workers) as pool:
+                records = list(pool.map(replicate, indices, chunksize=chunk))
+        except futures.BrokenExecutor as exc:  # a worker died, as by an OOM kill
+            raise ChildProcessError(f"replication pool broke: {exc}") from exc
     else:
         records = list(map(replicate, indices))
 

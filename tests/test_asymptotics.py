@@ -243,12 +243,16 @@ class TestMatrices:
          "Jacobian limit overflows at gamma=0.5, r=-1e+300"),
         (linearization_matrix, 1e-320, -1.0,
          "linearization matrix overflows at gamma=1e-320, r=-1.0"),
+        (linearization_matrix, 0.5, -1e-20,
+         "linearization matrix overflows at gamma=0.5, r=-1e-20"),
     ])
     def test_overflow_is_named(self, function, gamma, r, message):
-        # (1 - r)**2 raised a bare errno, and L at a subnormal det was inf
-        # with a RuntimeWarning.
-        with pytest.raises(OverflowError) as info:
-            function(gamma, r)
+        # (1 - r)**2 raised a bare errno, and L at a subnormal det, or at a
+        # det rounded to zero, was inf with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                function(gamma, r)
         assert str(info.value) == message
 
     def test_domain_validation(self):
@@ -312,9 +316,12 @@ class TestEstimatorCov:
     def test_cancellation_at_tiny_r_raises(self, r):
         # J's rows become parallel as r -> 0: at -1e-6 L S L^T came out with
         # negative variances, at -1e-20 infinite, at -1e-200 nan after warnings.
+        # At |r| <= 1e-16 det rounds to zero, and L itself overflows.
+        message = ("not finite and positive definite" if r == -1e-6
+                   else f"^linearization matrix overflows at gamma=0.3333, r={r!r}$")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match="not finite and positive definite"):
+            with pytest.raises(ArithmeticError, match=message):
                 estimator_cov(0.3333, r, CoefficientSequence((1.0, 0.5)))
 
     def test_huge_gamma_names_the_kappas(self):

@@ -1,4 +1,8 @@
+import ast
+import builtins
+import concurrent.futures
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -11,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailproc import montecarlo
+from test_montecarlo import InlinePool, use_inline_pool
+
+from tailproc import cli, montecarlo
 from tailproc.cli import build_parser, main
 from tailproc.estimator import GpdParams, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, simulate
@@ -30,6 +36,13 @@ def strict_json(text):
         raise ValueError(f"non-finite JSON constant {token}")
 
     return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Keeps a gpd_direct run in a plain loop: the CLI sizes its process
+    pool by the usable CPUs."""
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 1)
 
 
 class TestCov:
@@ -96,14 +109,16 @@ class TestCov:
 
     @pytest.mark.parametrize("command", [
         ("cov", "--gamma", "0.3333"),
-        ("validate", "--alpha", "3", "--n", "2000", "--reps", "2", "--seed", "1",
-         "--workers", "1")])
+        ("validate", "--alpha", "3", "--n", "2000", "--reps", "2", "--seed", "1")])
     @pytest.mark.parametrize("r", ["-1e-6", "-1e-20"])
     def test_tiny_r_is_numerical_failure(self, capsys, command, r):
         # cov printed negative variances at -1e-6 and Infinity at -1e-20, exit 0.
+        # At -1e-20 the Jacobian's det rounds to zero, and L overflows.
+        message = {"-1e-6": "covariance L S L^T is not finite",
+                   "-1e-20": "linearization matrix overflows at gamma=0.333"}[r]
         code, out, err = run_cli(capsys, *command, "--r", r, "--coeffs", "1,0.5")
         assert (code, out) == (2, "")
-        assert err.startswith("numerical failure: covariance L S L^T is not finite")
+        assert err.startswith(f"numerical failure: {message}")
         assert len(err.splitlines()) == 1
 
     def test_domain_error_is_usage_error(self, capsys):
@@ -125,7 +140,7 @@ class TestCov:
         (["cov", "--gamma", "0.5", "--r", "-1e300"],
          "raw limits overflow at gamma=0.5, r=-1e+300\n"),
         (["validate", "--alpha", "3", "--r", "-1e300", "--n", "2000", "--reps", "2",
-          "--seed", "1", "--workers", "1"],
+          "--seed", "1"],
          "raw limits overflow at gamma=0.3333333333333333, r=-1e+300\n"),
         (["validate", "--alpha", "3", "--r", "-0.5", "--n", str(10**400), "--reps", "2",
           "--seed", "1"], f"growth rule overflows at n={10**400}\n"),
@@ -209,7 +224,7 @@ class TestCheck:
 
 
 UNDERFLOW_RUN = ["--coeffs", "1e-200", "--alpha", "3", "--r", "-0.5", "--n", "200",
-                 "--k", "20", "--reps", "3", "--seed", "1", "--workers", "1"]
+                 "--k", "20", "--reps", "3", "--seed", "1"]
 
 
 class TestPowerSumUnderflow:
@@ -268,16 +283,25 @@ class TestSimulateAndFit:
          "innovation magnitude overflows at alpha=1e-300"),
         # validate warned twice from expm1 and exited 1 on the inf excesses.
         (("validate", "--coeffs", "1", "--alpha", "0.001", "--r", "-0.5", "--n", "2000",
-          "--reps", "2", "--seed", "1", "--sampling", "gpd_direct", "--k", "50",
-          "--workers", "1"), "GPD quantile overflows"),
+          "--reps", "2", "--seed", "1", "--sampling", "gpd_direct", "--k", "50"),
+         "GPD quantile overflows"),
         # Finite draws, but the filter overflows.
         (("simulate", "--coeffs", "1e308,1e308", "--n", "4"),
          "simulated path overflows: the filter of these coefficients"),
     ])
+    @pytest.mark.usefixtures("one_cpu")
     def test_overflowing_draws_are_numerical_failures(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"numerical failure: {message}")
+        assert len(err.splitlines()) == 1
+
+    def test_unallocatable_path_is_a_resource_failure(self, capsys):
+        # 2**59 doubles (4 EiB) fail to allocate on any 64-bit host; numpy's
+        # MemoryError escaped main as a traceback.
+        code, out, err = run_cli(capsys, "simulate", "--coeffs", "1", "--n", str(2**59))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unable to allocate 4.00 EiB")
         assert len(err.splitlines()) == 1
 
     def test_pi1_sets_the_right_tail_weight(self, capsys):
@@ -426,7 +450,7 @@ class TestSimulateAndFit:
         assert code == 1
 
 
-VALIDATE_FLAGS = "--coeffs 1 --alpha 3 --r -1 --n 4000 --k 60 --reps 4 --seed 17 --workers 1"
+VALIDATE_FLAGS = "--coeffs 1 --alpha 3 --r -1 --n 4000 --k 60 --reps 4 --seed 17"
 
 
 def args_file(tmp_path, text, name="run.args"):
@@ -450,9 +474,8 @@ class TestValidate:
         assert report["empirical_mean"] == payload["empirical_mean"]
 
     @pytest.mark.parametrize("flags", [
-        "--coeffs 1,0.5 --alpha 3 --r -0.5 --n 4000 --reps 6 --seed 3 --workers 1",
-        "--ar 0.5 --alpha 3 --r -0.5 --n 4000 --k 60 --reps 6 --seed 3 --workers 2 "
-        "--sampling gpd_direct",
+        "--coeffs 1,0.5 --alpha 3 --r -0.5 --n 4000 --reps 6 --seed 3",
+        "--ar 0.5 --alpha 3 --r -0.5 --n 4000 --k 60 --reps 6 --seed 3 --sampling gpd_direct",
     ], ids=["series", "gpd_direct"])
     def test_argument_file_matches_command_line(self, capsys, tmp_path, flags):
         outputs = []
@@ -469,9 +492,10 @@ class TestValidate:
         assert outputs[0][0] == 0
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_gpd_direct_below_alpha_two_takes_k_from_the_rule(self, capsys, tmp_path):
         run = args_file(tmp_path, "--coeffs 1 --alpha 1.5 --sampling gpd_direct\n"
-                                  "--r -1 --n 4000 --reps 4 --seed 17 --workers 1\n")
+                                  "--r -1 --n 4000 --reps 4 --seed 17\n")
         code, out, _ = run_cli(capsys, "validate", run)
         assert code == 0
         payload = json.loads(out)
@@ -489,10 +513,10 @@ class TestValidate:
     def test_comments_and_exponent_form_in_file(self, capsys, tmp_path):
         # Any number of flags a line, # comments, and -5e-1 as on the command line.
         run = args_file(tmp_path, "# MA(1) control\n\n--coeffs 1,0.5 --alpha 3  # one-sided\n"
-                                  "--r -5e-1\n  --n 2000 --k 40 --reps 3 --seed 1 --workers 1\n")
+                                  "--r -5e-1\n  --n 2000 --k 40 --reps 3 --seed 1\n")
         outputs = []
         for argv in ([run], "--coeffs 1,0.5 --alpha 3 --r -0.5 --n 2000 --k 40 --reps 3 "
-                            "--seed 1 --workers 1".split()):
+                            "--seed 1".split()):
             code, out, err = run_cli(capsys, "validate", *argv)
             payload = json.loads(out)
             payload.pop("elapsed_seconds")
@@ -550,11 +574,10 @@ class TestValidate:
 
     CONFIG_VALUES = {"coeffs": "1", "ar": "0.5", "ma": "0.4", "alpha": "3.5",
                      "r": "-0.5", "n": "3000", "k": "50", "theta": "0.8",
-                     "reps": "3", "seed": "5", "workers": "1", "sampling": "gpd_direct"}
+                     "reps": "3", "seed": "5", "sampling": "gpd_direct"}
     # ExperimentConfig's field for each flag named otherwise.
     CONFIG_FIELDS = {"coeffs": "coeffs", "ar": "coeffs", "ma": "coeffs", "alpha": "model",
-                     "reps": "replications", "seed": "master_seed",
-                     "workers": "worker_count_hint"}
+                     "reps": "replications", "seed": "master_seed"}
 
     @staticmethod
     def validate_flags():
@@ -566,12 +589,15 @@ class TestValidate:
 
     def test_every_flag_is_a_config_key(self):
         # Each flag is one ExperimentConfig field (the coefficient kinds
-        # together one), and every field the caller sets has a flag.
+        # together one), and every field the caller sets has a flag but
+        # worker_count_hint, which the CLI takes from the usable CPU set.
         fields = {f.name for f in dataclasses.fields(montecarlo.ExperimentConfig) if f.init}
-        assert {self.CONFIG_FIELDS.get(flag, flag) for flag in self.validate_flags()} == fields
+        assert ({self.CONFIG_FIELDS.get(flag, flag) for flag in self.validate_flags()}
+                == fields - {"worker_count_hint"})
         assert set(self.CONFIG_FIELDS) <= self.validate_flags()
 
     @pytest.mark.parametrize("key", CONFIG_VALUES)
+    @pytest.mark.usefixtures("one_cpu")
     def test_every_config_key_runs_or_fails_cleanly(self, capsys, tmp_path, key):
         # A flag that reached ExperimentConfig as an unknown keyword would
         # raise a TypeError, which main does not catch.
@@ -584,40 +610,53 @@ class TestValidate:
             assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,value", [
-        ("--n", "4e3"), ("--k", "60.0"), ("--reps", "4.0"), ("--seed", "1.7e1"),
-        ("--workers", "1e0")])
+        ("--n", "4e3"), ("--k", "60.0"), ("--reps", "4.0"), ("--seed", "1.7e1")])
     def test_counts_must_be_integer_literals(self, capsys, tmp_path, flag, value):
         run = args_file(tmp_path, f"{VALIDATE_FLAGS} {flag} {value}")
         code, out, err = run_cli(capsys, "validate", run)
         assert (code, out) == (1, "")
         assert err.endswith(f"error: argument {flag}: invalid int value: '{value}'\n")
 
-    def test_zero_workers_rejected(self, capsys, tmp_path):
-        flags = VALIDATE_FLAGS.replace(" --workers 1", "")
-        for argv in ([args_file(tmp_path, f"{flags} --workers 0", "zero.args")],
-                     [args_file(tmp_path, flags), "--workers", "0"]):
-            code, _, err = run_cli(capsys, "validate", *argv)
-            assert (code, err) == (1, "error: worker_count_hint must be >= 1\n")
+    def test_workers_flag_is_gone(self, capsys, tmp_path):
+        # Narrow the usable CPU set with taskset instead.
+        for argv in ([*VALIDATE_FLAGS.split(), "--workers", "1"],
+                     [args_file(tmp_path, f"{VALIDATE_FLAGS}\n--workers 1\n")]):
+            code, out, err = run_cli(capsys, "validate", *argv)
+            assert (code, out) == (1, "")
+            assert err.endswith("error: unrecognized arguments: --workers 1\n")
+        assert main(["validate", "--help"]) == 0
+        assert "--workers" not in capsys.readouterr().out
 
-    def test_workers_default_to_usable_cpus(self, capsys, tmp_path, monkeypatch):
-        hints = []
-
-        def recording(config, **outputs):
-            hints.append(config.worker_count_hint)
-            return real(dataclasses.replace(config, worker_count_hint=1), **outputs)
-
-        real = montecarlo.run_experiment
+    def test_workers_default_to_usable_cpus(self, capsys, monkeypatch):
+        # A gpd_direct run asks for min(reps, usable CPUs) processes.
+        sizes = use_inline_pool(monkeypatch)
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
-        monkeypatch.setattr(montecarlo, "run_experiment", recording)
-        code, _, _ = run_cli(capsys, "validate", *VALIDATE_FLAGS.split()[:-2])
-        assert (code, hints) == (0, [3])
+        for reps in (4, 2):
+            flags = VALIDATE_FLAGS.replace("--reps 4", f"--reps {reps}").split()
+            code, out, _ = run_cli(capsys, "validate", *flags, "--sampling", "gpd_direct")
+            assert (code, json.loads(out)["failure_count"]) == (0, 0)
+        assert sizes == [3, 2]
 
+    def test_broken_pool_is_a_resource_failure(self, capsys, monkeypatch):
+        # A worker that died, as by an OOM kill, left BrokenProcessPool, a
+        # RuntimeError, to escape main as a traceback.
+        class BrokenPool(InlinePool):
+            def map(self, fn, iterable, chunksize=1):
+                raise concurrent.futures.process.BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+        code, out, err = run_cli(capsys, "validate", *VALIDATE_FLAGS.split(),
+                                 "--sampling", "gpd_direct")
+        assert (code, out, err) == (1, "", "error: replication pool broke: a worker died\n")
+
+    @pytest.mark.usefixtures("one_cpu")
     def test_huge_n_runs_gpd_direct_with_explicit_k(self, capsys):
         # The n with no float that a series run refuses (TestCov) leaves a
         # gpd_direct run, which reads no n / k, running.
         code, out, err = run_cli(capsys, "validate", "--coeffs", "1,0.5", "--alpha", "3",
                                  "--r", "-0.5", "--n", str(10**400), "--k", "50", "--reps", "2",
-                                 "--seed", "1", "--workers", "1", "--sampling", "gpd_direct")
+                                 "--seed", "1", "--sampling", "gpd_direct")
         assert (code, err) == (0, "")
         assert json.loads(out)["config"]["n"] == 10**400
 
@@ -629,8 +668,7 @@ class TestValidate:
                             lambda *args: calls.append(args) or real(*args))
         code, out, err = run_cli(capsys, "validate", "--coeffs", "1", "--alpha", "3",
                                  "--r", "-1", "--n", "4000", "--k", "60", "--reps", "4",
-                                 "--seed", "17", "--workers", "1",
-                                 "--output", str(tmp_path / "missing" / "out"))
+                                 "--seed", "17", "--output", str(tmp_path / "missing" / "out"))
         assert (code, out, calls) == (1, "", [])
         assert err.startswith("error:")
 
@@ -646,8 +684,7 @@ class TestValidate:
         prefix = tmp_path / "run"
         code, out, _ = run_cli(capsys, "validate", "--coeffs", "1,0.5", "--alpha", "3",
                                "--r", "-0.5", "--n", "2000", "--k", "40", "--reps",
-                               str(reps), "--seed", "1", "--workers", "1",
-                               "--output", str(prefix))
+                               str(reps), "--seed", "1", "--output", str(prefix))
         assert code == 0
         for payload in (strict_json(out), strict_json(Path(f"{prefix}.report.json").read_text())):
             assert payload["empirical_mean"] == [None, None]
@@ -671,7 +708,7 @@ class TestValidate:
     def test_seed_outside_uint64_is_usage_error(self, capsys, command, seed, monkeypatch):
         calls = []
         monkeypatch.setattr(montecarlo, "run_replication", lambda *args: calls.append(args))
-        extra = ["--r", "-1", "--k", "10", "--reps", "3", "--workers", "1"]
+        extra = ["--r", "-1", "--k", "10", "--reps", "3"]
         code, out, err = run_cli(capsys, command, "--coeffs", "1,0.5", "--alpha", "3",
                                  "--n", "200", "--seed", seed,
                                  *(extra if command == "validate" else []))
@@ -679,7 +716,37 @@ class TestValidate:
         assert err.startswith("error:") and "seed must lie in [0, 2**64)" in err
 
 
+def mapped_exceptions() -> tuple[type, ...]:
+    """The classes that ``main``'s handlers around the subcommand map to an exit code."""
+    main_def = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    run = next(node for node in ast.walk(main_def)
+               if isinstance(node, ast.Try) and "args.func" in ast.unparse(node.body))
+    names = [name for handler in run.handlers for name in
+             (handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type])]
+    return tuple(resolve(cli, ast.unparse(name)) for name in names)
+
+
+def resolve(module, name):
+    """``name`` as ``module`` sees it: its own global or a builtin."""
+    return getattr(module, name) if hasattr(module, name) else getattr(builtins, name)
+
+
 class TestUsage:
+    def test_every_raised_class_has_an_exit_code(self):
+        # A class that main does not map would reach the user as a traceback.
+        mapped = mapped_exceptions()
+        raised = {}
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            module = importlib.import_module(f"tailproc.{path.stem}")
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                    name = ast.unparse(node.exc.func)
+                    raised[f"{path.name}:{node.lineno} {name}"] = resolve(module, name)
+        assert {"ValueError", "OverflowError", "ArithmeticError", "LmeSolverError",
+                "ChildProcessError"} <= {cls.__name__ for cls in raised.values()}
+        assert [site for site, cls in raised.items() if not issubclass(cls, mapped)] == []
+
     def test_readme_command_lines_parse(self):
         # Parse only: a flag the CLI dropped must not live on in an example.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -735,8 +802,9 @@ class TestUsage:
         ["cov", "--gamma", "0.5", "--coeffs", "1,0.5"],
         ["fit", "--input", "{excesses}", "--excesses"],
         ["validate", "--coeffs", "1", "--alpha", "3", "--n", "200", "--k", "20",
-         "--reps", "3", "--seed", "1", "--workers", "1", "--sampling", "gpd_direct"],
+         "--reps", "3", "--seed", "1", "--sampling", "gpd_direct"],
     ], ids=lambda argv: argv[0])
+    @pytest.mark.usefixtures("one_cpu")
     def test_negative_number_in_exponent_form(self, capsys, tmp_path, argv):
         # argparse's own pattern takes -5e-1 for an unknown option; _Parser
         # replaces that pattern, an argparse internal this test pins.
@@ -758,8 +826,7 @@ class TestUsage:
         ("fit", ["--input", "--k", "--r", "--excesses", "--output"]),
         ("cov", ["--gamma", "--r", "--coeffs", "--ar", "--ma"]),
         ("check", ["--alpha", "--coeffs", "--xi"]),
-        ("validate", ["--n", "--k", "--theta", "--reps", "--seed", "--workers",
-                      "--sampling", "--output"]),
+        ("validate", ["--n", "--k", "--theta", "--reps", "--seed", "--sampling", "--output"]),
     ])
     def test_help_lists_flags_with_defaults(self, capsys, command, flags):
         code = main([command, "--help"])
@@ -776,7 +843,7 @@ class TestUsage:
         out = " ".join(capsys.readouterr().out.split())
         assert "default: None" not in out
         if command == "validate":
-            for fallback in ("the growth rule", "0.9", "the usable CPUs", "series"):
+            for fallback in ("the growth rule", "0.9", "series"):
                 assert f"(default: {fallback})" in out
 
     @pytest.mark.parametrize("argv", [
@@ -789,7 +856,7 @@ class TestUsage:
         ["simulate", "--coeffs", "1", "--alpha", "inf", "--n", "5"],
         ["fit", "--input", "{series}", "--k", "2", "--r", "nan"],
         ["validate", "--coeffs", "1", "--alpha", "3", "--r", "nan", "--n", "200",
-         "--k", "10", "--reps", "3", "--seed", "1", "--workers", "1"],
+         "--k", "10", "--reps", "3", "--seed", "1"],
     ], ids=" ".join)
     def test_non_finite_parameters_rejected(self, capsys, tmp_path, argv):
         series = tmp_path / "series.csv"

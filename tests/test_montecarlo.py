@@ -91,6 +91,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="replications"):
             small_config(replications=0)
 
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="^worker_count_hint must be >= 1$"):
+            small_config(worker_count_hint=0)
+
     @pytest.mark.parametrize("name,overrides", [
         ("n", {"coeffs": DEP, "n": 1e5, "k": None, "r": -0.5, "replications": 2,
                "master_seed": 7}),
