@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="growth rule exponent fraction in (0, 1)")
     p.add_argument("--reps", type=int, required=True, help="number of replications")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--sampling", choices=("series", "gpd_direct"), default=defaults.sampling,
+    p.add_argument("--sampling", choices=montecarlo.SAMPLING_MODES, default=defaults.sampling,
                    help="replication sampling mode")
     p.add_argument("--output", default=None,
                    help="prefix for <prefix>.records.csv and <prefix>.report.json")

@@ -47,6 +47,11 @@ _BOUND_MARGIN = 1e-9
 # of 4, Philox's output width, so each block starts on a counter step and is
 # drawn from its own generator.
 _BLOCK_WORDS = 2**17
+# Where the Kolmogorov survival function passes from its theta form to its
+# alternating series; the two agree there to rounding.
+_KOLMOGOROV_SWITCH = 1.0
+# The replication sampling modes: the simulated series and the exact GPD control.
+SAMPLING_MODES = ("series", "gpd_direct")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -85,6 +90,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
+        if self.sampling not in SAMPLING_MODES:
+            raise ValueError(f"unknown sampling mode: {self.sampling!r}")
         texp = None
         if self.sampling == "series":
             # The quantile expansion exists for one-sided Pareto innovations
@@ -94,8 +101,6 @@ class ExperimentConfig:
                                  "(needs the one-sided Pareto model)")
             texp = second_order.tail_expansion(self.model.alpha, self.coeffs)
             object.__setattr__(self, "centering", second_order.quantile_expansion(texp))
-        elif self.sampling != "gpd_direct":
-            raise ValueError(f"unknown sampling mode: {self.sampling!r}")
         if self.k is None:
             c2_zero = texp.c2_is_zero if texp else second_order.second_tail_vanishes(
                 self.model.alpha, self.coeffs)
@@ -346,15 +351,38 @@ def empirical_cov(pairs) -> np.ndarray:
     return np.cov(z, rowvar=False)
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal cdf, formed as SciPy's ``ndtr`` forms it."""
+    return 0.5 * np.vectorize(math.erfc, otypes=[float])(-x * math.sqrt(0.5))
+
+
+def _chi2_2_cdf(x: np.ndarray) -> np.ndarray:
+    """Chi-square cdf with two degrees of freedom."""
+    return -np.expm1(-x / 2)
+
+
+def _kolmogorov_sf(y: float) -> float:
+    """Survival function of the Kolmogorov distribution, the limit law of sqrt(m) D_m.
+
+    The alternating series from ``_KOLMOGOROV_SWITCH`` on and the Jacobi theta
+    form below it, 11 terms each.  Below 0.1 the theta sum is under 1e-52, so
+    the value is 1.0 and ``8 y**2`` never divides by zero; NaN gives NaN.
+    """
+    if y <= 0.1:
+        return 1.0
+    if y >= _KOLMOGOROV_SWITCH:
+        return 2.0 * sum((-1.0) ** (j - 1) * math.exp(-2.0 * j * j * y * y) for j in range(1, 12))
+    theta = sum(math.exp(-((2 * j - 1) * math.pi) ** 2 / (8.0 * y * y)) for j in range(1, 12))
+    return 1.0 - math.sqrt(2.0 * math.pi) / y * theta
+
+
 def _ks_uniform(cdf_values: np.ndarray) -> tuple[float, float]:
     """Kolmogorov-Smirnov distance of cdf values from uniform, asymptotic p-value."""
-    from scipy import special
-
     u = np.sort(cdf_values)
     m = u.size
     grid = np.arange(1, m + 1) / m
     d = float(max(np.max(grid - u), np.max(u - grid + 1.0 / m)))
-    return d, float(special.kolmogorov(np.sqrt(m) * d))
+    return d, _kolmogorov_sf(math.sqrt(m) * d)
 
 
 def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostics:
@@ -366,8 +394,6 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
     the whitened pairs, against chi-square with two degrees of freedom, all
     with asymptotic p-values.
     """
-    from scipy import special
-
     z = np.asarray(pairs, dtype=float)
     if z.shape[0] < MIN_RECORDS_FOR_DIAGNOSTICS:
         raise ValueError(f"need at least {MIN_RECORDS_FOR_DIAGNOSTICS} records")
@@ -375,9 +401,9 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
     if np.any(eigvals <= 0):
         raise ValueError("theoretical covariance must be positive definite")
     white = z @ (eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T).T
-    ks = [_ks_uniform(special.ndtr(white[:, j])) for j in range(2)]
+    ks = [_ks_uniform(_normal_cdf(white[:, j])) for j in range(2)]
     mahal = np.einsum("ij,ij->i", white, white)
-    mahal_d, mahal_p = _ks_uniform(special.chdtr(2, mahal))
+    mahal_d, mahal_p = _ks_uniform(_chi2_2_cdf(mahal))
     return NormalityDiagnostics(
         ks_statistics=(ks[0][0], ks[1][0]), ks_p_values=(ks[0][1], ks[1][1]),
         mahalanobis_ks_statistic=mahal_d, mahalanobis_ks_p_value=mahal_p)
@@ -401,8 +427,7 @@ def run_experiment(config: ExperimentConfig, csv_path=None, json_path=None) -> V
     A replication that raises cancels those not yet started, and every
     worker has ended before the exception leaves here; a pool whose worker
     dies raises ``ChildProcessError``.  A running
-    replication holds one block of memory.  A replication loads numpy only;
-    SciPy (``scipy.special``) loads for the normality diagnostics, which need
+    replication holds one block of memory.  The normality diagnostics need
     ``MIN_RECORDS_FOR_DIAGNOSTICS`` good records.  Optionally writes the
     per-replication records as CSV and the report as JSON.
     """

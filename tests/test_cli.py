@@ -1,3 +1,4 @@
+import argparse
 import ast
 import builtins
 import concurrent.futures
@@ -835,6 +836,13 @@ class TestUsage:
         for flag in flags:
             assert flag in out
         assert "default" in out
+
+    def test_sampling_choices_are_the_library_modes(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        sampling = next(action for action in sub.choices["validate"]._actions
+                        if action.dest == "sampling")
+        assert tuple(sampling.choices) == montecarlo.SAMPLING_MODES
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "cov", "check", "validate"])
     def test_help_shows_no_none_default(self, capsys, command):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import tailproc
 from tailproc import montecarlo as mc
@@ -621,7 +621,7 @@ class TestNormalityDiagnostics:
         assert diag.ks_statistics[0] == pytest.approx(direct[0], abs=1e-12)
         assert diag.ks_statistics[1] == pytest.approx(direct[1], abs=1e-12)
 
-    def test_matches_scipy_stats_bit_for_bit(self):
+    def test_matches_scipy_stats(self):
         rng = philox_stream(11)
         z = rng.multivariate_normal([0.3, -0.2], self.THEORY, size=400)
         eigvals, eigvecs = np.linalg.eigh(self.THEORY)
@@ -637,9 +637,12 @@ class TestNormalityDiagnostics:
 
         (d0, p0), (d1, p1) = (ks(stats.norm.cdf(white[:, j])) for j in range(2))
         dm, pm = ks(stats.chi2(2).cdf(mahal))
-        assert mc.normality_diagnostics(z, self.THEORY) == mc.NormalityDiagnostics(
-            ks_statistics=(d0, d1), ks_p_values=(p0, p1),
-            mahalanobis_ks_statistic=dm, mahalanobis_ks_p_value=pm)
+        # The library's distribution functions agree with SciPy's to rounding,
+        # not bit for bit.
+        diag = mc.normality_diagnostics(z, self.THEORY)
+        got = [*diag.ks_statistics, *diag.ks_p_values,
+               diag.mahalanobis_ks_statistic, diag.mahalanobis_ks_p_value]
+        assert got == pytest.approx([d0, d1, p0, p1, dm, pm], rel=1e-13, abs=0)
 
     def test_whitening_normalizes_covariance(self):
         rng = philox_stream(10)
@@ -656,6 +659,33 @@ class TestNormalityDiagnostics:
     def test_minimum_record_count(self):
         with pytest.raises(ValueError, match="at least 50"):
             mc.normality_diagnostics(np.zeros((10, 2)), np.eye(2))
+
+
+class TestDistributionFunctions:
+    """The diagnostics' numpy distribution functions against SciPy's."""
+
+    @pytest.mark.parametrize("ours,theirs,x,tolerance", [
+        (mc._chi2_2_cdf, lambda x: special.chdtr(2, x), np.geomspace(1e-12, 200, 4001), 1e-14),
+        (mc._normal_cdf, special.ndtr, np.linspace(-8, 8, 4001), 1e-14),
+        (mc._normal_cdf, special.ndtr, np.linspace(-37, -8, 4001), 1e-13),
+        (np.vectorize(mc._kolmogorov_sf), special.kolmogorov, np.linspace(1e-3, 8, 8001), 2e-14),
+    ], ids=["chdtr", "ndtr", "ndtr_lower_tail", "kolmogorov"])
+    def test_matches_scipy(self, ours, theirs, x, tolerance):
+        assert ours(x) == pytest.approx(theirs(x), rel=tolerance, abs=0)
+
+    def test_kolmogorov_at_its_edges(self):
+        switch = mc._KOLMOGOROV_SWITCH
+        below = float(np.nextafter(switch, 0.0))
+        table = sorted([0.0, 1e-300, 0.1, below, switch, float(np.nextafter(switch, 2.0)),
+                        1.0, 5.0, 40.0, np.inf])
+        values = [mc._kolmogorov_sf(y) for y in table]
+        assert values[:2] == [1.0, 1.0]
+        assert values[-2:] == [0.0, 0.0]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        # One ulp below the switch is the theta form, at it the alternating series.
+        assert mc._kolmogorov_sf(switch) == pytest.approx(mc._kolmogorov_sf(below),
+                                                          rel=1e-14, abs=0)
+        assert np.isnan(mc._kolmogorov_sf(np.nan))
 
 
 class TestRunExperiment:
@@ -809,7 +839,21 @@ config = montecarlo.ExperimentConfig.create(
     master_seed=5, worker_count_hint=2)
 report = montecarlo.run_experiment(config)
 loaded.append(scipy_modules())
-print(json.dumps([codes, loaded, report.diagnostics is None]))
+# Enough records for the normality diagnostics, then validate, which reports them.
+config = montecarlo.ExperimentConfig.create(
+    coeffs=tailproc.CoefficientSequence((1.0, 0.5)), model=tailproc.InnovationModel(alpha=3.0),
+    n=2000, k=40, r=-1.0, replications=montecarlo.MIN_RECORDS_FOR_DIAGNOSTICS + 10,
+    master_seed=5, worker_count_hint=2)
+diagnosed = montecarlo.run_experiment(config)
+loaded.append(scipy_modules())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(cli.main(["validate", "--coeffs", "1,0.5", "--alpha", "3", "--r", "-1",
+                           "--n", "2000", "--k", "40", "--reps", "60", "--seed", "5"]))
+loaded.append(scipy_modules())
+print(json.dumps([codes, loaded, report.diagnostics is None,
+                  [diagnosed.diagnostics is not None, json.loads(out.getvalue())["diagnostics"]
+                   is not None]]))
 """
 
 
@@ -825,11 +869,13 @@ def run_fresh(script):
 
 
 def test_import_path_leaves_scipy_unloaded():
-    codes, loaded, no_diagnostics = run_fresh(IMPORT_PATH_SCRIPT)
-    assert codes == [0, 0, 0]
-    # After the commands, after lme_fit and after a pooled run_experiment.
-    assert loaded == [[], [], []]
+    codes, loaded, no_diagnostics, diagnosed = run_fresh(IMPORT_PATH_SCRIPT)
+    assert codes == [0, 0, 0, 0]
+    # After the commands, after lme_fit, after a pooled run_experiment, after
+    # one with the normality diagnostics and after validate.
+    assert loaded == [[], [], [], [], []]
     assert no_diagnostics
+    assert diagnosed == [True, True]
 
 
 SERIAL_PATH_SCRIPT = """

@@ -56,15 +56,33 @@ def test_released_names_are_kept():
     assert "ConditionCheck" in tailproc.__all__
 
 
+def top_level_imports(path):
+    """Top-level modules a file imports absolutely, function-level imports included."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    modules = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return {name.split(".")[0] for name in modules}
+
+
 def test_oracles_do_not_import_tailproc():
     # The oracles are the independent references for the closed forms the
     # library derives, so none of them may be computed by the library.
-    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
-    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names}
-    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules = top_level_imports(Path(__file__).parent / "oracles.py")
     assert "numpy" in modules
-    assert not {name for name in modules if name and name.split(".")[0] == "tailproc"}
+    assert "tailproc" not in modules
+
+
+def test_library_imports_numpy_and_the_standard_library_only():
+    modules = set().union(*map(top_level_imports, Path(tailproc.__file__).parent.glob("*.py")))
+    assert modules - sys.stdlib_module_names <= {"numpy", "tailproc"}
+
+
+def test_numpy_is_the_only_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
 
 
 C = process.CoefficientSequence((1.0, 0.5))
