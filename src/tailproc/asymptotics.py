@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import CoefficientSequence, decay_certificate
+from .process import CoefficientSequence, _overflow, decay_certificate
 
 __all__ = [
     "PhiConstants",
@@ -119,8 +119,10 @@ def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, 
     if coeffs.truncation_error_bound == 0.0:
         return value, 0.0
     a_cert, u_cert = decay_certificate(coeffs)
-    j_last = coeffs.order
-    tail = a_cert**p * u_cert ** (-p * (j_last + 1)) / (1.0 - u_cert**-p)
+    # A u**-(J+1) is below 1 by construction, so its power cannot overflow; expm1 keeps
+    # 1 - u**-p from rounding to 0 at a huge gamma, and numpy's makes the division raise.
+    with _overflow(f"coefficient norm's truncation bound overflows at gamma={gamma!r}"):
+        tail = (a_cert * u_cert ** -(coeffs.order + 1)) ** p / -np.expm1(-p * math.log(u_cert))
     return value, float(tail)
 
 
@@ -172,11 +174,9 @@ def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:
     g, p1, p2, p3 = gamma, phi.phi1, phi.phi2, phi.phi3
     t1I = g + 2.0 * g * p1 + p3
     t2I = (-r + (1.0 - 2.0 * r) * p1 - p2) / (1.0 - r)
-    try:  # a float's ** raises on overflow, with only an errno for a message
+    with _overflow(f"raw limits overflow at gamma={gamma!r}, r={r!r}"):
         t12 = (-g * r * (2.0 - r) + (2.0 * r**2 - 4.0 * r + 1.0) * g * p1
                - g * p2 - r * (1.0 - r) * p3) / (1.0 - r) ** 2
-    except OverflowError:
-        raise OverflowError(f"raw limits overflow at gamma={gamma!r}, r={r!r}") from None
     return RawLimits(t1=2.0 * g * t1I, t2=-2.0 * r / (1.0 - 2.0 * r) * t2I,
                      tI=1.0 + 2.0 * p1, t12=t12, t1I=t1I, t2I=t2I,
                      beta1p=g / (g + 1.0), beta2p=-r / (1.0 - r + g))
@@ -202,13 +202,11 @@ def jacobian_limit(gamma: float, r: float) -> np.ndarray:
     """Probability limit of the Jacobian of the estimating-equation system."""
     _check_domain(gamma, r)
     g = gamma
-    try:  # a float's ** raises on overflow, with only an errno for a message
+    with _overflow(f"Jacobian limit overflows at gamma={gamma!r}, r={r!r}"):
         return np.array([
             [-g / (1.0 + g), -g / (1.0 + g)],
             [-r / ((1.0 - r) ** 2 * (1.0 + g - r)), -r / ((1.0 - r) * (1.0 + g - r))],
         ])
-    except OverflowError:
-        raise OverflowError(f"Jacobian limit overflows at gamma={gamma!r}, r={r!r}") from None
 
 
 def linearization_matrix(gamma: float, r: float) -> np.ndarray:
@@ -221,12 +219,8 @@ def linearization_matrix(gamma: float, r: float) -> np.ndarray:
     r = -1e-20."""
     (j00, j01), (j10, j11) = jacobian_limit(gamma, r)
     det = j00 * j11 - j01 * j10
-    with np.errstate(over="raise", divide="raise"):
-        try:
-            return -np.array([[j11, -j01], [-j10, j00]]) / det
-        except FloatingPointError:
-            raise OverflowError(f"linearization matrix overflows at gamma={gamma!r}, "
-                                f"r={r!r}") from None
+    with _overflow(f"linearization matrix overflows at gamma={gamma!r}, r={r!r}"):
+        return -np.array([[j11, -j01], [-j10, j00]]) / det
 
 
 def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> CovarianceReport:
@@ -245,6 +239,7 @@ def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> Covari
     if not all(map(math.isfinite, kappas)):
         raise ArithmeticError(f"kappas {kappas} are not finite at gamma={gamma!r}, r={r!r}")
     sigma = sigma_matrix(kappa1, kappa2, kappa3)
+    # Not _overflow: a covariance that is not finite or not positive definite is an ArithmeticError.
     with np.errstate(all="ignore"):
         lmat = linearization_matrix(gamma, r)
         cov = lmat @ sigma @ lmat.T

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import _whole
+from .process import _overflow, _whole
 
 __all__ = [
     "GpdParams",
@@ -85,11 +85,8 @@ class GpdParams:
         p = np.asarray(p, dtype=float)
         if not np.all((p >= 0) & (p < 1)):
             raise ValueError("p must lie in [0, 1)")
-        with np.errstate(over="ignore"):
+        with _overflow(f"GPD quantile overflows at gamma={self.gamma!r}"):
             out = self.sigma * np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
-        # No NaN can arise, so one max pass finds an overflow.
-        if out.size and out.max() == math.inf:
-            raise OverflowError(f"GPD quantile overflows at gamma={self.gamma!r}")
         return float(out) if out.ndim == 0 else out
 
 

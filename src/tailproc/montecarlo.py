@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asymptotics, second_order
 from .estimator import ExcessSample, GpdParams, LmeSolverError, lme_fit, top_k_excesses
-from .process import (CoefficientSequence, InnovationModel, _philox_key, _whole,
+from .process import (CoefficientSequence, InnovationModel, _overflow, _philox_key, _whole,
                       apply_filter, philox_stream)
 
 __all__ = [
@@ -214,10 +214,8 @@ def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
         raise ValueError("scale unavailable: supply a quantile expansion")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    try:  # n / k of an int n past the float range raises
+    with _overflow(f"centering scale overflows at n={n!r}, k={k!r}"):
         x = n / k
-    except OverflowError:
-        raise OverflowError(f"centering scale overflows at n={n!r}, k={k!r}") from None
     return float(gamma * qexp.b(x))
 
 

@@ -8,6 +8,7 @@ geometric-decay truncation, so every simulation is an exact finite filter.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -37,6 +38,18 @@ def _whole(name: str, value) -> int:
     except TypeError:
         pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+@contextlib.contextmanager
+def _overflow(message: str):
+    """Run the block with numpy raising on overflow and division by zero; an
+    ``OverflowError`` (a float's ``**``, an int past the float range) or a
+    ``FloatingPointError`` from it leaves as ``OverflowError(message)``."""
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise OverflowError(message) from None
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -103,11 +116,8 @@ class InnovationModel:
         u = np.asarray(u, dtype=float)
         if u.size and not (u.min() > 0.0 and u.max() <= 1.0):
             raise ValueError("u must lie in (0, 1]")
-        with np.errstate(over="ignore"):
-            z = u ** (-1.0 / self.alpha)
-        if np.isinf(z).any():
-            raise OverflowError(f"innovation magnitude overflows at alpha={self.alpha!r}")
-        return z
+        with _overflow(f"innovation magnitude overflows at alpha={self.alpha!r}"):
+            return u ** (-1.0 / self.alpha)
 
     def from_words(self, words):
         """``from_uniform(1 - U)`` of raw generator words, with ``U = (raw >> 11) * 2**-53``
@@ -177,10 +187,8 @@ class CoefficientSequence:
         Raises ``OverflowError`` on a sum that is not finite, ``ArithmeticError`` on a zero one.
         """
         arr = np.abs(self.as_array())
-        with np.errstate(over="ignore"):
+        with _overflow(f"power sum of |c_j|**{u!r} overflows"):
             total = float(np.sum(arr[arr > 0] ** u))
-        if not math.isfinite(total):
-            raise OverflowError(f"power sum of |c_j|**{u!r} overflows")
         if total == 0.0:
             raise ArithmeticError(f"power sum of |c_j|**{u!r} underflows to zero")
         return total
@@ -279,12 +287,9 @@ def decay_certificate(coeffs: CoefficientSequence) -> tuple[float, float]:
     arr = coeffs.as_array()
     u = coeffs.decay_u or 2.0 ** min(1.0, 256.0 / max(coeffs.order, 1))
     j = np.arange(arr.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_min = float(np.max(np.abs(arr) * u**j))
-    a_cert = a_min * (1.0 + 1e-12) + float(np.finfo(float).tiny)
-    if not math.isfinite(a_cert):
-        raise OverflowError(f"decay certificate A of |c_j| * {u!r}**j overflows")
-    return a_cert, float(u)
+    with _overflow(f"decay certificate A of |c_j| * {u!r}**j overflows"):
+        a_cert = np.max(np.abs(arr) * u**j) * (1.0 + 1e-12) + np.finfo(float).tiny
+    return float(a_cert), float(u)
 
 
 def apply_filter(coeffs: CoefficientSequence, innovations) -> np.ndarray:
@@ -315,6 +320,7 @@ def simulate(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     values = apply_filter(coeffs, model.sample(n + coeffs.order, seed, stream))
+    # np.convolve ignores numpy's error state, so _overflow cannot see this overflow.
     if not np.all(np.isfinite(values)):
         raise OverflowError("simulated path overflows: the filter of these coefficients "
                             "is not finite on the finite draws")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import CoefficientSequence, decay_certificate
+from .process import CoefficientSequence, _overflow, decay_certificate
 
 __all__ = [
     "TailExpansion",
@@ -162,11 +162,9 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
     c1, ca, ca1, ca2, c2 = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0), c(2.0)
     term_var = (c2 * ca - ca2) * s2
     ct2 = alpha * mu * (c1 * ca - ca1)
-    try:  # a float's ** raises on overflow, with only an errno for a message
+    with _overflow(f"tail expansion's squares overflow at alpha={alpha!r}"):
         term_mean = (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2
         lhs = (1.0 + alpha) * ct2**2 / (2.0 * alpha)
-    except OverflowError:
-        raise OverflowError(f"tail expansion's squares overflow at alpha={alpha!r}") from None
     ct3 = 0.5 * alpha * (alpha + 1.0) * (term_var + term_mean)
     return TailExpansion(alpha=alpha, c_tilde=(ca, ct2, ct3), ct3_terms=(term_var, term_mean),
                          inversion_terms=(lhs, ca * ct3),
@@ -205,7 +203,7 @@ def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, 
     a1, _, a3 = qexp.a
     ct1, ct2, ct3 = qexp.tail.c_tilde
     sk = np.sqrt(k)
-    try:  # n / k of an int n past the float range, or b**2, raises
+    with _overflow(f"second-order rates overflow at n={n!r}, k={k!r}"):
         x = n / k
         rate_2erv = sk * abs(2.0 * a3 / (a1 * alpha)) * x ** (-2.0 / alpha)
         b_val = float(qexp.b(x))
@@ -213,8 +211,6 @@ def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, 
             rate_2rv = sk * abs(2.0 * ct3 / ct1) / b_val**2
         else:
             rate_2rv = sk * abs(ct2 / ct1) / b_val
-    except OverflowError:
-        raise OverflowError(f"second-order rates overflow at n={n!r}, k={k!r}") from None
     return float(rate_2erv), float(rate_2rv)
 
 
@@ -232,10 +228,8 @@ def choose_k(n: int, theta: float, alpha: float, case_c2_zero: bool) -> int:
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     exponent = 4.0 * theta / (4.0 + alpha) if case_c2_zero else 2.0 * theta / (2.0 + alpha)
-    try:  # an int n past the float range raises
+    with _overflow(f"growth rule overflows at n={n!r}"):
         k = int(np.floor(n**exponent))
-    except OverflowError:
-        raise OverflowError(f"growth rule overflows at n={n!r}") from None
     return max(2, min(k, n - 1))
 
 

@@ -7,7 +7,6 @@ dependent run reports its second-order rates alongside because they bound the
 finite-sample bias the tolerances must absorb.
 """
 
-import os
 import time
 
 import numpy as np
@@ -30,7 +29,6 @@ from tailproc.process import CoefficientSequence, InnovationModel, philox_stream
 from tailproc.second_order import tail_expansion
 
 MASTER_SEED = 20260808
-WORKERS = os.cpu_count() or 1
 
 
 def report_line(criterion, ok, detail):
@@ -154,10 +152,9 @@ def _clt_checks(report):
 
 
 def _run_clt_criterion(number, coeffs, k_expected):
-    config = mc.ExperimentConfig.create(
+    config = mc.ExperimentConfig(
         coeffs=coeffs, model=InnovationModel(alpha=3.0), n=10**6, r=-0.5,
-        replications=1000, master_seed=MASTER_SEED, theta=0.9,
-        worker_count_hint=WORKERS)
+        replications=1000, master_seed=MASTER_SEED, theta=0.9)
     assert config.k == k_expected
     started = time.perf_counter()
     report = mc.run_experiment(config)

@@ -56,6 +56,19 @@ class TestCoefficientNorm:
             with pytest.raises(OverflowError, match="overflows"):
                 coefficient_norm(CoefficientSequence((1e200, 1.0)), gamma=0.25)
 
+    def test_truncation_bound_at_extreme_gamma(self):
+        # The bound A**p u**(-p (J+1)) / (1 - u**-p) raised a bare errno from
+        # A**p at gamma 0.001 and divided by zero at gamma 1e20.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, err = coefficient_norm(arma_to_ma([0.5], [1.0]), gamma=0.001)
+            assert err == 0.0
+            seq = arma_to_ma([0.5], [])
+            value, err = coefficient_norm(seq, gamma=1e20)
+        # At p = 1e-20 the base's power rounds to 1, so the bound is 1 / (p log u).
+        assert value == seq.order + 1
+        assert err == pytest.approx(1e20 / math.log(seq.decay_u), rel=1e-12)
+
 
 class TestPhiConstants:
     def test_single_coefficient_all_zero(self):

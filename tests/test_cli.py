@@ -108,6 +108,23 @@ class TestCov:
         assert out == ""
         assert err == "numerical failure: power sum of |c_j|**4.0 overflows\n"
 
+    def test_truncation_bound_at_extreme_gamma(self, capsys):
+        # The ARMA truncation bound exited 2: at gamma 0.001 on "(34, 'Numerical
+        # result out of range')", at gamma 1e20 on "float division by zero".
+        code, out, err = run_cli(capsys, "cov", "--gamma", "0.001", "--r", "-0.5",
+                                 "--ar", "0.5", "--ma", "1")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["truncation_error"] == 0.0
+        code, out, err = run_cli(capsys, "cov", "--gamma", "1e20", "--r", "-0.5", "--ar", "0.5")
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert report["norm_c"] == 84.0
+        assert report["truncation_error"] == pytest.approx(2.885e20, rel=1e-3)
+        code, _, err = run_cli(capsys, "validate", "--sampling", "gpd_direct", "--ar", "0.5",
+                               "--ma", "1", "--alpha", "1000", "--r", "-0.5", "--n", "2000",
+                               "--k", "40", "--reps", "2", "--seed", "1")
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("command", [
         ("cov", "--gamma", "0.3333"),
         ("validate", "--alpha", "3", "--n", "2000", "--reps", "2", "--seed", "1")])
@@ -147,13 +164,17 @@ class TestCov:
           "--seed", "1"], f"growth rule overflows at n={10**400}\n"),
         (["validate", "--alpha", "3", "--r", "-0.5", "--n", str(10**400), "--k", "50",
           "--reps", "2", "--seed", "1"], f"centering scale overflows at n={10**400}, k=50\n"),
-    ], ids=["huge_gamma", "huge_r_cov", "huge_r_validate", "huge_n", "huge_n_explicit_k"])
+        (["check", "--alpha", "3", "--coeffs", "1,1e308"],
+         "decay certificate A of |c_j| * 2.0**j overflows\n"),
+    ], ids=["huge_gamma", "huge_r_cov", "huge_r_validate", "huge_n", "huge_n_explicit_k",
+            "huge_coefficient"])
     def test_huge_parameter_is_named_numerical_failure(self, capsys, argv, message):
         # A huge gamma exited 1 as a usage error; a huge |r| printed a bare
         # "(34, 'Numerical result out of range')", and an n with no float
         # "int too large to convert to float" or "integer division result
         # too large for a float".
-        code, out, err = run_cli(capsys, *argv, "--coeffs", "1,0.5")
+        # A row's own --coeffs comes later and wins.
+        code, out, err = run_cli(capsys, argv[0], "--coeffs", "1,0.5", *argv[1:])
         assert (code, out) == (2, "")
         assert err.startswith(f"numerical failure: {message}")
         assert len(err.splitlines()) == 1

@@ -122,19 +122,19 @@ class TestConfig:
         assert json.loads((tmp_path / "report.json").read_text())["config"]["n"] == 4000
 
     def test_rule_based_k(self):
-        cfg = mc.ExperimentConfig.create(coeffs=DEP, model=MODEL, n=10**6,
-                                         r=-0.5, replications=1, master_seed=0,
-                                         theta=0.9)
+        cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=10**6,
+                                  r=-0.5, replications=1, master_seed=0,
+                                  theta=0.9)
         assert cfg.k == 144
-        cfg_iid = mc.ExperimentConfig.create(coeffs=IID, model=MODEL, n=10**6,
-                                             r=-0.5, replications=1,
-                                             master_seed=0, theta=0.9)
+        cfg_iid = mc.ExperimentConfig(coeffs=IID, model=MODEL, n=10**6,
+                                      r=-0.5, replications=1,
+                                      master_seed=0, theta=0.9)
         assert cfg_iid.k == 1218
 
     def test_k_none_takes_the_growth_rule(self):
         cfg = small_config(coeffs=DEP, n=10**6, k=None, theta=0.9)
         assert cfg.k == 144
-        assert cfg == mc.ExperimentConfig.create(
+        assert cfg == mc.ExperimentConfig(
             coeffs=DEP, model=MODEL, n=10**6, r=-1.0, replications=40, master_seed=17)
         for k in (None, 50):
             with pytest.raises(ValueError, match="theta"):
@@ -833,14 +833,14 @@ tailproc.lme_fit(sample, -1.0)
 loaded.append(scipy_modules())
 # Fewer records than the normality diagnostics need, on a pool of two.
 montecarlo.usable_cpus = lambda: 2
-config = montecarlo.ExperimentConfig.create(
+config = montecarlo.ExperimentConfig(
     coeffs=tailproc.CoefficientSequence((1.0, 0.5)), model=tailproc.InnovationModel(alpha=3.0),
     n=2000, k=40, r=-1.0, replications=montecarlo.MIN_RECORDS_FOR_DIAGNOSTICS - 1,
     master_seed=5, worker_count_hint=2)
 report = montecarlo.run_experiment(config)
 loaded.append(scipy_modules())
 # Enough records for the normality diagnostics, then validate, which reports them.
-config = montecarlo.ExperimentConfig.create(
+config = montecarlo.ExperimentConfig(
     coeffs=tailproc.CoefficientSequence((1.0, 0.5)), model=tailproc.InnovationModel(alpha=3.0),
     n=2000, k=40, r=-1.0, replications=montecarlo.MIN_RECORDS_FOR_DIAGNOSTICS + 10,
     master_seed=5, worker_count_hint=2)
@@ -890,7 +890,7 @@ with contextlib.redirect_stdout(io.StringIO()):
              cli.main(["check", "--alpha", "3", "--coeffs", "1,0.5"]),
              cli.main(["simulate", "--coeffs", "1,0.5", "--n", "50"])]
 loaded.append(pool_modules())
-config = montecarlo.ExperimentConfig.create(
+config = montecarlo.ExperimentConfig(
     coeffs=tailproc.CoefficientSequence((1.0, 0.5)), model=tailproc.InnovationModel(alpha=3.0),
     n=2000, k=40, r=-1.0, replications=3, master_seed=5, worker_count_hint=1)
 montecarlo.run_experiment(config)
@@ -915,8 +915,8 @@ def test_run_experiment_builds_tail_expansion_once(monkeypatch):
         return tail_expansion(*args)
 
     monkeypatch.setattr(second_order, "tail_expansion", counting)
-    cfg = mc.ExperimentConfig.create(coeffs=DEP, model=MODEL, n=4000, r=-1.0,
-                                     replications=20, master_seed=17)
+    cfg = mc.ExperimentConfig(coeffs=DEP, model=MODEL, n=4000, r=-1.0,
+                              replications=20, master_seed=17)
     report = mc.run_experiment(cfg)
     assert report.rate_2rv > 0.0
     assert len(builds) == 1

@@ -77,6 +77,38 @@ def test_library_imports_numpy_and_the_standard_library_only():
     assert modules - sys.stdlib_module_names <= {"numpy", "tailproc"}
 
 
+def overflow_sites(path):
+    """``(function, name)`` of each ``except OverflowError`` or ``except
+    FloatingPointError`` handler and each ``errstate`` call in a file."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                sites.extend((function, c.id) for c in caught if isinstance(c, ast.Name)
+                             and c.id in ("OverflowError", "FloatingPointError"))
+            if isinstance(child, ast.Call) and "errstate" in (getattr(child.func, "attr", None),
+                                                             getattr(child.func, "id", None)):
+                sites.append((function, "errstate"))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(path.read_text()), None)
+    return [(path.name, *site) for site in sites]
+
+
+def test_overflow_rule_is_stated_once():
+    # process._overflow alone sets numpy's error state and renames an overflow.
+    # estimator_cov ignores numpy's errors because its failure, a covariance
+    # that is not finite or not positive definite, is an ArithmeticError.
+    sites = [site for path in sorted(Path(tailproc.__file__).parent.glob("*.py"))
+             for site in overflow_sites(path)]
+    assert sorted(sites) == [("asymptotics.py", "estimator_cov", "errstate"),
+                             ("process.py", "_overflow", "FloatingPointError"),
+                             ("process.py", "_overflow", "OverflowError"),
+                             ("process.py", "_overflow", "errstate")]
+
+
 def test_numpy_is_the_only_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
