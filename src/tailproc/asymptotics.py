@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import CoefficientSequence, _overflow, decay_certificate
+from .process import CoefficientSequence, _overflow, _within, decay_certificate
 
 __all__ = [
     "PhiConstants",
@@ -99,10 +99,8 @@ class CovarianceReport:
 
 
 def _check_domain(gamma: float, r: float) -> None:
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    if not -math.inf < r < 0:
-        raise ValueError("r must be negative and finite")
+    _within("gamma", gamma, 0, math.inf)
+    _within("r", r, -math.inf, 0)
 
 
 def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, float]:
@@ -112,9 +110,9 @@ def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, 
     discarded mass via the geometric decay certificate; it is zero for
     explicitly given (exact) sequences.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    p = 1.0 / gamma
+    _within("gamma", gamma, 0, math.inf)
+    with _overflow(f"coefficient norm's exponent 1/gamma overflows at gamma={gamma!r}"):
+        p = float(np.divide(1.0, gamma))
     value = coeffs.power_sum(p)
     if coeffs.truncation_error_bound == 0.0:
         return value, 0.0
@@ -162,8 +160,7 @@ def phi_constants(coeffs: CoefficientSequence, gamma: float, r: float) -> PhiCon
 def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
     """Cross-lag summability diagnostic: the phi_3 sum of ``phi_constants`` (at any r)
     before its division by the norm, from the same loop over lag pairs."""
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _within("gamma", gamma, 0, math.inf)
     return _lag_pair_sums(coeffs, gamma, -1.0)[2]
 
 
@@ -193,8 +190,9 @@ def _centered(raw: RawLimits) -> tuple[float, float, float]:
 
 def sigma_matrix(kappa1: float, kappa2: float, kappa3: float) -> np.ndarray:
     """Limit covariance of the two centered tail sum statistics."""
-    if not (0 <= kappa1 < math.inf and 0 <= kappa2 < math.inf and math.isfinite(kappa3)):
-        raise ValueError("kappas must be finite, and kappa1 and kappa2 non-negative")
+    _within("kappa1", kappa1, 0, math.inf, low_in=True)
+    _within("kappa2", kappa2, 0, math.inf, low_in=True)
+    _within("kappa3", kappa3, -math.inf, math.inf)
     return np.array([[kappa1, -kappa3], [-kappa3, kappa2]])
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import _overflow, _whole
+from .process import _overflow, _whole, _within
 
 __all__ = [
     "GpdParams",
@@ -66,10 +66,8 @@ class GpdParams:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        _within("gamma", self.gamma, 0, math.inf)
+        _within("sigma", self.sigma, 0, math.inf)
 
     def cdf(self, x):
         """``1 - (1 + gamma*x/sigma)**(-1/gamma)`` for x >= 0."""
@@ -102,8 +100,7 @@ class ExcessSample:
     threshold: float
 
     def __post_init__(self):
-        if not 0 <= self.threshold < math.inf:
-            raise ValueError("threshold must be finite and non-negative")
+        _within("threshold", self.threshold, 0, math.inf, low_in=True)
         exc = np.array(self.excesses, dtype=float)
         if exc.ndim != 1:
             raise ValueError("excesses must be one-dimensional")
@@ -158,9 +155,7 @@ def top_k_excesses(series, k: int) -> ExcessSample:
     """
     a = np.abs(np.asarray(series, dtype=float).ravel())
     n = a.size
-    k = _whole("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _whole("k", k, 1)
     if k + 1 > n:
         raise ValueError("k too large for the sample size")
     part = np.partition(a, n - k - 1)
@@ -252,8 +247,7 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
         (a moment gap or the residual not finite, residual above 1e-10,
         ``b_hat`` not finite, or no convergence in 100 regula falsi steps).
     """
-    if not -math.inf < r < 0:
-        raise ValueError("r must be negative and finite")
+    _within("r", r, -math.inf, 0)
     y = sample.excesses
     if sample.k < 2:
         raise ValueError("need at least two excesses")

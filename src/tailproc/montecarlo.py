@@ -23,7 +23,7 @@ import numpy as np
 from . import asymptotics, second_order
 from .estimator import ExcessSample, GpdParams, LmeSolverError, lme_fit, top_k_excesses
 from .process import (CoefficientSequence, InnovationModel, _overflow, _philox_key, _whole,
-                      apply_filter, philox_stream)
+                      _within, apply_filter, philox_stream)
 
 __all__ = [
     "ExperimentConfig",
@@ -88,8 +88,7 @@ class ExperimentConfig:
     scale: float = field(init=False, repr=False, compare=False, default=1.0)
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
+        _within("theta", self.theta, 0, 1)
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode: {self.sampling!r}")
         texp = None
@@ -106,19 +105,13 @@ class ExperimentConfig:
                 self.model.alpha, self.coeffs)
             object.__setattr__(self, "k", second_order.choose_k(
                 self.n, self.theta, self.model.alpha, c2_zero))
-        for name in ("n", "k", "replications", "worker_count_hint", "master_seed"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        for name, low in (("n", None), ("k", 2), ("replications", 1),
+                          ("worker_count_hint", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
         _philox_key(self.master_seed, 0)
         if self.k + 1 > self.n:
             raise ValueError("k + 1 must not exceed n")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if not -math.inf < self.r < 0:
-            raise ValueError("r must be negative and finite")
-        if self.worker_count_hint < 1:
-            raise ValueError("worker_count_hint must be >= 1")
+        _within("r", self.r, -math.inf, 0)
         if self.centering is not None:
             object.__setattr__(self, "scale", sigma_nk(self.centering, self.gamma,
                                                        self.n, self.k))
@@ -208,8 +201,7 @@ class ValidationReport:
 def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
              n: int, k: int) -> float:
     """Centering scale ``gamma * b(n/k)`` from the quantile expansion."""
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _within("gamma", gamma, 0, math.inf)
     if qexp is None:
         raise ValueError("scale unavailable: supply a quantile expansion")
     if not 1 <= k < n:

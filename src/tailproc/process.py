@@ -30,14 +30,33 @@ TRUNCATION_TOL = 1e-12  # bound on the coefficient mass an ARMA truncation disca
 _CUT_SLACK = 1e-9  # relative slack of word_cut's survival: the inverse transform's rounding
 
 
-def _whole(name: str, value) -> int:
-    """``operator.index(value)``; a bool or any other non-integer raises ``ValueError``."""
+def _whole(name: str, value, low: int | None = None) -> int:
+    """``operator.index(value)``; a bool or any other non-integer, or one below
+    ``low``, raises ``ValueError``."""
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            value = operator.index(value)
+            if low is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            return value
     except TypeError:
         pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _within(name: str, value: float, low: float, high: float, *,
+            low_in: bool = False, high_in: bool = False) -> None:
+    """Refuse a ``value`` outside the interval from ``low`` to ``high``, NaN, None and
+    other values that compare with no float included, with ``ValueError``;
+    ``low_in`` and ``high_in`` put that end in the interval."""
+    try:
+        inside = ((low <= value if low_in else low < value)
+                  and (value <= high if high_in else value < high))
+    except TypeError:
+        inside = False
+    if not inside:
+        raise ValueError(f"{name} must lie in {'[' if low_in else '('}{low}, "
+                         f"{high}{']' if high_in else ')'}")
 
 
 @contextlib.contextmanager
@@ -97,10 +116,8 @@ class InnovationModel:
     pi1: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0 <= self.pi1 <= 1:
-            raise ValueError("pi1 must lie in [0, 1]")
+        _within("alpha", self.alpha, 0, math.inf)
+        _within("pi1", self.pi1, 0, 1, low_in=True, high_in=True)
 
     @property
     def gamma(self) -> float:
@@ -127,6 +144,7 @@ class InnovationModel:
     def word_cut(self, z: float) -> int:
         """Smallest raw word whose ``from_words`` magnitude can exceed ``z``: 0, every
         word, for ``z <= 1``, and ``2**64`` or more when no magnitude can."""
+        _within("z", z, -math.inf, math.inf)
         return _raw_cut(z ** -self.alpha * (1.0 + _CUT_SLACK)) if z > 1.0 else 0
 
     def sample(self, count: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -136,8 +154,7 @@ class InnovationModel:
         ``pi1 < 1`` draws a uniform block for the sign after them, never
         rejection, so output is reproducible bit for bit across platforms.
         """
-        if _whole("count", count) < 1:
-            raise ValueError("count must be >= 1")
+        _whole("count", count, 1)
         rng = philox_stream(seed, stream)
         magnitudes = self.from_words(rng.bit_generator.random_raw(count))
         if self.pi1 == 1.0:
@@ -170,8 +187,9 @@ class CoefficientSequence:
             raise ValueError("degenerate coefficients: all zero")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        if not 0 <= self.truncation_error_bound < math.inf:
-            raise ValueError("truncation_error_bound must be >= 0 and finite")
+        _within("truncation_error_bound", self.truncation_error_bound, 0, math.inf, low_in=True)
+        if self.decay_u is not None:
+            _within("decay_u", self.decay_u, 1, math.inf)
 
     @property
     def order(self) -> int:
@@ -186,6 +204,7 @@ class CoefficientSequence:
 
         Raises ``OverflowError`` on a sum that is not finite, ``ArithmeticError`` on a zero one.
         """
+        _within("u", u, 0, math.inf)
         arr = np.abs(self.as_array())
         with _overflow(f"power sum of |c_j|**{u!r} overflows"):
             total = float(np.sum(arr[arr > 0] ** u))
@@ -316,9 +335,7 @@ def simulate(coeffs: CoefficientSequence, model: InnovationModel, n: int,
     as heavy tails do at a small ``alpha``, or a filter of the finite draws
     that overflows raises ``OverflowError``.
     """
-    n = _whole("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _whole("n", n, 1)
     values = apply_filter(coeffs, model.sample(n + coeffs.order, seed, stream))
     # np.convolve ignores numpy's error state, so _overflow cannot see this overflow.
     if not np.all(np.isfinite(values)):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import CoefficientSequence, _overflow, decay_certificate
+from .process import CoefficientSequence, _overflow, _whole, _within, decay_certificate
 
 __all__ = [
     "TailExpansion",
@@ -133,8 +133,7 @@ def second_tail_vanishes(alpha: float, coeffs: CoefficientSequence) -> bool:
     innovation mean ``mu``, so the bracket alone decides the case: three
     power sums of ``|c_j|`` and no innovation moment, for any ``alpha > 0``.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    _within("alpha", alpha, 0, math.inf)
     return _cross_sum_vanishes(*(coeffs.power_sum(u) for u in (1.0, alpha, alpha + 1.0)))
 
 
@@ -153,8 +152,7 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
 
     Each power sum is evaluated once.  A square past the largest float raises ``OverflowError``.
     """
-    if not 2 < alpha < math.inf:
-        raise ValueError("tail expansion requires a finite alpha > 2")
+    _within("alpha", alpha, 2, math.inf)
     mu, s2 = alpha / (alpha - 1.0), alpha / ((alpha - 1.0) * (alpha - 2.0))
     if np.any(coeffs.as_array() < 0):
         raise ValueError("tail expansion requires non-negative coefficients")
@@ -221,12 +219,9 @@ def choose_k(n: int, theta: float, alpha: float, case_c2_zero: bool) -> int:
     nonzero and ``floor(n**(4 theta/(4+alpha)))`` otherwise, clamped to
     [2, n-1].  Both exponents are below 2/3, so ``n / k**1.5`` always grows.
     """
-    if theta is None or not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    _within("theta", theta, 0, 1)
+    _whole("n", n, 2)
+    _within("alpha", alpha, 0, math.inf)
     exponent = 4.0 * theta / (4.0 + alpha) if case_c2_zero else 2.0 * theta / (2.0 + alpha)
     with _overflow(f"growth rule overflows at n={n!r}"):
         k = int(np.floor(n**exponent))
@@ -249,10 +244,8 @@ def check_conditions(alpha: float, coeffs: CoefficientSequence,
     coefficients.  The conditions that cannot fail for a finite non-negative
     sequence with ``alpha > 2`` are named in ``HOLDS_BY_CONSTRUCTION``.
     """
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must lie in (0, 1)")
-    if not 2 < alpha < math.inf:
-        raise ValueError("conditions require a finite alpha > 2")
+    _within("xi", xi, 0, 1)
+    _within("alpha", alpha, 2, math.inf)
     checks = []
 
     a_cert, u_cert = decay_certificate(coeffs)

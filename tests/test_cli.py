@@ -179,6 +179,14 @@ class TestCov:
         assert err.startswith(f"numerical failure: {message}")
         assert len(err.splitlines()) == 1
 
+    def test_subnormal_gamma_names_the_norm_exponent(self, capsys):
+        # 1 / 5e-324 rounded to inf, and the message named the linearization matrix.
+        code, out, err = run_cli(capsys, "cov", "--gamma", "5e-324", "--r", "-0.5",
+                                 "--coeffs", "2")
+        assert (code, out) == (2, "")
+        assert err == ("numerical failure: coefficient norm's exponent 1/gamma "
+                       "overflows at gamma=5e-324\n")
+
 
 class TestCheck:
     def test_iid_fails_two_conditions(self, capsys):

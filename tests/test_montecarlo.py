@@ -84,7 +84,7 @@ class TestConfig:
             small_config(sampling="x")
 
     def test_r_negative(self):
-        with pytest.raises(ValueError, match="r must be negative"):
+        with pytest.raises(ValueError, match=r"^r must lie in \(-inf, 0\)$"):
             small_config(r=0.5)
 
     def test_replications_positive(self):

@@ -1,9 +1,11 @@
 import ast
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +111,35 @@ def test_overflow_rule_is_stated_once():
                              ("process.py", "_overflow", "errstate")]
 
 
+def domain_message_sites(path):
+    """``(file, function)`` of each ``raise`` in a file whose message states an
+    interval (``must lie in``) or a minimum (``must be >=``)."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                text = "".join(c.value for c in ast.walk(child.exc)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                if re.search(r"must lie in|must be >=", text):
+                    sites.append((path.name, function))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_domain_rule_is_stated_once():
+    # process._within states every scalar interval and process._whole every
+    # integer minimum.  The others check arrays (x, p and u) or the two
+    # integers of a Philox key.
+    sites = [site for path in sorted(Path(tailproc.__file__).parent.glob("*.py"))
+             for site in domain_message_sites(path)]
+    assert sorted(sites) == [("estimator.py", "cdf"), ("estimator.py", "quantile"),
+                             ("process.py", "_philox_key"), ("process.py", "_whole"),
+                             ("process.py", "_within"), ("process.py", "from_uniform")]
+
+
 def test_numpy_is_the_only_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -121,12 +152,16 @@ C = process.CoefficientSequence((1.0, 0.5))
 MODEL = process.InnovationModel(alpha=3.0)
 EXCESSES = estimator.ExcessSample.from_excesses(np.linspace(0.1, 3.0, 50))
 PHI = asymptotics.phi_constants(C, 0.5, -1.0)
-# One call per float parameter of the public constructors and functions.
+# One call per float parameter of the public constructors, functions and methods;
+# test_every_float_parameter_has_a_row keeps the table complete.
 FLOAT_PARAMETERS = {
     "InnovationModel.alpha": lambda x: process.InnovationModel(alpha=x),
     "InnovationModel.pi1": lambda x: process.InnovationModel(pi1=x),
+    "InnovationModel.word_cut.z": lambda x: MODEL.word_cut(x),
     "CoefficientSequence.truncation_error_bound":
         lambda x: process.CoefficientSequence(C.coeffs, truncation_error_bound=x),
+    "CoefficientSequence.decay_u": lambda x: process.CoefficientSequence(C.coeffs, decay_u=x),
+    "CoefficientSequence.power_sum.u": lambda x: C.power_sum(x),
     "GpdParams.gamma": lambda x: estimator.GpdParams(gamma=x, sigma=1.0),
     "GpdParams.sigma": lambda x: estimator.GpdParams(gamma=0.5, sigma=x),
     "ExcessSample.threshold": lambda x: estimator.ExcessSample(np.ones(3), threshold=x),
@@ -168,6 +203,76 @@ def test_float_parameters_refuse_nan_and_infinity(name, value):
     # nan matrix, and a nan truncation bound a truncation_error of 0.0833.
     with pytest.raises(ValueError):
         FLOAT_PARAMETERS[name](value)
+
+
+# Dataclasses whose fields are results, not parameters.
+RESULT_RECORDS = {"SimulatedPath", "LmeEstimate", "PhiConstants", "RawLimits",
+                  "CovarianceReport", "TailExpansion", "QuantileExpansion", "ConditionCheck",
+                  "ConditionReport", "ReplicationRecord", "NormalityDiagnostics",
+                  "ValidationReport"}
+
+
+def float_parameters():
+    """``function.name``, ``Class.method.name`` and ``Class.field`` of every scalar
+    parameter annotated ``float`` or ``float | None`` in the public names."""
+    floats = ("float", "float | None")
+    found = set()
+
+    def signature(prefix, function):
+        found.update(prefix + p.name for p in inspect.signature(function).parameters.values()
+                     if p.annotation in floats)
+
+    for module in MODULES:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                signature(f"{name}.", obj)
+            elif inspect.isclass(obj):
+                if is_dataclass(obj) and name not in RESULT_RECORDS:
+                    found.update(f"{name}.{f.name}" for f in fields(obj)
+                                 if f.init and f.type in floats)
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        signature(f"{name}.{attr}.", member)
+    return found
+
+
+def test_every_float_parameter_has_a_row():
+    missing = sorted(float_parameters() - set(FLOAT_PARAMETERS))
+    assert not missing, f"FLOAT_PARAMETERS has no row for {missing}"
+    assert sorted(set(FLOAT_PARAMETERS) - float_parameters()) == []
+
+
+CONFIG = dict(coeffs=C, model=MODEL, n=1000, k=2, r=-1.0, replications=1, master_seed=0)
+# One call per count or seed parameter, with the smallest value it accepts.
+INTEGER_PARAMETERS = {
+    "top_k_excesses.k": (1, lambda x: estimator.top_k_excesses(np.arange(10.0), x)),
+    "InnovationModel.sample.count": (1, lambda x: MODEL.sample(x, seed=1)),
+    "simulate.n": (1, lambda x: process.simulate(C, MODEL, x, seed=1)),
+    "choose_k.n": (2, lambda x: second_order.choose_k(x, 0.9, 3.0, False)),
+    "ExperimentConfig.n": (3, lambda x: montecarlo.ExperimentConfig(**{**CONFIG, "n": x})),
+    "ExperimentConfig.k": (2, lambda x: montecarlo.ExperimentConfig(**{**CONFIG, "k": x})),
+    "ExperimentConfig.replications":
+        (1, lambda x: montecarlo.ExperimentConfig(**{**CONFIG, "replications": x})),
+    "ExperimentConfig.worker_count_hint":
+        (1, lambda x: montecarlo.ExperimentConfig(**{**CONFIG, "worker_count_hint": x})),
+    "ExperimentConfig.master_seed":
+        (0, lambda x: montecarlo.ExperimentConfig(**{**CONFIG, "master_seed": x})),
+    "philox_stream.seed": (0, lambda x: process.philox_stream(x)),
+    "philox_stream.stream": (0, lambda x: process.philox_stream(1, x)),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+def test_integer_parameters_refuse_bools_fractions_and_values_below_the_minimum(name):
+    low, call = INTEGER_PARAMETERS[name]
+    call(low)
+    # A negative master_seed meets the Philox key's range, which names it seed, as
+    # validate --seed does.
+    named = "seed" if name == "ExperimentConfig.master_seed" else name.rsplit(".", 1)[1]
+    for value in (True, 2.5, low - 1):
+        with pytest.raises(ValueError, match=rf"(\b|_){named}\b"):
+            call(value)
 
 
 def test_csv_header_is_the_record_fields():

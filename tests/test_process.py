@@ -145,6 +145,11 @@ class TestWordCut:
         assert model.word_cut(z) >= 2**64
         assert float(model.from_words(np.uint64(2**64 - 1))) < z
 
+    def test_level_that_is_not_a_number_is_refused(self):
+        # word_cut(nan) returned 0, which flags every word.
+        with pytest.raises(ValueError, match=r"^z must lie in \(-inf, inf\)$"):
+            InnovationModel(alpha=3.0).word_cut(np.nan)
+
 
 class TestCoefficientSequence:
     def test_all_zero_rejected(self):
@@ -159,8 +164,21 @@ class TestCoefficientSequence:
             CoefficientSequence((1.0, float("nan")))
 
     def test_negative_truncation_bound_rejected(self):
-        with pytest.raises(ValueError, match="truncation_error_bound must be >= 0"):
+        with pytest.raises(ValueError, match=r"^truncation_error_bound must lie in \[0, inf\)$"):
             CoefficientSequence((1.0,), truncation_error_bound=-1e-15)
+
+    @pytest.mark.parametrize("decay_u", [0.5, 1.0])
+    def test_decay_rate_at_or_below_one_rejected(self, decay_u):
+        # decay_u 0.5 made coefficient_norm((1, 0.5), 1/3) return a truncation
+        # error of -9.14, and 1.0 an overflow of its truncation bound.
+        with pytest.raises(ValueError, match=r"^decay_u must lie in \(1, inf\)$"):
+            CoefficientSequence((1.0, 0.5), truncation_error_bound=1e-13, decay_u=decay_u)
+
+    @pytest.mark.parametrize("u", [0.0, -1.0])
+    def test_power_sum_exponent_must_be_positive(self, u):
+        # The nan and infinite exponents are FLOAT_PARAMETERS rows.
+        with pytest.raises(ValueError, match=r"^u must lie in \(0, inf\)$"):
+            CoefficientSequence((2.0, 0.5)).power_sum(u)
 
 
 class TestArmaToMa:

@@ -109,7 +109,7 @@ class TestTailExpansion:
         assert sorted(power_sum_exponents) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_alpha_must_exceed_two(self):
-        with pytest.raises(ValueError, match="alpha > 2"):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(2, inf\)$"):
             tail_expansion(2.0, DEP)
 
     def test_overflow_is_named(self):
@@ -227,6 +227,10 @@ class TestChooseK:
     def test_theta_domain(self):
         with pytest.raises(ValueError, match="theta"):
             choose_k(100, 1.0, 3.0, False)
+
+    def test_theta_that_is_not_a_number_is_refused(self):
+        with pytest.raises(ValueError, match=r"^theta must lie in \(0, 1\)$"):
+            choose_k(100, None, 3.0, False)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError, match="alpha"):
