@@ -128,12 +128,13 @@ def _lag_pair_sums(coeffs: CoefficientSequence, gamma: float, r: float) -> tuple
     """The sums of phi_1..phi_3 before their division by the norm."""
     arr = np.abs(coeffs.as_array())
     logs = np.log(np.where(arr > 0, arr, 1.0))
+    p = float(np.divide(1.0, gamma))
     s1 = s2 = s3 = 0.0
     for j in range(1, arr.size):
         lo, hi = np.minimum(arr[:-j], arr[j:]), np.maximum(arr[:-j], arr[j:])
         keep = lo > 0
         lo, hi = lo[keep], hi[keep]
-        w = lo ** (1.0 / gamma)
+        w = lo ** p
         s1 += float(np.sum(w))
         s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
         s3 += float(np.sum(w * np.abs(logs[:-j] - logs[j:])[keep]))
@@ -161,7 +162,8 @@ def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
     """Cross-lag summability diagnostic: the phi_3 sum of ``phi_constants`` (at any r)
     before its division by the norm, from the same loop over lag pairs."""
     _within("gamma", gamma, 0, math.inf)
-    return _lag_pair_sums(coeffs, gamma, -1.0)[2]
+    with _overflow(f"pairwise dependence sum overflows at gamma={gamma!r}"):
+        return _lag_pair_sums(coeffs, gamma, -1.0)[2]
 
 
 def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:
@@ -229,14 +231,16 @@ def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> Covari
     when L overflows (``linearization_matrix``'s ``OverflowError``, as at
     r = -1e-20), or when the covariance is not finite and positive definite,
     as the cancellation in ``L S L^T`` makes it at a small ``|r|`` such as
-    -1e-6.  A wrong result that is still positive definite passes.
+    -1e-6 and a kappa2 rounded below zero at a huge one such as -1e100.  A
+    wrong result that is still positive definite passes.
     """
     phi = phi_constants(coeffs, gamma, r)
     raw = raw_limits(gamma, r, phi)
     kappa1, kappa2, kappa3 = kappas = _centered(raw)
     if not all(map(math.isfinite, kappas)):
         raise ArithmeticError(f"kappas {kappas} are not finite at gamma={gamma!r}, r={r!r}")
-    sigma = sigma_matrix(kappa1, kappa2, kappa3)
+    # Not sigma_matrix: its input rule would call a computed kappa2 of -2e-16 a usage error.
+    sigma = np.array([[kappa1, -kappa3], [-kappa3, kappa2]])
     # Not _overflow: a covariance that is not finite or not positive definite is an ArithmeticError.
     with np.errstate(all="ignore"):
         lmat = linearization_matrix(gamma, r)

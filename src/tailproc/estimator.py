@@ -72,8 +72,7 @@ class GpdParams:
     def cdf(self, x):
         """``1 - (1 + gamma*x/sigma)**(-1/gamma)`` for x >= 0."""
         x = np.asarray(x, dtype=float)
-        if not np.all(x >= 0):
-            raise ValueError("x must be >= 0")
+        _within("x", x, 0, math.inf, low_in=True, high_in=True)
         out = -np.expm1(-np.log1p(self.gamma * x / self.sigma) / self.gamma)
         return float(out) if out.ndim == 0 else out
 
@@ -81,8 +80,7 @@ class GpdParams:
         """Exact inverse of ``cdf`` on 0 <= p < 1; ``OverflowError`` on a quantile
         that overflows a float."""
         p = np.asarray(p, dtype=float)
-        if not np.all((p >= 0) & (p < 1)):
-            raise ValueError("p must lie in [0, 1)")
+        _within("p", p, 0, 1, low_in=True)
         with _overflow(f"GPD quantile overflows at gamma={self.gamma!r}"):
             out = self.sigma * np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
         return float(out) if out.ndim == 0 else out
@@ -108,12 +106,9 @@ class ExcessSample:
         exc = exc[::-1].copy()
         object.__setattr__(self, "excesses", exc)
         exc.setflags(write=False)
-        # The sort puts a NaN first and -inf last, so two comparisons check
-        # a valid sample; only a bad one takes the passes that name its fault.
-        if exc.size and not (exc[0] < math.inf and exc[-1] >= 0):
-            if not np.all(np.isfinite(exc)):
-                raise ValueError("excesses must be finite")
-            raise ValueError("excesses must be non-negative")
+        # The sort puts a NaN first and -inf last, so its two ends check the sample.
+        for end in (exc[0], exc[-1]) if exc.size else ():
+            _within("excesses", end, 0, math.inf, low_in=True)
 
     @property
     def k(self) -> int:
@@ -151,13 +146,11 @@ def top_k_excesses(series, k: int) -> ExcessSample:
     the one produced by breaking ties in original index order, which always
     contains ``count(|x| > threshold)`` positive values padded with zeros.
     ``ExcessSample`` sorts them; subtracting the threshold first keeps the same bits.
-    ``k`` must be an integer (``ValueError``).
+    ``k`` must be an integer in [1, n - 1] (``ValueError``).
     """
     a = np.abs(np.asarray(series, dtype=float).ravel())
     n = a.size
-    k = _whole("k", k, 1)
-    if k + 1 > n:
-        raise ValueError("k too large for the sample size")
+    k = _whole("k", k, 1, n - 1)
     part = np.partition(a, n - k - 1)
     threshold = float(part[n - k - 1])
     return ExcessSample(excesses=part[n - k :] - threshold, threshold=threshold)
@@ -249,8 +242,7 @@ def lme_fit(sample: ExcessSample, r: float) -> LmeEstimate:
     """
     _within("r", r, -math.inf, 0)
     y = sample.excesses
-    if sample.k < 2:
-        raise ValueError("need at least two excesses")
+    _whole("k", sample.k, 2)
     # Sorted non-increasing, so the positive excesses are the first m.
     m = int(np.count_nonzero(y > 0))
     if m < 2 or y[0] == y[m - 1]:

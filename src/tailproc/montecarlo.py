@@ -70,7 +70,8 @@ class ExperimentConfig:
     ``"series"`` config builds one tail expansion, which gives both the
     centering and the growth rule's case; a ``"gpd_direct"`` config takes
     the case from ``second_tail_vanishes``, so it needs no ``alpha > 2``.
-    The counts and ``master_seed`` must be integers (``ValueError``); they are stored as ints.
+    The counts and ``master_seed`` must be integers (``ValueError``), with n at least 3 and
+    k in [2, n - 1]; they are stored as ints.
     """
 
     coeffs: CoefficientSequence
@@ -100,17 +101,16 @@ class ExperimentConfig:
                                  "(needs the one-sided Pareto model)")
             texp = second_order.tail_expansion(self.model.alpha, self.coeffs)
             object.__setattr__(self, "centering", second_order.quantile_expansion(texp))
+        object.__setattr__(self, "n", _whole("n", self.n, 3))
         if self.k is None:
             c2_zero = texp.c2_is_zero if texp else second_order.second_tail_vanishes(
                 self.model.alpha, self.coeffs)
             object.__setattr__(self, "k", second_order.choose_k(
                 self.n, self.theta, self.model.alpha, c2_zero))
-        for name, low in (("n", None), ("k", 2), ("replications", 1),
-                          ("worker_count_hint", 1), ("master_seed", None)):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
+        for name, low, high in (("k", 2, self.n - 1), ("replications", 1, None),
+                                ("worker_count_hint", 1, None), ("master_seed", None, None)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low, high))
         _philox_key(self.master_seed, 0)
-        if self.k + 1 > self.n:
-            raise ValueError("k + 1 must not exceed n")
         _within("r", self.r, -math.inf, 0)
         if self.centering is not None:
             object.__setattr__(self, "scale", sigma_nk(self.centering, self.gamma,
@@ -204,8 +204,7 @@ def sigma_nk(qexp: second_order.QuantileExpansion | None, gamma: float,
     _within("gamma", gamma, 0, math.inf)
     if qexp is None:
         raise ValueError("scale unavailable: supply a quantile expansion")
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+    _whole("k", k, 1, _whole("n", n) - 1)
     with _overflow(f"centering scale overflows at n={n!r}, k={k!r}"):
         x = n / k
     return float(gamma * qexp.b(x))
@@ -336,8 +335,7 @@ def empirical_cov(pairs) -> np.ndarray:
     z = np.asarray(pairs, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise ValueError("pairs must have shape (m, 2)")
-    if z.shape[0] < 2:
-        raise ValueError("need at least two records")
+    _whole("records", z.shape[0], 2)
     return np.cov(z, rowvar=False)
 
 
@@ -385,8 +383,7 @@ def normality_diagnostics(pairs, theoretical: np.ndarray) -> NormalityDiagnostic
     with asymptotic p-values.
     """
     z = np.asarray(pairs, dtype=float)
-    if z.shape[0] < MIN_RECORDS_FOR_DIAGNOSTICS:
-        raise ValueError(f"need at least {MIN_RECORDS_FOR_DIAGNOSTICS} records")
+    _whole("records", z.shape[0], MIN_RECORDS_FOR_DIAGNOSTICS)
     eigvals, eigvecs = np.linalg.eigh(np.asarray(theoretical, dtype=float))
     if np.any(eigvals <= 0):
         raise ValueError("theoretical covariance must be positive definite")

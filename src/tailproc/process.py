@@ -30,28 +30,36 @@ TRUNCATION_TOL = 1e-12  # bound on the coefficient mass an ARMA truncation disca
 _CUT_SLACK = 1e-9  # relative slack of word_cut's survival: the inverse transform's rounding
 
 
-def _whole(name: str, value, low: int | None = None) -> int:
+def _whole(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """``operator.index(value)``; a bool or any other non-integer, or one below
-    ``low``, raises ``ValueError``."""
+    ``low`` or above ``high``, raises ``ValueError``."""
     try:
         if not isinstance(value, bool):
             value = operator.index(value)
             if low is not None and value < low:
                 raise ValueError(f"{name} must be >= {low}")
+            if high is not None and value > high:
+                raise ValueError(f"{name} must be <= {high}")
             return value
     except TypeError:
         pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _within(name: str, value: float, low: float, high: float, *,
+def _within(name: str, value, low: float, high: float, *,
             low_in: bool = False, high_in: bool = False) -> None:
     """Refuse a ``value`` outside the interval from ``low`` to ``high``, NaN, None and
     other values that compare with no float included, with ``ValueError``;
-    ``low_in`` and ``high_in`` put that end in the interval."""
+    ``low_in`` and ``high_in`` put that end in the interval.  An array is checked
+    by its least and greatest entries: an empty one passes, one holding NaN fails."""
+    least = greatest = value
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return
+        least, greatest = value.min(), value.max()
     try:
-        inside = ((low <= value if low_in else low < value)
-                  and (value <= high if high_in else value < high))
+        inside = ((low <= least if low_in else low < least)
+                  and (greatest <= high if high_in else greatest < high))
     except TypeError:
         inside = False
     if not inside:
@@ -131,8 +139,7 @@ class InnovationModel:
         A ``u`` outside (0, 1] raises ``ValueError``, an overflow ``OverflowError``.
         """
         u = np.asarray(u, dtype=float)
-        if u.size and not (u.min() > 0.0 and u.max() <= 1.0):
-            raise ValueError("u must lie in (0, 1]")
+        _within("u", u, 0, 1, high_in=True)
         with _overflow(f"innovation magnitude overflows at alpha={self.alpha!r}"):
             return u ** (-1.0 / self.alpha)
 
@@ -185,8 +192,7 @@ class CoefficientSequence:
         arr = np.asarray(self.coeffs)
         if arr.size == 0 or not np.any(arr != 0.0):
             raise ValueError("degenerate coefficients: all zero")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
+        _within("coefficients", arr, -math.inf, math.inf)
         _within("truncation_error_bound", self.truncation_error_bound, 0, math.inf, low_in=True)
         if self.decay_u is not None:
             _within("decay_u", self.decay_u, 1, math.inf)
@@ -320,8 +326,7 @@ def apply_filter(coeffs: CoefficientSequence, innovations) -> np.ndarray:
     z = np.asarray(innovations, dtype=float)
     c = coeffs.as_array()
     j = c.size - 1
-    if z.size <= j:
-        raise ValueError("need more innovations than the filter order")
+    _whole("innovations", z.size, j + 1)
     return np.convolve(z, c)[j : z.size]
 
 

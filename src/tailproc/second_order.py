@@ -195,8 +195,7 @@ def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, 
     to zero along valid sequences k(n); their finite values quantify the bias
     left in the normal approximation.
     """
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+    _whole("k", k, 1, _whole("n", n) - 1)
     alpha = qexp.tail.alpha
     a1, _, a3 = qexp.a
     ct1, ct2, ct3 = qexp.tail.c_tilde

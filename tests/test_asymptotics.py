@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +23,12 @@ from tailproc.process import CoefficientSequence, arma_to_ma, philox_stream
 
 GAMMA_GRID = np.arange(0.2, 2.01, 0.2)
 R_GRID = np.arange(-2.0, -0.049, 0.1)
+# The failure-class grid of the closed form: 900 cells from r near 0 to r near
+# -inf and from a tiny to a huge gamma.
+WIDE_GAMMAS = (1e-3, 0.05, 0.2, 1.0 / 3.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
+WIDE_RS = (-1e-300, -1e-100, -1e-16, -1e-12, -1e-6, -1e-3, -0.5, -1.0, -10.0, -1e3, -1e6,
+           -1e12, -1e30, -1e100, -1e300)
+WIDE_COEFFS = ((1.0,), (1.0, 0.5), (1.0, 0.9, 0.3), (1.0, 1.0), (1.0, 1e-3), (2.0, 3.0))
 
 
 def phi_at(phi1, phi2, phi3):
@@ -145,6 +152,14 @@ class TestPhiConstants:
             for r in (-0.5, -2.0):
                 phi = phi_constants(coeffs, gamma, r)
                 assert phi.norm_c * phi.phi3 == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [1e-4, 5e-324])
+    def test_pairwise_dependence_sum_overflow_is_named(self, gamma):
+        # It returned inf after a RuntimeWarning: overflow in the power at 1e-4, an
+        # invalid product at 5e-324, where phi_constants named the norm's overflow.
+        with pytest.raises(OverflowError, match=re.escape(
+                f"pairwise dependence sum overflows at gamma={gamma!r}")):
+            pairwise_dependence_sum(CoefficientSequence((2.0, 3.0)), gamma)
 
 
 class TestRawLimits:
@@ -342,6 +357,28 @@ class TestEstimatorCov:
         with pytest.raises(ArithmeticError,
                            match=r"kappas \(inf, .*\) are not finite at gamma=1e\+300, r=-1.0"):
             estimator_cov(1e300, -1.0, CoefficientSequence((1.0, 0.5)))
+
+    def test_kappa2_rounded_below_zero_is_a_numerical_failure(self):
+        # kappa2 computes to -2.2e-16 here, and sigma_matrix's input rule raised
+        # ValueError("kappa2 must lie in [0, inf)"), a usage error.
+        with pytest.raises(ArithmeticError, match=r"^covariance L S L\^T is not finite and "
+                                                  r"positive definite at gamma=0.2, r=-1e\+100$"):
+            estimator_cov(0.2, -1e100, CoefficientSequence((1.0, 0.5)))
+
+    @pytest.mark.parametrize("coeffs", WIDE_COEFFS, ids=str)
+    @pytest.mark.parametrize("gamma", WIDE_GAMMAS)
+    def test_every_cell_returns_or_raises_arithmetic_error(self, gamma, coeffs):
+        # 17 cells at r -1e30 and -1e100 raised ValueError on a kappa2 below zero.
+        c = CoefficientSequence(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in WIDE_RS:
+                try:
+                    estimator_cov(gamma, r, c)
+                except ArithmeticError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"r={r!r}: {exc!r}")
 
     def test_huge_r_overflow_is_named(self):
         # Python's float r**2 raised OverflowError(34, 'Numerical result out of range').

@@ -166,8 +166,11 @@ class TestCov:
           "--reps", "2", "--seed", "1"], f"centering scale overflows at n={10**400}, k=50\n"),
         (["check", "--alpha", "3", "--coeffs", "1,1e308"],
          "decay certificate A of |c_j| * 2.0**j overflows\n"),
+        # kappa2 computes to -2.2e-16, and sigma_matrix's input rule made this exit 1.
+        (["cov", "--gamma", "0.2", "--r", "-1e100"],
+         "covariance L S L^T is not finite and positive definite at gamma=0.2, r=-1e+100\n"),
     ], ids=["huge_gamma", "huge_r_cov", "huge_r_validate", "huge_n", "huge_n_explicit_k",
-            "huge_coefficient"])
+            "huge_coefficient", "huge_r_kappa2"])
     def test_huge_parameter_is_named_numerical_failure(self, capsys, argv, message):
         # A huge gamma exited 1 as a usage error; a huge |r| printed a bare
         # "(34, 'Numerical result out of range')", and an n with no float
@@ -393,7 +396,7 @@ class TestSimulateAndFit:
                                      "--r", "-1", *flags)
         assert code == 1
         assert out == ""
-        assert err == "error: excesses must be finite\n"
+        assert err == "error: excesses must lie in [0, inf)\n"
 
     def test_fit_overflowing_scale_is_numerical_failure(self, capsys, tmp_path):
         # Excesses of order 1e-310: b_hat = t_hat / mean excess overflows.

@@ -32,7 +32,7 @@ class TestGpd:
         assert GpdParams(0.5, 1.0).cdf(6.0) == pytest.approx(0.9375, abs=1e-15)
 
     def test_cdf_rejects_negative(self):
-        with pytest.raises(ValueError, match="x must be"):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, inf\]"):
             GpdParams(1.0, 1.0).cdf(-0.1)
 
     def test_quantile_values(self):
@@ -51,7 +51,7 @@ class TestGpd:
             with pytest.raises(ValueError, match="p must lie"):
                 gpd.quantile(p)
         for x in (np.nan, [1.0, np.nan]):
-            with pytest.raises(ValueError, match="x must be"):
+            with pytest.raises(ValueError, match=r"x must lie in \[0, inf\]"):
                 gpd.cdf(x)
 
     def test_overflowing_quantile_raises(self):
@@ -105,7 +105,7 @@ class TestTopKExcesses:
         assert sample.threshold == 1.0
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError, match="k too large"):
+        with pytest.raises(ValueError, match="k must be <= 1"):
             top_k_excesses([1.0, 2.0], 2)
 
     @pytest.mark.parametrize("k", [5.0, True, np.float64(2.0)])
@@ -135,10 +135,10 @@ class TestTopKExcesses:
         for not_a_sequence in (1.0, [[2.0, 1.0]]):
             with pytest.raises(ValueError, match="one-dimensional"):
                 ExcessSample(excesses=np.array(not_a_sequence), threshold=0.0)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"excesses must lie in \[0, inf\)"):
             ExcessSample(excesses=np.array([1.0, -2.0]), threshold=0.0)
         for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [np.nan, -1.0]):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=r"excesses must lie in \[0, inf\)"):
                 ExcessSample(excesses=np.array(bad), threshold=0.0)
 
     @pytest.mark.parametrize("threshold", [np.nan, -1.0, np.inf])
@@ -155,7 +155,7 @@ class TestTopKExcesses:
         assert lme_fit(shuffled, -1.0) == lme_fit(ordered, -1.0)
 
     def test_series_holding_nan_rejected(self):
-        with pytest.raises(ValueError, match="excesses must be finite"):
+        with pytest.raises(ValueError, match=r"excesses must lie in \[0, inf\)"):
             top_k_excesses([5.0, np.nan, 4.0, 2.0, -3.0], 2)
 
 
@@ -314,7 +314,7 @@ class TestLmeFit:
         assert abs(fit.gamma_hat - gamma) <= 5.0 * (1.0 + gamma) / np.sqrt(k)
 
     def test_requires_two_excesses(self):
-        with pytest.raises(ValueError, match="at least two"):
+        with pytest.raises(ValueError, match="k must be >= 2"):
             lme_fit(ExcessSample.from_excesses([1.0]), r=-1.0)
 
 

@@ -1,5 +1,6 @@
-"""Golden outputs: the bytes of two ``validate`` runs and sixteen ``cov`` and
-``check`` calls, pinned as sha256 digests.
+"""Golden outputs: the bytes of two ``validate`` runs, sixteen ``cov`` and
+``check`` calls, and a second slice of ``simulate`` and ``fit`` calls and of
+calls that end in a numerical failure, pinned as sha256 digests.
 
 Any change to a record, a report (``elapsed_seconds`` masked), a printed
 number or a message of these calls fails here.  Updating a digest is an
@@ -105,3 +106,130 @@ def test_closed_form_calls(model):
                          (["check", "--alpha", "3.0", "--xi", "0.9", *flags], check_digest)):
         code, out, err = run(argv)
         assert (argv[0], code, err, sha256(out.encode())) == (argv[0], 0, "", digest)
+
+
+
+def gpd_grid(gamma, k, factor=1.0):
+    """Exact GPD(gamma, 1) quantiles at the k midpoints, times ``factor``, one a line."""
+    return "".join(f"{(((j + 0.5) / k) ** -gamma - 1.0) / gamma * factor!r}\n" for j in range(k))
+
+
+MA1 = ["--coeffs", "1,0.5", "--alpha", "3", "--n", "2000", "--seed", "3"]
+# The input files of the fit calls; series.csv is the stdout of ``simulate`` with MA1.
+INPUTS = {"excesses.csv": gpd_grid(0.5, 200), "flat.csv": "2.5\n" * 50,
+          "tiny.csv": gpd_grid(1.0 / 3.0, 200, 1e-310)}
+
+# simulate and fit calls that exit 0 with empty stderr: the argv ({dir} is the
+# directory of INPUTS) and the stdout digest.
+OUTPUTS = {
+    "simulate MA(1)": (["simulate", *MA1],
+                       "5eaba2ca50408cbb205d56f71f2b0a94625cc390e49645fc8c7fcca4b1c78743"),
+    "simulate ARMA(1,1)": (["simulate", "--ar", "0.5", "--ma", "0.4", "--alpha", "2.5",
+                            "--n", "1000", "--seed", "11"],
+                           "f9d37b8d47bebb8ec19ab8d418bdc2077c1ee05d1865bc4a2074b41c93603451"),
+    "simulate pi1 0.5": (["simulate", "--coeffs", "1,0.5", "--pi1", "0.5", "--n", "1000",
+                          "--seed", "1"],
+                         "39ff4557888feb8647035acc30b7cd1520cc48e32c523bb0e15541a8ad5ca345"),
+    "fit series": (["fit", "--input", "{dir}/series.csv", "--k", "100", "--r", "-1"],
+                   "ec8a9f034bbe33273159f1d58061b0965d26fddd4294ff4b98d3ff639d328628"),
+    "fit excesses": (["fit", "--input", "{dir}/excesses.csv", "--excesses", "--r", "-0.5"],
+                     "3d931a75cce476d8e56647aea7a1c893669d213a19639bbbbc5e46f16b76d1b6"),
+}
+
+RUN = ["--n", "2000", "--reps", "2", "--seed", "1"]
+UNDERFLOW = ["--coeffs", "1e-200", "--alpha", "3", "--r", "-0.5", "--n", "200", "--k", "20",
+             "--reps", "3", "--seed", "1"]
+N = str(10**400)
+# The numerical failures of tests/test_cli.py: each exits 2 with empty stdout and
+# one stderr line, after "numerical failure: ".
+FAILURES = {
+    "fit degenerate": (["fit", "--input", "{dir}/flat.csv", "--excesses", "--r", "-1"],
+                       "no LME solution found: excesses are degenerate"),
+    "fit b_hat overflow": (["fit", "--input", "{dir}/tiny.csv", "--excesses", "--r", "-1"],
+                           "no LME solution found: b_hat inf is not finite"),
+    "check C_eta overflow": (["check", "--alpha", "3", "--coeffs", "1e200,1"],
+                             "power sum of |c_j|**3.0 overflows"),
+    "cov norm overflow": (["cov", "--gamma", "0.25", "--r", "-1", "--coeffs", "1e200,1"],
+                          "power sum of |c_j|**4.0 overflows"),
+    "cov r -1e-6": (["cov", "--gamma", "0.3333", "--r", "-1e-6", "--coeffs", "1,0.5"],
+                    "covariance L S L^T is not finite and positive definite "
+                    "at gamma=0.3333, r=-1e-06"),
+    "cov r -1e-20": (["cov", "--gamma", "0.3333", "--r", "-1e-20", "--coeffs", "1,0.5"],
+                     "linearization matrix overflows at gamma=0.3333, r=-1e-20"),
+    "validate r -1e-6": (["validate", "--alpha", "3", *RUN, "--r", "-1e-6", "--coeffs", "1,0.5"],
+                         "covariance L S L^T is not finite and positive definite "
+                         "at gamma=0.3333333333333333, r=-1e-06"),
+    "validate r -1e-20": (["validate", "--alpha", "3", *RUN, "--r", "-1e-20",
+                           "--coeffs", "1,0.5"],
+                          "linearization matrix overflows at gamma=0.3333333333333333, r=-1e-20"),
+    "cov huge gamma": (["cov", "--coeffs", "1,0.5", "--gamma", "1e300", "--r", "-1"],
+                       "kappas (inf, 0.6666666666666666, 1.4999999999999998e+300) are not "
+                       "finite at gamma=1e+300, r=-1.0"),
+    "cov huge r": (["cov", "--coeffs", "1,0.5", "--gamma", "0.5", "--r", "-1e300"],
+                   "raw limits overflow at gamma=0.5, r=-1e+300"),
+    "validate huge r": (["validate", "--coeffs", "1,0.5", "--alpha", "3", "--r", "-1e300", *RUN],
+                        "raw limits overflow at gamma=0.3333333333333333, r=-1e+300"),
+    "validate huge n": (["validate", "--coeffs", "1,0.5", "--alpha", "3", "--r", "-0.5",
+                         "--n", N, "--reps", "2", "--seed", "1"],
+                        f"growth rule overflows at n={N}"),
+    "validate huge n explicit k": (["validate", "--coeffs", "1,0.5", "--alpha", "3", "--r", "-0.5",
+                                    "--n", N, "--k", "50", "--reps", "2", "--seed", "1"],
+                                   f"centering scale overflows at n={N}, k=50"),
+    "cov subnormal gamma": (["cov", "--gamma", "5e-324", "--r", "-0.5", "--coeffs", "2"],
+                            "coefficient norm's exponent 1/gamma overflows at gamma=5e-324"),
+    "check certificate overflow": (["check", "--alpha", "3", "--coeffs", "1e308,1e308"],
+                                   "decay certificate A of |c_j| * 2.0**j overflows"),
+    "check tail expansion overflow": (["check", "--alpha", "3", "--coeffs", "1e60,1e59"],
+                                      "tail expansion's squares overflow at alpha=3.0"),
+    "validate tail expansion overflow": (["validate", "--alpha", "3", "--r", "-1", "--n", "1000",
+                                          "--reps", "2", "--seed", "1", "--coeffs", "1e60,1e59"],
+                                         "tail expansion's squares overflow at alpha=3.0"),
+    "cov power sum underflow": (["cov", "--gamma", "0.3333", "--r", "-0.5",
+                                 "--coeffs", "1e-200,1e-200"],
+                                "power sum of |c_j|**3.0003000300030003 underflows to zero"),
+    "check power sum underflow": (["check", "--alpha", "3", "--coeffs", "1e-200,1e-200"],
+                                  "power sum of |c_j|**3.0 underflows to zero"),
+    "validate gpd_direct power sum underflow": (["validate", *UNDERFLOW,
+                                                 "--sampling", "gpd_direct"],
+                                                "power sum of |c_j|**3.0 underflows to zero"),
+    "validate series power sum underflow": (["validate", *UNDERFLOW, "--sampling", "series"],
+                                            "power sum of |c_j|**3.0 underflows to zero"),
+    "simulate alpha 1e-3": (["simulate", "--coeffs", "1,0.5", "--n", "4", "--alpha", "1e-3"],
+                            "innovation magnitude overflows at alpha=0.001"),
+    "simulate alpha 1e-300": (["simulate", "--coeffs", "1,0.5", "--n", "4", "--alpha", "1e-300"],
+                              "innovation magnitude overflows at alpha=1e-300"),
+    "validate GPD quantile overflow": (["validate", "--coeffs", "1", "--alpha", "0.001",
+                                        "--r", "-0.5", *RUN, "--sampling", "gpd_direct",
+                                        "--k", "50"],
+                                       "GPD quantile overflows at gamma=1000.0"),
+    "simulate filter overflow": (["simulate", "--coeffs", "1e308,1e308", "--n", "4"],
+                                 "simulated path overflows: the filter of these coefficients "
+                                 "is not finite on the finite draws"),
+}
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """A directory holding the INPUTS files and series.csv; a gpd_direct run
+    replicates in this process."""
+    monkeypatch.setattr(cli.montecarlo, "usable_cpus", lambda: 1)
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code, out, _ = run(["simulate", *MA1])
+    assert code == 0
+    (tmp_path / "series.csv").write_text(out)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_outputs(name, inputs):
+    argv, digest = OUTPUTS[name]
+    code, out, err = run([arg.format(dir=inputs) for arg in argv])
+    assert (code, err, sha256(out.encode())) == (0, "", digest)
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_numerical_failures(name, inputs):
+    argv, message = FAILURES[name]
+    assert run([arg.format(dir=inputs) for arg in argv]) == (
+        2, "", f"numerical failure: {message}\n")

@@ -63,7 +63,7 @@ class TestSigmaNk:
 
     def test_k_below_n(self):
         qexp = quantile_expansion(tail_expansion(3.0, IID))
-        with pytest.raises(ValueError, match="need 1 <= k < n"):
+        with pytest.raises(ValueError, match="^k must be <= 99$"):
             mc.sigma_nk(qexp, 1.0 / 3.0, 100, 100)
 
     def test_n_past_the_float_range_is_named(self):
@@ -588,7 +588,7 @@ class TestEmpiricalCov:
         np.testing.assert_array_equal(cov, cov.T)
 
     def test_needs_two_records(self):
-        with pytest.raises(ValueError, match="at least two"):
+        with pytest.raises(ValueError, match="^records must be >= 2$"):
             mc.empirical_cov([(1.0, 1.0)])
 
     def test_needs_pairs(self):
@@ -657,7 +657,7 @@ class TestNormalityDiagnostics:
             mc.normality_diagnostics(np.zeros((100, 2)), np.zeros((2, 2)))
 
     def test_minimum_record_count(self):
-        with pytest.raises(ValueError, match="at least 50"):
+        with pytest.raises(ValueError, match="^records must be >= 50$"):
             mc.normality_diagnostics(np.zeros((10, 2)), np.eye(2))
 
 

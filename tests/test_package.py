@@ -113,7 +113,8 @@ def test_overflow_rule_is_stated_once():
 
 def domain_message_sites(path):
     """``(file, function)`` of each ``raise`` in a file whose message states an
-    interval (``must lie in``) or a minimum (``must be >=``)."""
+    interval (``must lie in``), a bound of a count (``must be >=``, ``must be <=``)
+    or one of the wordings those replaced."""
     sites = []
 
     def visit(node, function):
@@ -121,7 +122,8 @@ def domain_message_sites(path):
             if isinstance(child, ast.Raise) and child.exc is not None:
                 text = "".join(c.value for c in ast.walk(child.exc)
                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
-                if re.search(r"must lie in|must be >=", text):
+                if re.search(r"must lie in|must be [<>]=|\bneed\b|too large|"
+                             r"must not exceed|must be finite|must be non-negative", text):
                     sites.append((path.name, function))
             visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
@@ -130,14 +132,13 @@ def domain_message_sites(path):
 
 
 def test_domain_rule_is_stated_once():
-    # process._within states every scalar interval and process._whole every
-    # integer minimum.  The others check arrays (x, p and u) or the two
-    # integers of a Philox key.
+    # process._within states every interval, of a scalar or an array, and
+    # process._whole every bound of a count; _philox_key checks the two integers
+    # of a Philox key.
     sites = [site for path in sorted(Path(tailproc.__file__).parent.glob("*.py"))
              for site in domain_message_sites(path)]
-    assert sorted(sites) == [("estimator.py", "cdf"), ("estimator.py", "quantile"),
-                             ("process.py", "_philox_key"), ("process.py", "_whole"),
-                             ("process.py", "_within"), ("process.py", "from_uniform")]
+    assert sorted(sites) == [("process.py", "_philox_key"), ("process.py", "_whole"),
+                             ("process.py", "_whole"), ("process.py", "_within")]
 
 
 def test_numpy_is_the_only_declared_dependency():
