@@ -26,7 +26,6 @@ __all__ = [
     "phi_constants",
     "pairwise_dependence_sum",
     "raw_limits",
-    "sigma_matrix",
     "linearization_matrix",
     "jacobian_limit",
     "estimator_cov",
@@ -125,19 +124,25 @@ def coefficient_norm(coeffs: CoefficientSequence, gamma: float) -> tuple[float, 
 
 
 def _lag_pair_sums(coeffs: CoefficientSequence, gamma: float, r: float) -> tuple:
-    """The sums of phi_1..phi_3 before their division by the norm."""
+    """The sums of phi_1..phi_3 before their division by the norm; a sum past
+    the float range raises ``OverflowError``."""
     arr = np.abs(coeffs.as_array())
     logs = np.log(np.where(arr > 0, arr, 1.0))
-    p = float(np.divide(1.0, gamma))
-    s1 = s2 = s3 = 0.0
-    for j in range(1, arr.size):
-        lo, hi = np.minimum(arr[:-j], arr[j:]), np.maximum(arr[:-j], arr[j:])
-        keep = lo > 0
-        lo, hi = lo[keep], hi[keep]
-        w = lo ** p
-        s1 += float(np.sum(w))
-        s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
-        s3 += float(np.sum(w * np.abs(logs[:-j] - logs[j:])[keep]))
+    with _overflow(f"pairwise dependence sum overflows at gamma={gamma!r}"):
+        p = float(np.divide(1.0, gamma))
+        s1 = s2 = s3 = 0.0
+        for j in range(1, arr.size):
+            lo, hi = np.minimum(arr[:-j], arr[j:]), np.maximum(arr[:-j], arr[j:])
+            keep = lo > 0
+            lo, hi = lo[keep], hi[keep]
+            w = lo ** p
+            s1 += float(np.sum(w))
+            s2 += float(np.sum(w * (lo / hi) ** (-r / gamma)))
+            s3 += float(np.sum(w * np.abs(logs[:-j] - logs[j:])[keep]))
+        # Python float + overflows to inf with no signal; the terms are
+        # non-negative, so a total past the float range stays inf.
+        if not all(map(math.isfinite, (s1, s2, s3))):
+            raise OverflowError
     return s1, s2, s3
 
 
@@ -162,8 +167,7 @@ def pairwise_dependence_sum(coeffs: CoefficientSequence, gamma: float) -> float:
     """Cross-lag summability diagnostic: the phi_3 sum of ``phi_constants`` (at any r)
     before its division by the norm, from the same loop over lag pairs."""
     _within("gamma", gamma, 0, math.inf)
-    with _overflow(f"pairwise dependence sum overflows at gamma={gamma!r}"):
-        return _lag_pair_sums(coeffs, gamma, -1.0)[2]
+    return _lag_pair_sums(coeffs, gamma, -1.0)[2]
 
 
 def raw_limits(gamma: float, r: float, phi: PhiConstants) -> RawLimits:
@@ -188,14 +192,6 @@ def _centered(raw: RawLimits) -> tuple[float, float, float]:
     return (raw.t1 - 2.0 * b1 * raw.t1I + b1**2 * raw.tI,
             raw.t2 - 2.0 * b2 * raw.t2I + b2**2 * raw.tI,
             raw.t12 - b1 * raw.t2I - b2 * raw.t1I + b1 * b2 * raw.tI)
-
-
-def sigma_matrix(kappa1: float, kappa2: float, kappa3: float) -> np.ndarray:
-    """Limit covariance of the two centered tail sum statistics."""
-    _within("kappa1", kappa1, 0, math.inf, low_in=True)
-    _within("kappa2", kappa2, 0, math.inf, low_in=True)
-    _within("kappa3", kappa3, -math.inf, math.inf)
-    return np.array([[kappa1, -kappa3], [-kappa3, kappa2]])
 
 
 def jacobian_limit(gamma: float, r: float) -> np.ndarray:
@@ -239,7 +235,6 @@ def estimator_cov(gamma: float, r: float, coeffs: CoefficientSequence) -> Covari
     kappa1, kappa2, kappa3 = kappas = _centered(raw)
     if not all(map(math.isfinite, kappas)):
         raise ArithmeticError(f"kappas {kappas} are not finite at gamma={gamma!r}, r={r!r}")
-    # Not sigma_matrix: its input rule would call a computed kappa2 of -2e-16 a usage error.
     sigma = np.array([[kappa1, -kappa3], [-kappa3, kappa2]])
     # Not _overflow: a covariance that is not finite or not positive definite is an ArithmeticError.
     with np.errstate(all="ignore"):

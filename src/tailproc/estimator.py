@@ -69,15 +69,9 @@ class GpdParams:
         _within("gamma", self.gamma, 0, math.inf)
         _within("sigma", self.sigma, 0, math.inf)
 
-    def cdf(self, x):
-        """``1 - (1 + gamma*x/sigma)**(-1/gamma)`` for x >= 0."""
-        x = np.asarray(x, dtype=float)
-        _within("x", x, 0, math.inf, low_in=True, high_in=True)
-        out = -np.expm1(-np.log1p(self.gamma * x / self.sigma) / self.gamma)
-        return float(out) if out.ndim == 0 else out
-
     def quantile(self, p):
-        """Exact inverse of ``cdf`` on 0 <= p < 1; ``OverflowError`` on a quantile
+        """``sigma * ((1 - p)**-gamma - 1) / gamma`` on 0 <= p < 1, the inverse of the
+        GPD cdf ``1 - (1 + gamma*x/sigma)**(-1/gamma)``; ``OverflowError`` on a quantile
         that overflows a float."""
         p = np.asarray(p, dtype=float)
         _within("p", p, 0, 1, low_in=True)

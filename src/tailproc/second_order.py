@@ -150,23 +150,27 @@ def tail_expansion(alpha: float, coeffs: CoefficientSequence) -> TailExpansion:
         ct3 = alpha (alpha+1) / 2 * [ (C_2 C_alpha - C_{alpha+2}) s2
               + (C_1^2 C_alpha - 2 C_1 C_{alpha+1} + C_{alpha+2}) mu^2 ]
 
-    Each power sum is evaluated once.  A square past the largest float raises ``OverflowError``.
+    Each power sum is evaluated once.  A term past the largest float raises ``OverflowError``.
     """
     _within("alpha", alpha, 2, math.inf)
-    mu, s2 = alpha / (alpha - 1.0), alpha / ((alpha - 1.0) * (alpha - 2.0))
     if np.any(coeffs.as_array() < 0):
         raise ValueError("tail expansion requires non-negative coefficients")
     c = coeffs.power_sum
-    c1, ca, ca1, ca2, c2 = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0), c(2.0)
-    term_var = (c2 * ca - ca2) * s2
-    ct2 = alpha * mu * (c1 * ca - ca1)
+    sums = c(1.0), c(alpha), c(alpha + 1.0), c(alpha + 2.0), c(2.0)
     with _overflow(f"tail expansion's squares overflow at alpha={alpha!r}"):
+        # On numpy scalars: a Python float's * overflows to inf with no signal.
+        a, c1, ca, ca1, ca2, c2 = map(np.float64, (alpha, *sums))
+        mu, s2 = a / (a - 1.0), a / ((a - 1.0) * (a - 2.0))
+        term_var = (c2 * ca - ca2) * s2
+        ct2 = a * mu * (c1 * ca - ca1)
         term_mean = (c1**2 * ca - 2.0 * c1 * ca1 + ca2) * mu**2
-        lhs = (1.0 + alpha) * ct2**2 / (2.0 * alpha)
-    ct3 = 0.5 * alpha * (alpha + 1.0) * (term_var + term_mean)
-    return TailExpansion(alpha=alpha, c_tilde=(ca, ct2, ct3), ct3_terms=(term_var, term_mean),
-                         inversion_terms=(lhs, ca * ct3),
-                         c2_is_zero=_cross_sum_vanishes(c1, ca, ca1))
+        lhs = (1.0 + a) * ct2**2 / (2.0 * a)
+        ct3 = 0.5 * a * (a + 1.0) * (term_var + term_mean)
+        rhs = ca * ct3
+    return TailExpansion(alpha=alpha, c_tilde=(sums[1], float(ct2), float(ct3)),
+                         ct3_terms=(float(term_var), float(term_mean)),
+                         inversion_terms=(float(lhs), float(rhs)),
+                         c2_is_zero=_cross_sum_vanishes(*sums[:3]))
 
 
 def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:
@@ -177,12 +181,13 @@ def quantile_expansion(expansion: TailExpansion) -> QuantileExpansion:
         a3 = -ct1**(-1/alpha - 2) * [(1+alpha) ct2^2 / (2 alpha) - ct1 ct3] / alpha
     """
     alpha = expansion.alpha
-    ct1, ct2, _ = expansion.c_tilde
     lhs, rhs = expansion.inversion_terms
-    a1 = ct1 ** (1.0 / alpha)
-    a2 = ct2 / (alpha * ct1)
-    a3 = -(ct1 ** (-1.0 / alpha - 2.0) * (lhs - rhs) / alpha)
-    return QuantileExpansion(a=(a1, a2, a3), tail=expansion)
+    with _overflow(f"quantile expansion overflows at alpha={alpha!r}"):
+        a, ct1, ct2 = map(np.float64, (alpha, *expansion.c_tilde[:2]))
+        a1 = ct1 ** (1.0 / a)
+        a2 = ct2 / (a * ct1)
+        a3 = -(ct1 ** (-1.0 / a - 2.0) * (lhs - rhs) / a)
+    return QuantileExpansion(a=(float(a1), float(a2), float(a3)), tail=expansion)
 
 
 def second_order_rates(n: int, k: int, qexp: QuantileExpansion) -> tuple[float, float]:

@@ -17,7 +17,6 @@ from tailproc.asymptotics import (
     pairwise_dependence_sum,
     phi_constants,
     raw_limits,
-    sigma_matrix,
 )
 from tailproc.process import CoefficientSequence, arma_to_ma, philox_stream
 
@@ -161,6 +160,22 @@ class TestPhiConstants:
                 f"pairwise dependence sum overflows at gamma={gamma!r}")):
             pairwise_dependence_sum(CoefficientSequence((2.0, 3.0)), gamma)
 
+    @pytest.mark.parametrize("cube", [2e306, 4e306])
+    def test_lag_pair_total_past_the_float_range_is_named(self, cube):
+        # Each lag's sum is finite, but their Python float total was not: at 2e306
+        # phi_constants returned phi1 = phi2 = inf with no warning, and at 4e306
+        # pairwise_dependence_sum returned inf; estimator_cov named kappas (nan, nan, nan).
+        m = cube ** (1.0 / 3.0)
+        coeffs = CoefficientSequence([m, m * math.exp(-1.0 / 3.0)] * 20)
+        message = re.escape(f"pairwise dependence sum overflows at gamma={1.0 / 3.0!r}")
+        for call in (lambda: phi_constants(coeffs, 1.0 / 3.0, -0.5),
+                     lambda: pairwise_dependence_sum(coeffs, 1.0 / 3.0),
+                     lambda: estimator_cov(1.0 / 3.0, -0.5, coeffs)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match=f"^{message}$"):
+                    call()
+
 
 class TestRawLimits:
     def test_zero_phi_t1_and_tI(self):
@@ -232,20 +247,6 @@ class TestKappas:
 
 
 class TestMatrices:
-    def test_sigma_matrix_placement(self):
-        np.testing.assert_array_equal(sigma_matrix(1.0, 1.0, 0.0), np.eye(2))
-        mat = sigma_matrix(2.0, 3.0, 0.5)
-        np.testing.assert_array_equal(mat, [[2.0, -0.5], [-0.5, 3.0]])
-        np.testing.assert_array_equal(mat, mat.T)
-
-    def test_sigma_matrix_rejects_negative_diagonal(self):
-        with pytest.raises(ValueError):
-            sigma_matrix(-1.0, 1.0, 0.0)
-
-    def test_sigma_matrix_rejects_infinite_kappa(self):
-        with pytest.raises(ValueError, match=r"^kappa1 must lie in \[0, inf\)$"):
-            sigma_matrix(math.inf, 1.0, 0.0)
-
     def test_linearization_hand_values(self):
         np.testing.assert_allclose(linearization_matrix(1.0, -1.0),
                                    [[4.0, 12.0], [-2.0, -12.0]], atol=1e-14)

@@ -5,6 +5,7 @@ import concurrent.futures
 import dataclasses
 import importlib
 import json
+import math
 import os
 import re
 import shlex
@@ -23,6 +24,11 @@ from tailproc.cli import build_parser, main
 from tailproc.estimator import GpdParams, lme_fit, top_k_excesses
 from tailproc.process import CoefficientSequence, InnovationModel, simulate
 from tailproc.second_order import choose_k
+
+
+# Forty coefficients whose lag-pair sums are each finite and whose total is not.
+CUBE_ROOT = (2e306) ** (1.0 / 3.0)
+LAG_PAIRS = ",".join([repr(CUBE_ROOT), repr(CUBE_ROOT * math.exp(-1.0 / 3.0))] * 20)
 
 
 def run_cli(capsys, *argv):
@@ -51,7 +57,7 @@ class TestCov:
         code, out, _ = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1",
                                "--coeffs", "1")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["kappa1"] == pytest.approx(0.2777777777777778, abs=1e-12)
         assert payload["phi1"] == 0.0
 
@@ -60,7 +66,7 @@ class TestCov:
         code, out, _ = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1",
                                "--ar", "0.5")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["norm_c"] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_ar_root_near_unit_circle(self, capsys):
@@ -68,7 +74,7 @@ class TestCov:
         code, out, _ = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1",
                                "--ar", "0.9")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["norm_c"] == pytest.approx(1.0 / 0.19, abs=1e-10)
 
     def test_requires_coefficients(self, capsys):
@@ -85,9 +91,6 @@ class TestCov:
         assert len(err.splitlines()) == 1
 
     def test_phi2_stays_finite_for_tiny_coefficients(self, capsys):
-        def reject(token):
-            raise ValueError(f"non-finite JSON constant {token}")
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "cov", "--gamma", "0.25", "--r", "-2",
@@ -95,7 +98,7 @@ class TestCov:
             assert run_cli(capsys, "cov", "--gamma", "0.25", "--r", "-2",
                            "--ar", "0.9")[0] == 0
         assert code == 0 and err == ""
-        assert json.loads(out, parse_constant=reject)["phi2"] == pytest.approx(
+        assert strict_json(out)["phi2"] == pytest.approx(
             1e-160, rel=1e-12)
 
     def test_norm_overflow_is_numerical_failure(self, capsys):
@@ -151,7 +154,7 @@ class TestCov:
             code, out, err = run_cli(capsys, "cov", "--gamma", "0.5", "--r", "-1",
                                      "--coeffs", "1,1e-320")
         assert (code, err) == (0, "")
-        assert json.loads(out)["phi3"] == 0.0
+        assert strict_json(out)["phi3"] == 0.0
 
     @pytest.mark.parametrize("argv,message", [
         (["cov", "--gamma", "1e300", "--r", "-1"], "kappas (inf, "),
@@ -169,13 +172,23 @@ class TestCov:
         # kappa2 computes to -2.2e-16, and sigma_matrix's input rule made this exit 1.
         (["cov", "--gamma", "0.2", "--r", "-1e100"],
          "covariance L S L^T is not finite and positive definite at gamma=0.2, r=-1e+100\n"),
+        (["check", "--alpha", "2e154"], "tail expansion's squares overflow at alpha=2e+154\n"),
+        (["check", "--alpha", "1e300", "--coeffs", "1"],
+         "tail expansion's squares overflow at alpha=1e+300\n"),
+        (["validate", "--coeffs", "1e-50", "--alpha", "3", "--r", "-0.5", "--n", "1000",
+          "--reps", "2", "--seed", "1"], "quantile expansion overflows at alpha=3.0\n"),
+        (["cov", "--gamma", "0.3333333333333333", "--r", "-0.5", "--coeffs", LAG_PAIRS],
+         "pairwise dependence sum overflows at gamma=0.3333333333333333\n"),
     ], ids=["huge_gamma", "huge_r_cov", "huge_r_validate", "huge_n", "huge_n_explicit_k",
-            "huge_coefficient", "huge_r_kappa2"])
+            "huge_coefficient", "huge_r_kappa2", "huge_alpha_product", "huge_alpha_nan",
+            "tiny_coefficient_quantile", "lag_pair_total"])
     def test_huge_parameter_is_named_numerical_failure(self, capsys, argv, message):
         # A huge gamma exited 1 as a usage error; a huge |r| printed a bare
         # "(34, 'Numerical result out of range')", and an n with no float
         # "int too large to convert to float" or "integer division result
-        # too large for a float".
+        # too large for a float".  A huge alpha printed Infinity and NaN and
+        # exited 0, a tiny coefficient printed the bare message, and a
+        # lag-pair total past the float range named kappas (nan, nan, nan).
         # A row's own --coeffs comes later and wins.
         code, out, err = run_cli(capsys, argv[0], "--coeffs", "1,0.5", *argv[1:])
         assert (code, out) == (2, "")
@@ -195,14 +208,14 @@ class TestCheck:
     def test_iid_fails_two_conditions(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--alpha", "3", "--coeffs", "1")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["verdict"] is False
         assert payload["failing"] == ["(ii)", "(iii)"]
 
     def test_dependent_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--alpha", "3",
                                "--coeffs", "1,0.5", "--xi", "0.9")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0 and payload["verdict"] is True
         witness = {c["name"]: c["witness"] for c in payload["checks"]}
         assert witness["(i)"]["eta"] == pytest.approx(0.45)
@@ -210,7 +223,7 @@ class TestCheck:
 
     def test_rows_and_conditions_holding_by_construction(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--alpha", "3", "--coeffs", "1,0.5")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert [c["name"] for c in payload["checks"]] == [
             "geometric_decay", "(i)", "(ii)", "(iii)"]
@@ -293,7 +306,7 @@ class TestSimulateAndFit:
         code, out, _ = run_cli(capsys, "fit", "--input", str(out_path),
                                "--k", "100", "--r", "-1")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
 
         coeffs = CoefficientSequence((1.0, 0.5))
         model = InnovationModel(alpha=3.0)
@@ -357,7 +370,7 @@ class TestSimulateAndFit:
         code, out, _ = run_cli(capsys, "fit", "--input", str(path),
                                "--k", str(k), "--r", "-1", "--excesses")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert abs(payload["gamma_hat"] - 0.5) <= 0.01
         assert abs(payload["sigma_hat"] - 1.0) <= 0.02
 
@@ -375,7 +388,7 @@ class TestSimulateAndFit:
         path.write_text("\n".join(repr(float(v)) for v in data))
         code, out, _ = run_cli(capsys, "fit", "--input", str(path), "--excesses")
         assert code == 0
-        assert list(json.loads(out)) == ["gamma_hat", "sigma_hat", "b_hat", "residual",
+        assert list(strict_json(out)) == ["gamma_hat", "sigma_hat", "b_hat", "residual",
                                          "iterations", "r", "k", "threshold"]
 
     def test_fit_k_mismatch_is_usage_error(self, capsys, tmp_path):
@@ -445,7 +458,7 @@ class TestSimulateAndFit:
         outputs = [run_cli(capsys, "fit", "--input", str(path), "--excesses", "--r", "-0.5")
                    for path in (plain, marked)]
         assert outputs[0] == outputs[1]
-        payload = json.loads(outputs[1][1])
+        payload = strict_json(outputs[1][1])
         assert payload["k"] == 200
         assert payload["gamma_hat"] == pytest.approx(0.3267, abs=5e-5)
 
@@ -499,11 +512,11 @@ class TestValidate:
         prefix = str(tmp_path / "out")
         code, out, _ = run_cli(capsys, "validate", run, "--output", prefix)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["config"]["k"] == 60
         header = (tmp_path / "out.records.csv").read_text().splitlines()[0]
         assert header == "index,gamma_hat,sigma_hat,z1,z2,status"
-        report = json.loads((tmp_path / "out.report.json").read_text())
+        report = strict_json((tmp_path / "out.report.json").read_text())
         assert report["empirical_mean"] == payload["empirical_mean"]
 
     @pytest.mark.parametrize("flags", [
@@ -516,7 +529,7 @@ class TestValidate:
                            ("file", [args_file(tmp_path, flags.replace(" --", "\n--"))])):
             prefix = tmp_path / name
             code, out, err = run_cli(capsys, "validate", *argv, "--output", str(prefix))
-            reports = [json.loads(text) for text in
+            reports = [strict_json(text) for text in
                        (out, Path(f"{prefix}.report.json").read_text())]
             for report in reports:
                 report.pop("elapsed_seconds")
@@ -531,7 +544,7 @@ class TestValidate:
                                   "--r -1 --n 4000 --reps 4 --seed 17\n")
         code, out, _ = run_cli(capsys, "validate", run)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["config"]["k"] == choose_k(4000, 0.9, 1.5, True)
         assert payload["failure_count"] == 0
 
@@ -541,7 +554,7 @@ class TestValidate:
         run = args_file(tmp_path, VALIDATE_FLAGS)
         for argv, reps in (([run, "--reps", "12"], 12), (["--reps", "12", run], 4)):
             code, out, _ = run_cli(capsys, "validate", *argv)
-            assert (code, json.loads(out)["config"]["replications"]) == (0, reps)
+            assert (code, strict_json(out)["config"]["replications"]) == (0, reps)
 
     def test_comments_and_exponent_form_in_file(self, capsys, tmp_path):
         # Any number of flags a line, # comments, and -5e-1 as on the command line.
@@ -551,7 +564,7 @@ class TestValidate:
         for argv in ([run], "--coeffs 1,0.5 --alpha 3 --r -0.5 --n 2000 --k 40 --reps 3 "
                             "--seed 1".split()):
             code, out, err = run_cli(capsys, "validate", *argv)
-            payload = json.loads(out)
+            payload = strict_json(out)
             payload.pop("elapsed_seconds")
             outputs.append((code, payload, err))
         assert outputs[0][0] == 0
@@ -637,7 +650,7 @@ class TestValidate:
         run = args_file(tmp_path, f"{VALIDATE_FLAGS}\n--{key} {self.CONFIG_VALUES[key]}\n")
         code, out, err = run_cli(capsys, "validate", run)
         if code == 0:
-            assert json.loads(out)["failure_count"] <= 4
+            assert strict_json(out)["failure_count"] <= 4
         else:
             assert (code, out) == (1, "")
             assert err.startswith("error:") and err.count("\n") == 1
@@ -667,7 +680,7 @@ class TestValidate:
         for reps in (4, 2):
             flags = VALIDATE_FLAGS.replace("--reps 4", f"--reps {reps}").split()
             code, out, _ = run_cli(capsys, "validate", *flags, "--sampling", "gpd_direct")
-            assert (code, json.loads(out)["failure_count"]) == (0, 0)
+            assert (code, strict_json(out)["failure_count"]) == (0, 0)
         assert sizes == [3, 2]
 
     def test_broken_pool_is_a_resource_failure(self, capsys, monkeypatch):
@@ -691,7 +704,7 @@ class TestValidate:
                                  "--r", "-0.5", "--n", str(10**400), "--k", "50", "--reps", "2",
                                  "--seed", "1", "--sampling", "gpd_direct")
         assert (code, err) == (0, "")
-        assert json.loads(out)["config"]["n"] == 10**400
+        assert strict_json(out)["config"]["n"] == 10**400
 
     def test_output_into_missing_directory_fails_before_the_run(self, capsys, tmp_path,
                                                                  monkeypatch):
@@ -848,7 +861,7 @@ class TestUsage:
         for r in ("-5e-1", "-0.5"):
             code, out, err = run_cli(capsys, *(a.format(excesses=excesses) for a in argv),
                                      "--r", r)
-            payload = json.loads(out)
+            payload = strict_json(out)
             payload.pop("elapsed_seconds", None)
             outputs.append((code, json.dumps(payload), err))
         assert outputs[0] == outputs[1]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli import LAG_PAIRS
 
 from tailproc import cli
 
@@ -205,6 +206,18 @@ FAILURES = {
     "simulate filter overflow": (["simulate", "--coeffs", "1e308,1e308", "--n", "4"],
                                  "simulated path overflows: the filter of these coefficients "
                                  "is not finite on the finite draws"),
+    "check tail expansion product overflow": (["check", "--alpha", "2e154", "--coeffs", "1,0.5"],
+                                              "tail expansion's squares overflow at alpha=2e+154"),
+    "check tail expansion nan": (["check", "--alpha", "1e300", "--coeffs", "1"],
+                                 "tail expansion's squares overflow at alpha=1e+300"),
+    "validate quantile expansion overflow": (["validate", "--coeffs", "1e-50", "--alpha", "3",
+                                              "--r", "-0.5", "--n", "1000", "--reps", "2",
+                                              "--seed", "1"],
+                                             "quantile expansion overflows at alpha=3.0"),
+    "cov lag-pair total overflow": (["cov", "--gamma", "0.3333333333333333", "--r", "-0.5",
+                                     "--coeffs", LAG_PAIRS],
+                                    "pairwise dependence sum overflows at "
+                                    "gamma=0.3333333333333333"),
 }
 
 

@@ -16,9 +16,9 @@ from tailproc import asymptotics, estimator, montecarlo, process, second_order
 
 MODULES = (process, estimator, asymptotics, second_order, montecarlo)
 
-# The 42 kept top-level names of release 0.1.0 and __version__; ConditionCheck
-# was not yet exported, and von_mises_ratio, kappas and coefficient_power_sum
-# were removed after the release.
+# The 41 kept top-level names of release 0.1.0 and __version__; ConditionCheck
+# was not yet exported, and von_mises_ratio, kappas, coefficient_power_sum and
+# sigma_matrix were removed after the release.
 RELEASED_NAMES = {
     "CoefficientSequence", "InnovationModel", "SimulatedPath",
     "apply_filter", "arma_to_ma", "decay_certificate",
@@ -26,7 +26,7 @@ RELEASED_NAMES = {
     "GpdParams", "ExcessSample", "LmeEstimate", "LmeSolverError",
     "top_k_excesses", "lme_fit",
     "PhiConstants", "RawLimits", "CovarianceReport", "coefficient_norm",
-    "phi_constants", "raw_limits", "sigma_matrix",
+    "phi_constants", "raw_limits",
     "linearization_matrix", "jacobian_limit", "estimator_cov",
     "TailExpansion", "QuantileExpansion", "ConditionReport",
     "tail_expansion", "quantile_expansion",
@@ -53,7 +53,7 @@ def test_every_exported_name_resolves():
 
 
 def test_released_names_are_kept():
-    assert len(RELEASED_NAMES) == 43
+    assert len(RELEASED_NAMES) == 42
     assert RELEASED_NAMES <= set(tailproc.__all__)
     assert "ConditionCheck" in tailproc.__all__
 
@@ -173,9 +173,6 @@ FLOAT_PARAMETERS = {
     "pairwise_dependence_sum.gamma": lambda x: asymptotics.pairwise_dependence_sum(C, x),
     "raw_limits.gamma": lambda x: asymptotics.raw_limits(x, -1.0, PHI),
     "raw_limits.r": lambda x: asymptotics.raw_limits(0.5, x, PHI),
-    "sigma_matrix.kappa1": lambda x: asymptotics.sigma_matrix(x, 1.0, 0.0),
-    "sigma_matrix.kappa2": lambda x: asymptotics.sigma_matrix(1.0, x, 0.0),
-    "sigma_matrix.kappa3": lambda x: asymptotics.sigma_matrix(1.0, 1.0, x),
     "jacobian_limit.gamma": lambda x: asymptotics.jacobian_limit(x, -1.0),
     "jacobian_limit.r": lambda x: asymptotics.jacobian_limit(0.5, x),
     "linearization_matrix.gamma": lambda x: asymptotics.linearization_matrix(x, -1.0),

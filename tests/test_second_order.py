@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from oracles import convolution_tail, invert_three_term_tail
 from tailproc import second_order
+from tailproc.montecarlo import sigma_nk
 from tailproc.process import CoefficientSequence, arma_to_ma
 from tailproc.second_order import (
     ZERO_REL_TOL,
@@ -117,6 +120,14 @@ class TestTailExpansion:
         with pytest.raises(OverflowError, match="tail expansion's squares overflow at alpha=3.0"):
             tail_expansion(3.0, CoefficientSequence((1e60, 1e59)))
 
+    @pytest.mark.parametrize("alpha,coeffs", [(2e154, DEP), (1e300, IID)])
+    def test_product_past_the_float_range_is_named(self, alpha, coeffs):
+        # A Python float product overflowed to inf with no signal: at 2e154 the
+        # inversion terms were (inf, inf), and at 1e300 alpha (alpha + 1) * 0 made ct3 nan.
+        with pytest.raises(OverflowError, match=re.escape(
+                f"tail expansion's squares overflow at alpha={alpha!r}")):
+            tail_expansion(alpha, coeffs)
+
     def test_quadrature_oracle_at_t_100(self):
         texp = tail_expansion(3.0, DEP)
         truth = convolution_tail(100.0, 1.0, 0.5, 3.0)
@@ -158,6 +169,12 @@ class TestQuantileExpansion:
         x = 1e6
         b_direct = invert_three_term_tail(x, qexp.tail.c_tilde, 3.0)
         assert abs(float(qexp.b(x)) - b_direct) / b_direct <= 1e-3
+
+    def test_overflow_is_named(self):
+        # ct1**(-1/alpha - 2) raised a bare OverflowError(34, 'Numerical result out of range').
+        texp = tail_expansion(3.0, CoefficientSequence((1e-50,)))
+        with pytest.raises(OverflowError, match=r"^quantile expansion overflows at alpha=3.0$"):
+            quantile_expansion(texp)
 
 
 class TestSecondOrderRates:
@@ -335,3 +352,33 @@ class TestCheckConditions:
     def test_xi_domain(self):
         with pytest.raises(ValueError, match="xi"):
             check_conditions(3.0, DEP, xi=1.0)
+
+
+# The second-order layer's failure-class grid: 252 cells from a tail index near 2
+# to one past the square root of the float range, and from tiny to huge coefficients.
+GRID_ALPHAS = (2.0001, 2.5, 3.0, 10.0, 1e3, 1e8, 1e154, 2e154, 1e300)
+GRID_SCALES = (1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100)
+GRID_SHAPES = ((1.0,), (1.0, 0.5), (1.0, 0.9, 0.3), (1.0, 1e-3))
+NAMED_FAILURE = re.compile(r"^(power sum of \|c_j\|\*\*\S+ (overflows|underflows to zero)"
+                           r"|tail expansion's squares overflow at alpha="
+                           r"|quantile expansion overflows at alpha=)")
+
+
+@pytest.mark.parametrize("alpha", GRID_ALPHAS)
+def test_every_cell_returns_finite_json_or_a_named_error(alpha):
+    # Alpha 3 at scale 1e-50 raised an unnamed OverflowError, and seven cells at
+    # alpha 1e154, 2e154 and 1e300 returned inf or nan, which JSON does not have.
+    for scale in GRID_SCALES:
+        for shape in GRID_SHAPES:
+            coeffs = CoefficientSequence(tuple(scale * c for c in shape))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    report = check_conditions(alpha, coeffs)
+                    qexp = quantile_expansion(tail_expansion(alpha, coeffs))
+                    rates = second_order_rates(10**6, 144, qexp)
+                    centering = sigma_nk(qexp, 1.0 / alpha, 10**6, 144)
+                except ArithmeticError as exc:
+                    assert NAMED_FAILURE.match(str(exc)), (scale, shape, str(exc))
+                    continue
+            json.dumps([report.to_dict(), qexp.a, rates, centering], allow_nan=False)
